@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,9 +40,22 @@ class ConfigError(ValueError):
     """Invalid or unusable run configuration."""
 
 
-SCENARIOS = ("linear", "rotation", "ballistic", "straightening", "custom")
 _DEFAULT_TOLERANCES = {"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-12}
 _RUN_VARIANTS = ("Std116", "Cross220")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _scenario(name) -> "Scenario":
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ConfigError(f"scenario must be one of {tuple(SCENARIOS)}, got {name!r}")
+    return SCENARIOS[name]
 
 
 @dataclass
@@ -61,10 +76,15 @@ class RunConfig:
     lam0: Optional[list] = None
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        scenario = _scenario(self.scenario)
+        if not (_is_int(self.n) and self.n >= 1):
             raise ConfigError("n must be a positive integer")
+        for name in ("t0", "t1", "step", "sigma"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("seed", "loop_vertices"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
         if self.step <= 0:
             raise ConfigError("step must be positive")
         if self.t1 <= self.t0:
@@ -75,25 +95,21 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive")
-        if self.scenario == "ballistic":
-            if self.n != 4:
-                raise ConfigError("ballistic scenario requires n=4")
-            if self.sigma <= 0:
-                raise ConfigError("sigma must be positive")
-        if self.scenario == "straightening" and self.n != 1:
-            raise ConfigError("straightening scenario requires n=1")
+            if not (_is_real(value) and value > 0):
+                raise ConfigError(f"tolerance {name!r} must be a positive number")
+        if scenario.n is not None and self.n != scenario.n:
+            raise ConfigError(f"{self.scenario} scenario requires n={scenario.n}")
+        try:  # the factory checks the parameters it reads, e.g. sigma > 0
+            scenario.system(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.loop_vertices < 8:
             raise ConfigError("loop_vertices must be at least 8")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
         for name in ("x0", "lam0"):
             v = getattr(self, name)
-            if v is not None:
-                arr = np.asarray(v, dtype=float)
-                if arr.ndim != 1 or arr.size != self.n or not np.all(np.isfinite(arr)):
-                    raise ConfigError(f"{name} must be a finite list of length n={self.n}")
+            if v is not None and not (isinstance(v, (list, tuple, np.ndarray))
+                                      and len(v) == self.n and all(map(_is_real, v))):
+                raise ConfigError(f"{name} must be a finite list of length n={self.n}")
         return self
 
 
@@ -121,8 +137,8 @@ def load_config(path: str) -> RunConfig:
             merged.update(value)
             value = merged
         setattr(cfg, key, value)
-    if "n" not in raw and cfg.scenario == "ballistic":
-        cfg.n = 4
+    if "n" not in raw:
+        cfg.n = _scenario(cfg.scenario).n or cfg.n
     return cfg.validate()
 
 
@@ -194,45 +210,24 @@ class Outcome:
     exit_code: int
 
 
-def _linear_system(n):
-    return DynamicSystem(dim=n, f=lambda x, t: x,
-                         jac=lambda x, t: np.eye(n), autonomous=True)
+def _linear_system(cfg):
+    eye = np.eye(cfg.n)
+    return DynamicSystem(dim=cfg.n, f=lambda x, t: x,
+                         jac=lambda x, t: eye, autonomous=True)
 
 
-def _frozen_system():
-    return DynamicSystem(dim=1, f=lambda x, t: np.zeros(1),
-                         jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
+def _uniform_cloud(rng, cfg):
+    n = cfg.n
+    return [PhaseState(rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n),
+                       rng.uniform(cfg.t0, cfg.t1)) for _i in range(20)]
 
 
-def _default_states(cfg):
-    if cfg.scenario == "ballistic":
-        x0 = [0.0, 1.0, 1.0, 0.0]
-        lam0 = [1.0, 0.0, 0.0, 0.0]
-    else:
-        x0 = [1.0] * cfg.n
-        lam0 = [1.0] * cfg.n
-    if cfg.x0 is not None:
-        x0 = list(cfg.x0)
-    if cfg.lam0 is not None:
-        lam0 = list(cfg.lam0)
-    return np.asarray(x0, dtype=float), np.asarray(lam0, dtype=float)
-
-
-def _traj_rows(system, traj):
-    rows = []
-    for s in traj:
-        rows.append([s.t, *s.x, *s.lam, hamiltonian(system, s)])
-    return rows
-
-
-def _canonicity_rows(report):
-    return [[t, r, dy, dmu] for t, r, dy, dmu in
-            zip(report.times, report.residual_series,
-                report.det_y_series, report.det_mu_series)]
-
-
-def _verdict_exit(verdict):
-    return {"canonical": 0, "violated": 1}.get(verdict, 3)
+def _ballistic_cloud(rng, cfg):
+    """A box of prograde states clear of the r = 0 guard."""
+    return [PhaseState([rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5),
+                        rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.0)],
+                       rng.uniform(-1.0, 1.0, size=4), rng.uniform(cfg.t0, cfg.t1))
+            for _i in range(20)]
 
 
 def _subsample(traj, count=9):
@@ -240,45 +235,112 @@ def _subsample(traj, count=9):
     return [traj.samples[i] for i in idx]
 
 
-def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
-    os.makedirs(out_dir, exist_ok=True)
-    if cfg.scenario == "custom":
-        raise ConfigError("scenario 'custom' has no batch definition; drive the library API directly")
-    if cfg.scenario == "straightening":
-        return _execute_straightening(cfg, out_dir)
+def _rotation_image_error(cfg, system, spec, traj):
+    """Max distance of a seeded cloud's image from the exact quarter-turn."""
+    n = cfg.n
+    err = 0.0
+    for p in np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(100, 2 * n)):
+        s = PhaseState(p[:n], p[n:], cfg.t0)
+        y, mu = apply_map(spec, s)
+        err = max(err, float(np.max(np.abs(y - s.lam))), float(np.max(np.abs(mu + s.x))))
+    return {"rotation_image_error": err}
 
-    if cfg.scenario == "ballistic":
-        system = ballistic_system(cfg.sigma)
-    else:
-        system = _linear_system(cfg.n)
-    x0, lam0 = _default_states(cfg)
-    s0 = PhaseState(x0, lam0, cfg.t0)
 
-    if cfg.scenario == "rotation":
-        cf, spec = rotation_example(dim=cfg.n)
-    else:
-        cf = zero_controlling_function(cfg.n)
-        spec = MappingSpec(cfg.map_variant, cf)
+def _ballistic_conservation(cfg, system, spec, traj):
+    """Drift of the area integral r v_phi and of the cyclic multiplier lam_4,
+    and the generic adjoint -A^T lam against the hand-written one."""
+    rv = np.array([s.x[2] * s.x[1] for s in traj])
+    lam4 = traj.lams()[:, 3]
+    adj = make_ballistic_adjoint(cfg.sigma)
+    agree = max(float(np.max(np.abs(adj(s) + system.jac_at(s.x, s.t).T @ s.lam)))
+                for s in _subsample(traj))
+    return {"area_integral_drift_rel": float(np.max(np.abs(rv - rv[0])) / max(1.0, abs(rv[0]))),
+            "lam4_drift": float(np.max(np.abs(lam4 - lam4[0]))),
+            "adjoint_agreement": agree}
 
-    traj = integrate(system, s0, cfg.t1, cfg.step)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["t"] + [f"x_{i+1}" for i in range(cfg.n)]
-               + [f"lam_{i+1}" for i in range(cfg.n)] + ["H"],
-               _traj_rows(system, traj))
-    if traj.meta.get("truncated"):
-        print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
-              f"({traj.meta['reason']})", file=sys.stderr)
-        return Outcome("degenerate", float("nan"), float("nan"), 3)
 
-    report = canonicity_residual(system, spec, traj,
-                                 tol=cfg.tolerances["canonicity"],
-                                 degenerate_tol=cfg.tolerances["degenerate"])
-    _write_csv(os.path.join(out_dir, "canonicity.csv"),
-               ["t", "residual", "det_y", "det_mu"], _canonicity_rows(report))
+@dataclass(frozen=True)
+class Scenario:
+    """Everything run, sweep and verify need to know about one scenario."""
 
-    probes = _subsample(traj)
-    defect = max(symplectic_test(spec, s) for s in probes)
-    drift = energy_drift(system, traj)
+    system: Callable                     # cfg -> DynamicSystem; rejects bad parameters
+    n: Optional[int] = None              # required dimension (None: any n)
+    state: Callable = lambda n: ([1.0] * n, [1.0] * n)   # n -> default (x0, lam0)
+    control: Optional[Callable] = None   # n -> (cf, spec) replacing the zero U
+    cloud: Callable = _uniform_cloud     # (rng, cfg) -> verify sample points
+    basis: str = "canonicity"            # canonicity | symplectic | pde
+    extras: Optional[Callable] = None    # (cfg, system, spec, traj) -> diagnostics
+
+
+SCENARIOS = {
+    "linear": Scenario(system=_linear_system),
+    "rotation": Scenario(
+        system=_linear_system,
+        control=lambda n: rotation_example(dim=n),
+        # y = lam does not depend on x, so det(dy/dx) = 0 and the Cross220
+        # differential criterion reports `degenerate` (jacobian_min_abs_det
+        # = 0) for the quarter-turn.  Its full 2n-Jacobian is a rotation, so
+        # the verdict follows the symplectic defect; both are recorded.
+        basis="symplectic",
+        extras=_rotation_image_error),
+    "ballistic": Scenario(
+        system=lambda cfg: ballistic_system(cfg.sigma),
+        n=4,
+        state=lambda n: ([0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        cloud=_ballistic_cloud,
+        extras=_ballistic_conservation),
+    # The verdict comes from the straightening PDE solved through (x0, lam0).
+    "straightening": Scenario(
+        system=lambda cfg: DynamicSystem(dim=1, f=lambda x, t: np.zeros(1),
+                                         jac=lambda x, t: np.zeros((1, 1)), autonomous=True),
+        n=1,
+        basis="pde"),
+}
+
+
+def _default_states(cfg):
+    x0, lam0 = SCENARIOS[cfg.scenario].state(cfg.n)
+    return (np.asarray(x0 if cfg.x0 is None else cfg.x0, dtype=float),
+            np.asarray(lam0 if cfg.lam0 is None else cfg.lam0, dtype=float))
+
+
+def _verdict_exit(verdict):
+    return {"canonical": 0, "violated": 1}.get(verdict, 3)
+
+
+def _straighten(cfg, system, x0, lam0):
+    """Constant-drift reduction of the frozen field through (x0, lam0)."""
+    if abs(lam0[0]) < 1e-6:
+        raise ConfigError("straightening scenario needs lam0[0] away from zero "
+                          "(it doubles as the multiplier target c)")
+    prob = StraighteningProblem(c=[lam0[0]], a=[0.0], h=0.0, y0=[x0[0] + 1.0],
+                                lam_b=lam0[0])
+    return constant_field_reduction(
+        prob, system, x0, lam0,
+        lam_grid=np.linspace(lam0[0], lam0[0] + 2.0, 101),
+        x_grid=np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101),
+        t1=cfg.t1, step=cfg.step)
+
+
+def _pde_verdict(cfg, red):
+    ok = red.pde_residual_max < 1e-8 and red.ydot_max_err < 1e-6 and red.mu_defect < 1e-6
+    verdict = "canonical" if ok else "violated"
+    inv = {
+        "scenario": cfg.scenario,
+        "verdict": verdict,
+        "pde_residual_max": red.pde_residual_max,
+        "ydot_max_err": red.ydot_max_err,
+        "mu_defect": red.mu_defect,
+        "hj_residual": red.hj_residual,
+        "energy_mismatch": red.energy_mismatch,
+        "boundary": red.boundary_note,
+        "loop_drift": None,
+    }
+    return verdict, red.pde_residual_max, inv
+
+
+def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
+    defect = max(symplectic_test(spec, s) for s in _subsample(traj))
     act = action_function(system, traj)
     inv = {
         "scenario": cfg.scenario,
@@ -292,94 +354,58 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
         "loop_drift": None,
     }
     if cfg.n == 1:
-        loop0 = circle_loop(s0, 0.5, cfg.loop_vertices)
+        loop0 = circle_loop(traj.samples[0], 0.5, cfg.loop_vertices)
         ens = flow_loop(system, loop0, [cfg.t1], cfg.step)
         inv["loop_drift"] = poincare_cartan_loop(system, ens)
-
-    verdict = report.verdict
-    max_res = report.max_residual
-    if cfg.scenario == "rotation":
-        # The cross-variant differential criterion is violated along a
-        # generic flow even though the quarter-turn map is exactly
-        # symplectic; the run verdict follows the symplectic defect, and
-        # both metrics are recorded side by side.
-        rng = np.random.default_rng(cfg.seed)
-        pts = rng.uniform(-2.0, 2.0, size=(100, 2 * cfg.n))
-        img_err = 0.0
-        for p in pts:
-            ps = PhaseState(p[:cfg.n], p[cfg.n:], cfg.t0)
-            y, mu = apply_map(spec, ps)
-            img_err = max(img_err,
-                          float(np.max(np.abs(y - ps.lam))),
-                          float(np.max(np.abs(mu + ps.x))))
-        inv["rotation_image_error"] = img_err
-        inv["verdict_basis"] = "symplectic"
-        # The block determinants det(dy/dx), det(dmu/dlam) vanish for the
-        # quarter-turn (y depends on lam alone), so the differential
-        # criterion's degenerate gate does not apply; the full 2n-Jacobian
-        # is a rotation with determinant one.
+    if scenario.extras is not None:
+        inv.update(scenario.extras(cfg, system, spec, traj))
+    if scenario.basis == "symplectic":
         verdict = "canonical" if defect < cfg.tolerances["symplectic"] else "violated"
-        inv["verdict"] = verdict
-        max_res = defect
+        inv.update(verdict=verdict, verdict_basis="symplectic")
+        return verdict, defect, inv
+    return report.verdict, report.max_residual, inv
 
-    if cfg.scenario == "ballistic":
-        rv = np.array([s.x[2] * s.x[1] for s in traj])
-        adj = make_ballistic_adjoint(cfg.sigma)
-        agree = 0.0
-        for s in probes:
-            lamdot = -system.jac_at(s.x, s.t).T @ s.lam
-            agree = max(agree, float(np.max(np.abs(adj(s) - lamdot))))
-        inv["area_integral_drift_rel"] = float(
-            np.max(np.abs(rv - rv[0])) / max(1.0, abs(rv[0])))
-        inv["lam4_drift"] = float(np.max(np.abs(traj.lams()[:, 3] - traj.lams()[0, 3])))
-        inv["adjoint_agreement"] = agree
 
+def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
+    os.makedirs(out_dir, exist_ok=True)
+    scenario = SCENARIOS[cfg.scenario]
+    system = scenario.system(cfg)
+    x0, lam0 = _default_states(cfg)
+    if scenario.control is not None:
+        spec = scenario.control(cfg.n)[1]
+    else:
+        spec = MappingSpec(cfg.map_variant, zero_controlling_function(cfg.n))
+    if scenario.basis == "pde":
+        red = _straighten(cfg, system, x0, lam0)
+        traj = red.traj
+    else:
+        red = None
+        traj = integrate(system, PhaseState(x0, lam0, cfg.t0), cfg.t1, cfg.step)
+
+    _write_csv(os.path.join(out_dir, "trajectory.csv"),
+               ["t"] + [f"x_{i+1}" for i in range(cfg.n)]
+               + [f"lam_{i+1}" for i in range(cfg.n)] + ["H"],
+               [[s.t, *s.x, *s.lam, hamiltonian(system, s)] for s in traj])
+    if traj.meta.get("truncated"):
+        print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
+              f"({traj.meta['reason']})", file=sys.stderr)
+        return Outcome("degenerate", float("nan"), float("nan"), 3)
+
+    report = canonicity_residual(system, spec, traj,
+                                 tol=cfg.tolerances["canonicity"],
+                                 degenerate_tol=cfg.tolerances["degenerate"])
+    _write_csv(os.path.join(out_dir, "canonicity.csv"), ["t", "residual", "det_y", "det_mu"],
+               zip(report.times, report.residual_series, report.det_y_series,
+                   report.det_mu_series))
+    drift = energy_drift(system, traj)
+    if red is not None:
+        verdict, max_res, inv = _pde_verdict(cfg, red)
+    else:
+        verdict, max_res, inv = _flow_verdict(cfg, scenario, system, spec, traj, report, drift)
     _write_json(os.path.join(out_dir, "invariants.json"), inv)
     if cfg.emit_gnuplot:
         _write_gnuplot(os.path.join(out_dir, "plot.gp"), cfg.n)
     return Outcome(verdict, max_res, drift.drift, _verdict_exit(verdict))
-
-
-def _execute_straightening(cfg: RunConfig, out_dir: str) -> Outcome:
-    system = _frozen_system()
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else np.array([1.0])
-    lam0 = np.asarray(cfg.lam0, dtype=float) if cfg.lam0 is not None else np.array([1.0])
-    if abs(lam0[0]) < 1e-6:
-        raise ConfigError("straightening scenario needs lam0[0] away from zero "
-                          "(it doubles as the multiplier target c)")
-    prob = StraighteningProblem(c=[lam0[0]], a=[0.0], h=0.0, y0=[x0[0] + 1.0],
-                                lam_b=lam0[0])
-    report = constant_field_reduction(
-        prob, system, x0, lam0,
-        lam_grid=np.linspace(lam0[0], lam0[0] + 2.0, 101),
-        x_grid=np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101),
-        t1=cfg.t1, step=cfg.step)
-    traj = report.traj
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["t", "x_1", "lam_1", "H"], _traj_rows(system, traj))
-    cf = zero_controlling_function(1)
-    base = canonicity_residual(system, MappingSpec("Std116", cf), traj)
-    _write_csv(os.path.join(out_dir, "canonicity.csv"),
-               ["t", "residual", "det_y", "det_mu"], _canonicity_rows(base))
-    ok = (report.pde_residual_max < 1e-8 and report.ydot_max_err < 1e-6
-          and report.mu_defect < 1e-6)
-    verdict = "canonical" if ok else "violated"
-    inv = {
-        "scenario": "straightening",
-        "verdict": verdict,
-        "pde_residual_max": report.pde_residual_max,
-        "ydot_max_err": report.ydot_max_err,
-        "mu_defect": report.mu_defect,
-        "hj_residual": report.hj_residual,
-        "energy_mismatch": report.energy_mismatch,
-        "boundary": report.boundary_note,
-        "loop_drift": None,
-    }
-    _write_json(os.path.join(out_dir, "invariants.json"), inv)
-    if cfg.emit_gnuplot:
-        _write_gnuplot(os.path.join(out_dir, "plot.gp"), 1)
-    drift = energy_drift(system, traj)
-    return Outcome(verdict, report.pde_residual_max, drift.drift, _verdict_exit(verdict))
 
 
 def _resolve_out(cfg: RunConfig) -> str:
@@ -437,37 +463,19 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
 def verify(cfg: RunConfig) -> int:
     """Derivative cross-checks for the scenario's system and controlling
     function on a seeded point cloud; prints one line per block."""
-    if cfg.scenario == "custom":
-        raise ConfigError("scenario 'custom' has no batch definition; drive the library API directly")
+    scenario = SCENARIOS[cfg.scenario]
     rng = np.random.default_rng(cfg.seed)
-    if cfg.scenario == "ballistic":
-        system = ballistic_system(cfg.sigma)
-        cf = None
-        pts = []
-        for _i in range(20):
-            x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5),
-                          rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.0)])
-            lam = rng.uniform(-1.0, 1.0, size=4)
-            pts.append(PhaseState(x, lam, rng.uniform(cfg.t0, cfg.t1)))
-    else:
-        n = cfg.n
-        system = _frozen_system() if cfg.scenario == "straightening" else _linear_system(n)
-        cf = rotation_example(dim=n)[0] if cfg.scenario == "rotation" else None
-        pts = [PhaseState(rng.uniform(-2.0, 2.0, size=n),
-                          rng.uniform(-2.0, 2.0, size=n),
-                          rng.uniform(cfg.t0, cfg.t1)) for _i in range(20)]
+    checks = [("sys", scenario.system(cfg))]
+    if scenario.control is not None:
+        checks.append(("cf", scenario.control(cfg.n)[0]))
+    pts = scenario.cloud(rng, cfg)
     ok = True
-    rep = verify_derivatives(system, pts)
-    for name, err in rep.blocks.items():
-        status = "OK" if name not in rep.failing else "FAIL"
-        print(f"sys.{name}: max rel err {err:.3e} {status}")
-        ok = ok and status == "OK"
-    if cf is not None:
-        rep = verify_derivatives(cf, pts)
+    for prefix, obj in checks:
+        rep = verify_derivatives(obj, pts)
         for name, err in rep.blocks.items():
             status = "OK" if name not in rep.failing else "FAIL"
-            print(f"cf.{name}: max rel err {err:.3e} {status}")
-            ok = ok and status == "OK"
+            print(f"{prefix}.{name}: max rel err {err:.3e} {status}")
+        ok = ok and rep.ok
     return 0 if ok else 1
 
 

@@ -197,9 +197,6 @@ class HJResult:
     max_residual: float
     series: np.ndarray
 
-    def __float__(self):
-        return self.max_residual
-
 
 def hj_residual_U(cf, G: Callable, spec: MappingSpec,
                   points: Sequence[PhaseState]) -> HJResult:

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phasecore import DomainError, DynamicSystem, PhaseState, _central_diff_x
+from .hamilton import _BLOWUP_LIMIT
 
 __all__ = [
     "ScalarField",
@@ -123,7 +124,7 @@ def compose_flow(field: ScalarField, s0: PhaseState, T: float, N: int) -> PhaseS
     for i in range(N):
         y, mu = infinitesimal_step(gen, s)
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(mu))) \
-                or np.any(np.abs(y) > 1e12) or np.any(np.abs(mu) > 1e12):
+                or np.any(np.abs(y) > _BLOWUP_LIMIT) or np.any(np.abs(mu) > _BLOWUP_LIMIT):
             raise DomainError(f"flow composition blew up at step {i + 1}/{N}")
         s = PhaseState(y, mu, s.t + eps)
     return s

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t, _central_diff_x, _fd_step)
+                        Trajectory, _central_diff_x, _fd_step)
 from .hamilton import canonical_rhs, fundamental_matrix
 
 __all__ = [
@@ -226,9 +226,6 @@ class Lambda0Result:
     lam0: np.ndarray     # full multiplier vector with component k replaced
     k: int
 
-    def __float__(self):
-        return self.value
-
 
 _G_TOL = 1e-10
 
@@ -402,19 +399,16 @@ def synthesize_lambda0_cross(sys: DynamicSystem, cf: ControllingFunction, x0, la
 class UlamSynthesis:
     cf: ControllingFunction
     ulam_series: np.ndarray    # U_lam at each trajectory sample
-    ortho_defect: np.ndarray   # |U_x . Udot_lam| per sample
     propagator: object         # FundamentalMatrix, kind D
 
 
-def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0,
-                    u_xt=None) -> UlamSynthesis:
-    """Build U(x, lam, t) = (D(t) ulam0) . lam + u(x, t) along a trajectory.
+def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesis:
+    """Build U(x, lam, t) = (D(t) ulam0) . lam along a trajectory.
 
     D propagates the initial gradient ulam0, so U_lam = D ulam0 satisfies
-    Udot_lam = A U_lam along the flow by construction; the free scalar
-    u(x, t) (default 0) carries all of U_x.  The orthogonality defect
-    |U_x . Udot_lam| per sample measures the remaining obstruction to
-    canonicity.
+    Udot_lam = A U_lam along the flow by construction.  U is free of x, so
+    U_x = 0 and the Std116 residual -lam . Udot_lam - U_lam . lamdot
+    vanishes up to rounding, since lamdot = -A^T lam.
     """
     n = sys.dim
     ulam0 = np.atleast_1d(np.asarray(ulam0, dtype=float))
@@ -427,41 +421,22 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0,
     def dvec(t):
         return D.value_at(t) @ ulam0
 
-    if u_xt is None:
-        u_part = lambda x, t: 0.0
-        ux_part = lambda x, t: np.zeros(n)
-        uxx_part = lambda x, t: np.zeros((n, n))
-        uxt_part = lambda x, t: np.zeros(n)
-    else:
-        u_part = lambda x, t: float(u_xt(x, t))
-        ux_part = lambda x, t: _central_diff_x(lambda xx: u_xt(xx, t), x).reshape(n)
-        uxx_part = lambda x, t: _central_diff_x(
-            lambda xx: ux_part(xx, t), x, 1e-4).reshape(n, n)
-        uxt_part = lambda x, t: _central_diff_t(
-            lambda tt: ux_part(x, tt), t, 1e-4).reshape(n)
-
+    zeros_n = np.zeros(n)
     zeros_nn = np.zeros((n, n))
     cf = ControllingFunction(
         n,
-        u=lambda x, lam, t: float(dvec(t) @ lam) + u_part(x, t),
-        ux=lambda x, lam, t: ux_part(x, t),
+        u=lambda x, lam, t: float(dvec(t) @ lam),
+        ux=lambda x, lam, t: zeros_n,
         ulam=lambda x, lam, t: dvec(t),
-        ut=lambda x, lam, t: float((sys.jac_at(x, t) @ dvec(t)) @ lam)
-            + (0.0 if u_xt is None else float(_central_diff_t(lambda tt: u_xt(x, tt), t))),
+        ut=lambda x, lam, t: float((sys.jac_at(x, t) @ dvec(t)) @ lam),
         uxlam=lambda x, lam, t: zeros_nn,
-        uxx=lambda x, lam, t: uxx_part(x, t),
+        uxx=lambda x, lam, t: zeros_nn,
         ulamlam=lambda x, lam, t: zeros_nn,
-        uxt=lambda x, lam, t: uxt_part(x, t),
+        uxt=lambda x, lam, t: zeros_n,
         ulamt=lambda x, lam, t: sys.jac_at(x, t) @ dvec(t),
     )
-
     ulam_series = np.array([Dv @ ulam0 for Dv in D.values])
-    defects = []
-    for s, ul in zip(traj, ulam_series):
-        udot = sys.jac_at(s.x, s.t) @ ul
-        defects.append(abs(float(ux_part(s.x, s.t) @ udot)))
-    return UlamSynthesis(cf=cf, ulam_series=ulam_series,
-                         ortho_defect=np.array(defects), propagator=D)
+    return UlamSynthesis(cf=cf, ulam_series=ulam_series, propagator=D)
 
 
 # ---------------------------------------------------------------------

@@ -62,11 +62,8 @@ def _central_diff_x(func, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
 
 
 def _central_diff_t(func, t: float, h_scale: float = 1e-6):
-    h = _fd_step(t, h_scale)
-    tp = t + h
-    tm = t - h
-    d = tp - tm
-    return (np.asarray(func(tp), dtype=float) - np.asarray(func(tm), dtype=float)) / d
+    """Derivative of func: R -> R^m (or R) by one central difference."""
+    return _central_diff_x(lambda tt: func(tt[0]), np.array([t], dtype=float), h_scale)[..., 0]
 
 
 # =====================================================================
@@ -146,11 +143,21 @@ class PhaseState:
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         if x.ndim != 1 or lam.ndim != 1 or x.shape != lam.shape:
             raise ValueError("x and lam must be 1-d arrays of identical dimension")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam)) and np.isfinite(self.t)):
+        if not (np.isfinite(x).all() and np.isfinite(lam).all() and np.isfinite(self.t)):
             raise ValueError(f"non-finite phase state: x={x}, lam={lam}, t={self.t}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "t", float(self.t))
+
+    @classmethod
+    def _trusted(cls, x: np.ndarray, lam: np.ndarray, t: float) -> "PhaseState":
+        """Wrap 1-d float arrays of equal shape that are already known to be
+        finite, skipping __post_init__'s checks (RK4 output is checked per step)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "x", x)
+        object.__setattr__(s, "lam", lam)
+        object.__setattr__(s, "t", float(t))
+        return s
 
     @property
     def n(self) -> int:
@@ -178,23 +185,17 @@ class ControllingFunction:
     derivatives uxx, ulamlam, uxt, ulamt are needed by the flow-restricted
     canonicity residuals.  Every missing closure is replaced by central
     differences of the best available lower block and recorded in
-    ``fd_backed``; pass ``fd_fallback=False`` to leave missing blocks absent
-    instead (operations requiring them then raise).
+    ``fd_backed``.
 
     All closures take (x, lam, t) with x, lam in R^n.
     """
 
-    _FIRST = ("ux", "ulam", "ut")
-    _SECOND = ("uxlam", "uxx", "ulamlam", "uxt", "ulamt")
-
     def __init__(self, dim, u, ux=None, ulam=None, ut=None, uxlam=None,
-                 uxx=None, ulamlam=None, uxt=None, ulamt=None,
-                 fd_fallback=True):
+                 uxx=None, ulamlam=None, uxt=None, ulamt=None):
         if not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
         self.u = u
-        backed = set()
 
         def vec(f):
             return None if f is None else (lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(self.dim))
@@ -211,9 +212,7 @@ class ControllingFunction:
         self.uxt = vec(uxt)
         self.ulamt = vec(ulamt)
 
-        if fd_fallback:
-            backed.update(self._install_fd())
-        self.fd_backed = frozenset(backed)
+        self.fd_backed = frozenset(self._install_fd())
 
     # --- FD substitution ----------------------------------------------------
 
@@ -262,36 +261,28 @@ class ControllingFunction:
         return float(self.u(s.x, s.lam, s.t))
 
     def ux_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("ux")(s.x, s.lam, s.t)
+        return self.ux(s.x, s.lam, s.t)
 
     def ulam_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("ulam")(s.x, s.lam, s.t)
+        return self.ulam(s.x, s.lam, s.t)
 
     def ut_at(self, s: PhaseState) -> float:
-        return self._need("ut")(s.x, s.lam, s.t)
+        return self.ut(s.x, s.lam, s.t)
 
     def uxlam_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("uxlam")(s.x, s.lam, s.t)
+        return self.uxlam(s.x, s.lam, s.t)
 
     def uxx_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("uxx")(s.x, s.lam, s.t)
+        return self.uxx(s.x, s.lam, s.t)
 
     def ulamlam_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("ulamlam")(s.x, s.lam, s.t)
+        return self.ulamlam(s.x, s.lam, s.t)
 
     def uxt_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("uxt")(s.x, s.lam, s.t)
+        return self.uxt(s.x, s.lam, s.t)
 
     def ulamt_at(self, s: PhaseState) -> np.ndarray:
-        return self._need("ulamt")(s.x, s.lam, s.t)
-
-    def _need(self, name):
-        fn = getattr(self, name)
-        if fn is None:
-            raise ValueError(
-                f"controlling function lacks the '{name}' derivative block; "
-                "construct it with fd_fallback=True to substitute finite differences")
-        return fn
+        return self.ulamt(s.x, s.lam, s.t)
 
 
 def zero_controlling_function(dim: int) -> ControllingFunction:

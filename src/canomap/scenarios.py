@@ -426,6 +426,6 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
                                pde_residual_max=pde_residual,
                                ydot_max_err=ydot_max_err,
                                mu_defect=mu_defect,
-                               hj_residual=float(hj),
+                               hj_residual=hj.max_residual,
                                energy_mismatch=energy_mismatch,
                                boundary_note=note)

@@ -40,10 +40,21 @@ def test_rotation_run_is_canonical(tmp_path, capsys):
     inv = json.loads((out / "invariants.json").read_text())
     assert inv["verdict"] == "canonical"
     assert inv["verdict_basis"] == "symplectic"
+    # y = lam alone, so the differential criterion's block determinants vanish
+    assert inv["jacobian_min_abs_det"] == 0
     assert inv["rotation_image_error"] < 1e-12
     assert inv["symplectic_defect_max"] < 1e-9
     for artifact in ("trajectory.csv", "canonicity.csv", "invariants.json"):
         assert (out / artifact).exists()
+
+
+def test_ballistic_defaults_to_four_dimensions(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="ballistic", t1=0.1, step=1e-2,
+                    output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 0
+    assert read_rows(out / "trajectory.csv")[0] == [
+        "t", "x_1", "x_2", "x_3", "x_4", "lam_1", "lam_2", "lam_3", "lam_4", "H"]
 
 
 def test_artifact_headers_and_shapes(tmp_path):
@@ -121,7 +132,31 @@ def test_unknown_scenario_rejected(tmp_path, capsys):
 def test_custom_scenario_has_no_batch_path(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scenario="custom")
     assert main(["run", "--config", cfg]) == 2
-    assert "no batch definition" in capsys.readouterr().err
+    assert "scenario must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"step": "fast"}, "step"),
+    ({"t1": None}, "t1"),
+    ({"x0": ["a"]}, "x0"),
+    ({"n": True}, "n"),
+    ({"scenario": "ballistic", "sigma": "x"}, "sigma"),
+    ({"loop_vertices": 8.5}, "loop_vertices"),
+    ({"tolerances": {"canonicity": True}}, "canonicity"),
+])
+def test_wrongly_typed_field_is_a_config_error(tmp_path, capsys, fields, name):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **fields)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, n", [("ballistic", 4), ("straightening", 1)])
+def test_scenario_dimension_is_enforced(tmp_path, capsys, scenario, n):
+    cfg = write_cfg(tmp_path, scenario=scenario, n=2)
+    assert main(["run", "--config", cfg]) == 2
+    assert f"requires n={n}" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_configs(tmp_path, capsys):
@@ -211,6 +246,16 @@ def test_verify_linear_has_no_cf_lines(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert all(ln.startswith("sys.") for ln in lines)
+
+
+@pytest.mark.parametrize("scenario", ["ballistic", "straightening"])
+def test_verify_system_only_scenarios(tmp_path, capsys, scenario):
+    cfg = write_cfg(tmp_path, scenario=scenario)
+    assert main(["verify", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    pat = re.compile(r"^sys\.\w+: max rel err \d\.\d{3}e[+-]\d{2} OK$")
+    assert [ln.split(":")[0] for ln in lines] == ["sys.ft", "sys.jac"]
+    assert all(pat.fullmatch(ln) for ln in lines)
 
 
 # ---------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_hj_image_side_matches_new_hamiltonian():
     points = [PhaseState([x], [lam], t)
               for x, lam, t in [(1.0, 2.0, 0.0), (-0.5, 0.3, 0.7), (2.0, -1.0, 1.5)]]
     res = hj_residual_U(cf, lambda y, mu, t: a * mu[0], spec, points)
-    assert float(res) == 0.0
+    assert res.max_residual == 0.0
 
 
 def test_hj_image_side_constant_drive():

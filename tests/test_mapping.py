@@ -199,7 +199,7 @@ def test_lambda0_rotation_field_root():
                              x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0)
     assert res.status == "ok"
     assert res.g_residual < 1e-10
-    assert np.isfinite(float(res))
+    assert np.isfinite(res.value)
 
 
 def test_lambda0_degenerate_pivot_raises():
@@ -264,7 +264,6 @@ def test_ulam_scalar_growth():
     synth = synthesize_ulam(linear_system(a=a), traj, np.array([1.0]))
     ts = traj.times()
     assert np.max(np.abs(synth.ulam_series[:, 0] - np.exp(a * ts))) < 1e-8
-    assert np.max(synth.ortho_defect) < 1e-7
 
 
 def test_ulam_end_to_end_canonical():

@@ -164,12 +164,6 @@ def test_fd_fallback_approximates_derivatives():
     assert report.ok
 
 
-def test_missing_block_instructs_fd_backing():
-    cf = ControllingFunction(1, u=lambda x, lam, t: 0.0, fd_fallback=False)
-    with pytest.raises(ValueError, match="fd_fallback=True"):
-        cf.ux_at(PhaseState([0.0], [0.0], 0.0))
-
-
 def test_zero_controlling_function_exact():
     cf = zero_controlling_function(2)
     s = PhaseState([1.0, -2.0], [0.5, 3.0], 0.2)

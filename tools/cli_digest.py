@@ -1,0 +1,68 @@
+"""sha256 of every `canomap run`/`sweep`/`verify` output, per source tree.
+
+    python3 tools/cli_digest.py ROOT [ROOT ...]
+
+ROOT is a checkout holding src/canomap.  Each case runs in a fresh
+interpreter; one line per artifact, stdout, stderr and exit code.  With two
+or more roots, exits 1 unless every tree matches the first byte for byte.
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+CASES = {
+    "linear": {"scenario": "linear", "t1": 0.5, "step": 0.01, "emit_gnuplot": True},
+    "linear-n2": {"scenario": "linear", "n": 2, "t1": 0.5, "step": 0.01,
+                  "map_variant": "Cross220", "lam0": [0.5, -1.0]},
+    "rotation": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 3},
+    "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
+    "ballistic": {"scenario": "ballistic", "t1": 1.0, "step": 0.01,
+                  "x0": [0.0, 1.1, 1.0, 0.0], "emit_gnuplot": True},
+    "ballistic-fall": {"scenario": "ballistic", "t1": 2.0, "step": 0.01,
+                       "x0": [0.0, 0.0, 1.0, 0.0]},
+    "ballistic-n2": {"scenario": "ballistic", "n": 2},
+    "straightening": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
+                      "x0": [0.3], "map_variant": "Cross220", "emit_gnuplot": True},
+}
+COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
+
+
+def digest(root):
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    env = {k: v for k, v in os.environ.items() if k != "CANOMAP_OUT"}
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
+    lines = []
+    for (case, cfg), (cmd, extra) in ((c, m) for c in CASES.items() for m in COMMANDS.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            out, path = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dict(cfg, output_dir=out), fh)
+            proc = subprocess.run([sys.executable, "-m", "canomap.cli", cmd, "--config", path,
+                                   *extra], capture_output=True, env=env, cwd=tmp)
+            tag = f"{case} {cmd}"
+            lines += [f"{tag} exit {proc.returncode}", f"{tag} stdout {sha(proc.stdout)}",
+                      f"{tag} stderr {sha(proc.stderr)}"]
+            for dirpath, _dirs, files in sorted(os.walk(out)):
+                for name in sorted(files):
+                    with open(os.path.join(dirpath, name), "rb") as fh:
+                        rel = os.path.relpath(os.path.join(dirpath, name), out)
+                        lines.append(f"{tag} {rel} {sha(fh.read())}")
+    return lines
+
+
+if __name__ == "__main__":
+    roots = sys.argv[1:]
+    if not roots:
+        sys.exit(__doc__)
+    results = [digest(root) for root in roots]
+    for root, lines in zip(roots, results):
+        print(f"# {root}", *lines, sep="\n")
+    bad = [root for root, lines in zip(roots, results) if lines != results[0]]
+    for root in bad:
+        print(f"DIFFERS from {roots[0]}: {root}")
+    if len(roots) > 1 and not bad:
+        print(f"IDENTICAL: {len(results[0])} digests in each of {len(roots)} trees")
+    sys.exit(1 if bad else 0)
