@@ -85,6 +85,10 @@ class RunConfig:
         for name in ("seed", "loop_vertices"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
+        if not isinstance(self.emit_gnuplot, bool):
+            raise ConfigError("emit_gnuplot must be true or false")
         if self.step <= 0:
             raise ConfigError("step must be positive")
         if self.t1 <= self.t0:
@@ -213,7 +217,7 @@ class Outcome:
 def _linear_system(cfg):
     eye = np.eye(cfg.n)
     return DynamicSystem(dim=cfg.n, f=lambda x, t: x,
-                         jac=lambda x, t: eye, autonomous=True)
+                         jac=lambda x, t: eye, autonomous=True, vectorized=True)
 
 
 def _uniform_cloud(rng, cfg):
@@ -319,7 +323,7 @@ def _straighten(cfg, system, x0, lam0):
         prob, system, x0, lam0,
         lam_grid=np.linspace(lam0[0], lam0[0] + 2.0, 101),
         x_grid=np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101),
-        t1=cfg.t1, step=cfg.step)
+        t0=cfg.t0, t1=cfg.t1, step=cfg.step)
 
 
 def _pde_verdict(cfg, red):

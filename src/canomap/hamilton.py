@@ -51,17 +51,33 @@ def canonical_rhs(sys: DynamicSystem, s: PhaseState):
     return xdot, lamdot
 
 
+def _canonical_rhs_rows(sys: DynamicSystem):
+    """rhs(Z, t) of the lifted system on a stack Z of shape (M, 2n); each
+    row is bitwise equal to the single-state right-hand side in integrate."""
+    n = sys.dim
+
+    def rhs(Z, t):
+        X = Z[:, :n]
+        lamdot = -np.swapaxes(sys.jac_rows(X, t), 1, 2) @ Z[:, n:, None]
+        return np.concatenate([sys.f_rows(X, t), lamdot[:, :, 0]], axis=1)
+    return rhs
+
+
 # ---------------------------------------------------------------------
-# Fixed-step RK4 on a flat state vector
+# Fixed-step RK4 on a state array of any shape
 # ---------------------------------------------------------------------
 
-def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float):
+def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
+              path: bool = True):
     """March z' = rhs(z, t) from t0 to t1, landing exactly on t1.
+
+    z may be one flat state or a stack of them; the arithmetic is
+    elementwise, so every row of a stack follows the flat march bitwise.
 
     Returns (ts, zs, diagnostic) where diagnostic is None on success and a
     dict describing the truncation point if the state blew up (any component
     beyond 1e12 in magnitude, a non-finite value, or a DomainError from the
-    field).
+    field).  With path=False, ts and zs hold only the last finite sample.
     """
     slack = 1e-12 * max(1.0, abs(t1))
     ts = [t0]
@@ -84,6 +100,8 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float):
                             "reason": "state magnitude exceeded 1e12"}
         ts.append(t)
         zs.append(z)
+        if not path:
+            del ts[0], zs[0]
     return ts, zs, None
 
 

@@ -14,9 +14,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .phasecore import (DynamicSystem, PhaseState, Trajectory,
-                        _central_diff_x)
-from .hamilton import canonical_rhs, hamiltonian, integrate
+from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
+                        _central_diff_x, _require_dim)
+# integrate is unused here but stays importable: perfbench/tracing.py
+# patches canomap.invariants.integrate.
+from .hamilton import (_canonical_rhs_rows, _rk4_path, canonical_rhs,
+                       hamiltonian, integrate)
 from .mapping import MappingSpec, apply_map
 
 __all__ = [
@@ -103,13 +106,33 @@ def circle_loop(center: PhaseState, radius: float, M: int) -> tuple:
 def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
               step: float) -> LoopEnsemble:
     """Flow every vertex of loop0 to each target time; loops stay closed
-    by construction (the shared first/last vertex is integrated once)."""
+    by construction (the shared first/last vertex is integrated once).
+
+    All vertices march together as one (M, 2n) stack from loop0's time, one
+    march per target, so each endpoint equals integrate(sys, v, t1, step)'s
+    last sample bitwise.  A march that blows up raises DomainError.
+    """
+    loop0 = LoopEnsemble(tuple(loop0), ()).loop0  # closed, one common time
+    for v in loop0:
+        _require_dim(sys, v)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    n = sys.dim
+    t0 = loop0[0].t
+    Z0 = np.array([v.z() for v in loop0[:-1]])
+    rhs = _canonical_rhs_rows(sys)
     flowed = []
     for t1 in t_targets:
-        imgs = [integrate(sys, v, t1, step).samples[-1] for v in loop0[:-1]]
+        if t1 <= t0:
+            raise ValueError("t1 must exceed the initial time")
+        ts, zs, diag = _rk4_path(rhs, Z0, t0, t1, step, path=False)
+        if diag is not None:
+            raise DomainError(f"loop flow truncated at t={diag['t_truncated']} "
+                              f"({diag['reason']})")
+        imgs = [PhaseState._trusted(z[:n], z[n:], ts[-1]) for z in zs[-1]]
         imgs.append(imgs[0])
         flowed.append(tuple(imgs))
-    return LoopEnsemble(loop0=tuple(loop0), flowed=tuple(flowed))
+    return LoopEnsemble(loop0=loop0, flowed=tuple(flowed))
 
 
 def _loop_integral(sys: DynamicSystem, loop, richardson: bool) -> float:

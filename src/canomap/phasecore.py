@@ -88,6 +88,13 @@ class DynamicSystem:
         systems, FD-backed otherwise when omitted.
     autonomous : bool
         Marks f as time-independent; ft is then identically zero.
+    vectorized : bool
+        Opt-in batch contract: f, jac and ft take a stack of states X of
+        shape (M, n).  f and ft return (M, n); jac returns (M, n, n), or
+        one (n, n) array when it does not depend on x (it is broadcast).
+        Single-state calls pass a (1, n) stack.  Requires jac, since there
+        are no batched finite differences.  Without the flag, the batched
+        helpers loop over rows with the single-state calls.
     """
 
     dim: int
@@ -95,11 +102,15 @@ class DynamicSystem:
     jac: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     ft: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     autonomous: bool = False
+    vectorized: bool = False
     fd_backed: frozenset = field(default=frozenset(), init=False)
 
     def __post_init__(self):
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
+        if self.vectorized and self.jac is None:
+            raise ValueError("a vectorized system must supply jac "
+                             "(there are no batched finite differences)")
         backed = set()
         if self.jac is None:
             backed.add("jac")
@@ -109,25 +120,55 @@ class DynamicSystem:
 
     # --- evaluation helpers -------------------------------------------------
 
+    def _arg(self, x) -> np.ndarray:
+        """x as the callbacks expect one state: (n,), or (1, n) if vectorized."""
+        x = np.asarray(x, dtype=float)
+        return x[None] if self.vectorized else x
+
     def f_at(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.asarray(self.f(np.asarray(x, dtype=float), t), dtype=float)
+        out = np.asarray(self.f(self._arg(x), t), dtype=float)
         if out.shape != (self.dim,):
             out = out.reshape(self.dim)
         return out
 
     def jac_at(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self.jac is not None:
-            return np.asarray(self.jac(x, t), dtype=float).reshape(self.dim, self.dim)
+            return np.asarray(self.jac(self._arg(x), t), dtype=float).reshape(self.dim, self.dim)
+        x = np.asarray(x, dtype=float)
         return _central_diff_x(lambda xx: self.f_at(xx, t), x).reshape(self.dim, self.dim)
 
     def ft_at(self, x: np.ndarray, t: float) -> np.ndarray:
         if self.autonomous:
             return np.zeros(self.dim)
-        x = np.asarray(x, dtype=float)
         if self.ft is not None:
-            return np.asarray(self.ft(x, t), dtype=float).reshape(self.dim)
+            return np.asarray(self.ft(self._arg(x), t), dtype=float).reshape(self.dim)
+        x = np.asarray(x, dtype=float)
         return np.asarray(_central_diff_t(lambda tt: self.f_at(x, tt), t)).reshape(self.dim)
+
+    # --- batched evaluation on a stack X of shape (M, n) --------------------
+
+    def f_rows(self, X: np.ndarray, t: float) -> np.ndarray:
+        """f at every row of X, as an (M, n) array."""
+        if not self.vectorized:
+            return np.array([self.f_at(x, t) for x in X])
+        out = np.asarray(self.f(X, t), dtype=float)
+        if out.shape != X.shape:
+            raise ValueError(f"vectorized f returned shape {out.shape}, expected {X.shape}")
+        return out
+
+    def jac_rows(self, X: np.ndarray, t: float) -> np.ndarray:
+        """Jacobian at every row of X, as an (M, n, n) array (a read-only
+        view when a vectorized jac returns one (n, n) array)."""
+        if not self.vectorized:
+            return np.array([self.jac_at(x, t) for x in X])
+        m, n = X.shape
+        out = np.asarray(self.jac(X, t), dtype=float)
+        if out.shape == (n, n):
+            return np.broadcast_to(out, (m, n, n))
+        if out.shape != (m, n, n):
+            raise ValueError(f"vectorized jac returned shape {out.shape}, "
+                             f"expected {(m, n, n)} or {(n, n)}")
+        return out
 
 
 @dataclass(frozen=True, eq=False)

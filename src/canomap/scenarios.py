@@ -334,13 +334,14 @@ class ConstantFieldReport:
 def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
                              x0, lam0, lam_grid=None, x_grid=None,
                              t1: float = 1.0, step: float = 1e-3,
+                             t0: float = 0.0,
                              quad_tol: float = 1e-10) -> ConstantFieldReport:
     """Synthesize U that straightens an autonomous scalar system.
 
     Builds F(x, lam) = ∫ lam dx + c (y0 - x) with the line integral taken
-    along the system's own extremal through (x0, lam0) (for a frozen field
-    every grid x is its own extremal and the integral vanishes), solves the
-    straightening PDE, and reports how well the mapped motion achieves
+    along the system's own extremal from (x0, lam0, t0) to t1 (for a frozen
+    field every grid x is its own extremal and the integral vanishes), solves
+    the straightening PDE, and reports how well the mapped motion achieves
     ydot = a, mu = c, and the Hamilton-Jacobi equation with G = a.mu.
     """
     if not sys.autonomous:
@@ -349,7 +350,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         raise ValueError("constant_field_reduction handles n=1 only")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
-    s0 = PhaseState(x0, lam0, 0.0)
+    s0 = PhaseState(x0, lam0, t0)
     traj = integrate(sys, s0, t1, step)
     ts = traj.times()
     xs = traj.xs()[:, 0]
@@ -357,7 +358,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     c = float(prob.c[0])
     a = float(prob.a[0])
     y0 = float(prob.y0[0])
-    energy_mismatch = abs(float(lam0[0]) * float(sys.f_at(x0, 0.0)[0]) - prob.h)
+    energy_mismatch = abs(float(lam0[0]) * float(sys.f_at(x0, t0)[0]) - prob.h)
 
     # line integral ∫ lam dx = ∫ lam f dt along the extremal
     integrand = np.array([lams[i] * float(sys.f_at(traj.samples[i].x, ts[i])[0])

@@ -143,9 +143,11 @@ def test_custom_scenario_has_no_batch_path(tmp_path, capsys):
     ({"scenario": "ballistic", "sigma": "x"}, "sigma"),
     ({"loop_vertices": 8.5}, "loop_vertices"),
     ({"tolerances": {"canonicity": True}}, "canonicity"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"emit_gnuplot": "no"}, "emit_gnuplot"),
 ])
 def test_wrongly_typed_field_is_a_config_error(tmp_path, capsys, fields, name):
-    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **fields)
+    cfg = write_cfg(tmp_path, **{"output_dir": str(tmp_path / "out"), **fields})
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
@@ -172,6 +174,28 @@ def test_loop_vertices_floor(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scenario="linear", loop_vertices=4)
     assert main(["run", "--config", cfg]) == 2
     assert "at least 8" in capsys.readouterr().err
+
+
+def test_straightening_starts_at_t0(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="straightening", t0=0.5, t1=1.0,
+                    step=1e-2, output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 0
+    rows = read_rows(out / "trajectory.csv")
+    assert float(rows[1][0]) == 0.5 and float(rows[-1][0]) == 1.0
+    assert len(rows) == 1 + 51
+
+
+def test_loop_vertex_blowup_is_a_numerical_failure(tmp_path, capsys):
+    # the centre trajectory stays finite; vertices at radius 0.5 cross 1e12
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="linear", t1=29.0, step=0.01,
+                    x0=[0.01], lam0=[1.0], output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: loop flow truncated at t=")
+    assert "exceeded 1e12" in err
+    assert not (out / "invariants.json").exists()
 
 
 def test_straightening_needs_nonzero_lam0(tmp_path, capsys):

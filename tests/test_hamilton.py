@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canomap.phasecore import DomainError, DynamicSystem, PhaseState
-from canomap.hamilton import (EnergyDriftReport, canonical_rhs, energy_drift,
-                              fundamental_matrix, hamiltonian, integrate,
-                              lagrangian, weierstrass_excess)
+from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
+                              energy_drift, fundamental_matrix, hamiltonian,
+                              integrate, lagrangian, weierstrass_excess)
 from canomap.scenarios import ballistic_system
 
 
@@ -235,3 +235,13 @@ def test_weierstrass_excess_vanishes(x, lam, xdot, g):
     s = PhaseState([x], [lam], 0.0)
     E = weierstrass_excess(linear_system(), s, [xdot], [g])
     assert abs(E) < 1e-12
+
+
+@pytest.mark.parametrize("t1", [0.95, 40.0])   # the second march blows up
+def test_rk4_endpoint_only_march_keeps_last_sample(t1):
+    rhs = lambda z, t: z
+    full = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1)
+    last = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1, path=False)
+    assert len(last[0]) == len(last[1]) == 1
+    assert last[0][0] == full[0][-1] and np.array_equal(last[1][0], full[1][-1])
+    assert last[2] == full[2]

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                               Trajectory, zero_controlling_function)
+from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
+                               PhaseState, Trajectory, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.mapping import MappingSpec
 from canomap.invariants import (action_function, circle_loop,
@@ -119,6 +119,112 @@ def test_loop_richardson_refinement():
                     [1.0], 1e-2)
     with pytest.raises(ValueError, match="even vertex count"):
         poincare_cartan_loop(syss, odd, richardson=True)
+
+
+def _driven_sine(vectorized):
+    """xdot = sin(x) + 0.3 t (n=1), scalar or vectorized callbacks."""
+    if vectorized:
+        return DynamicSystem(dim=1, f=lambda X, t: np.sin(X) + 0.3 * t,
+                             jac=lambda X, t: np.cos(X)[:, :, None],
+                             ft=lambda X, t: np.full_like(X, 0.3), vectorized=True)
+    return DynamicSystem(dim=1, f=lambda x, t: np.sin(x) + 0.3 * t,
+                         jac=lambda x, t: np.cos(x).reshape(1, 1),
+                         ft=lambda x, t: np.full(1, 0.3))
+
+
+def _coupled_plane(vectorized):
+    """A nonlinear driven field in the plane (n=2)."""
+    if vectorized:
+        return DynamicSystem(
+            dim=2,
+            f=lambda X, t: np.stack([X[:, 0] * X[:, 1] - t, np.sin(X[:, 0])], axis=1),
+            jac=lambda X, t: np.stack([
+                np.stack([X[:, 1], X[:, 0]], axis=1),
+                np.stack([np.cos(X[:, 0]), np.zeros(len(X))], axis=1)], axis=1),
+            vectorized=True)
+    return DynamicSystem(
+        dim=2,
+        f=lambda x, t: np.array([x[0] * x[1] - t, np.sin(x[0])]),
+        jac=lambda x, t: np.array([[x[1], x[0]], [np.cos(x[0]), 0.0]]))
+
+
+def _shear_plane():
+    """A linear vectorized field whose jac is one (n, n) array, broadcast."""
+    A = np.array([[0.3, -1.1], [0.7, 0.2]])
+    return DynamicSystem(
+        dim=2,
+        f=lambda X, t: np.stack([A[0, 0] * X[:, 0] + A[0, 1] * X[:, 1],
+                                 A[1, 0] * X[:, 0] + A[1, 1] * X[:, 1]], axis=1),
+        jac=lambda X, t: A, autonomous=True, vectorized=True)
+
+
+def _plane_loop(M):
+    theta = 2.0 * np.pi * np.arange(M) / M
+    verts = [PhaseState([0.4 + 0.5 * np.cos(a), -0.2 + 0.3 * np.sin(a)],
+                        [1.0 - 0.2 * np.sin(a), 0.5 + 0.4 * np.cos(2 * a)], 0.1)
+             for a in theta]
+    return tuple(verts + [verts[0]])
+
+
+@pytest.mark.parametrize("system, loop", [
+    (_driven_sine(False), circle_loop(PhaseState([1.0], [0.5], 0.1), 0.7, 12)),
+    (_driven_sine(True), circle_loop(PhaseState([1.0], [0.5], 0.1), 0.7, 12)),
+    (_coupled_plane(False), _plane_loop(10)),
+    (_coupled_plane(True), _plane_loop(10)),
+    (_shear_plane(), _plane_loop(10)),
+], ids=["n1", "n1-vectorized", "n2", "n2-vectorized", "n2-broadcast-jac"])
+def test_flow_loop_matches_per_vertex_integrate_bitwise(system, loop):
+    targets = [0.4, 0.85]     # the last step of each march is shortened
+    ens = flow_loop(system, loop, targets, 0.04)
+    assert len(ens.flowed) == 2
+    for t1, flowed in zip(targets, ens.flowed):
+        assert flowed[-1] is flowed[0]
+        for v, img in zip(loop[:-1], flowed[:-1]):
+            ref = integrate(system, v, t1, 0.04).samples[-1]
+            assert img.t == ref.t == t1
+            assert np.array_equal(img.x, ref.x) and np.array_equal(img.lam, ref.lam)
+
+
+def test_vectorized_flow_loop_calls_f_once_per_stage():
+    shapes = []
+
+    def f(X, t):
+        shapes.append(X.shape)
+        return np.sin(X)
+    sysv = DynamicSystem(dim=1, f=f, jac=lambda X, t: np.cos(X)[:, :, None],
+                         autonomous=True, vectorized=True)
+    flow_loop(sysv, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 16), [0.5], 0.1)
+    assert shapes == [(16, 1)] * 4 * 5
+
+
+def test_flow_loop_wrong_vectorized_shape_raises():
+    sysv = DynamicSystem(dim=1, f=lambda X, t: X[:1], jac=lambda X, t: np.eye(1),
+                         autonomous=True, vectorized=True)
+    with pytest.raises(ValueError, match="vectorized f returned shape"):
+        flow_loop(sysv, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 8), [0.5], 0.1)
+
+
+def test_flow_loop_vertex_blowup_is_a_domain_error():
+    # the centre stays below the 1e12 guard; the outermost vertices cross it
+    loop = circle_loop(PhaseState([0.01], [1.0], 0.0), 0.5, 16)
+    with pytest.raises(DomainError, match="loop flow truncated at t="):
+        flow_loop(linear_system(), loop, [29.0], 0.01)
+    assert integrate(linear_system(), loop[0], 29.0, 0.01).meta["truncated"]
+    assert not integrate(linear_system(), PhaseState([0.01], [1.0], 0.0),
+                         29.0, 0.01).meta
+
+
+def test_flow_loop_validates_loop_step_and_targets():
+    loop = circle_loop(PhaseState([1.0], [1.0], 0.5), 1.0, 8)
+    with pytest.raises(ValueError, match="not closed"):
+        flow_loop(linear_system(), loop[:-1], [1.0], 0.1)
+    late = PhaseState(loop[3].x, loop[3].lam, 0.6)
+    with pytest.raises(ValueError, match="common time"):
+        flow_loop(linear_system(), loop[:3] + (late,) + loop[4:], [1.0], 0.1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        flow_loop(linear_system(), loop, [1.0], 0.0)
+    with pytest.raises(ValueError, match="t1 must exceed"):
+        flow_loop(linear_system(), loop, [0.5], 0.1)
 
 
 def test_circle_loop_validated():

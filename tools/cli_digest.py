@@ -19,6 +19,8 @@ CASES = {
                   "map_variant": "Cross220", "lam0": [0.5, -1.0]},
     "rotation": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 3},
     "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
+    "rotation-wide": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 5,
+                      "loop_vertices": 200, "x0": [0.7], "lam0": [-1.3]},
     "ballistic": {"scenario": "ballistic", "t1": 1.0, "step": 0.01,
                   "x0": [0.0, 1.1, 1.0, 0.0], "emit_gnuplot": True},
     "ballistic-fall": {"scenario": "ballistic", "t1": 2.0, "step": 0.01,
