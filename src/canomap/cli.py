@@ -25,6 +25,8 @@ import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState,
                         zero_controlling_function, verify_derivatives)
+# hamiltonian is unused here but stays importable: perfbench/tracing.py
+# patches canomap.cli.hamiltonian.
 from .hamilton import energy_drift, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
@@ -386,10 +388,11 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
         red = None
         traj = integrate(system, PhaseState(x0, lam0, cfg.t0), cfg.t1, cfg.step)
 
+    drift = energy_drift(system, traj)
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t"] + [f"x_{i+1}" for i in range(cfg.n)]
                + [f"lam_{i+1}" for i in range(cfg.n)] + ["H"],
-               [[s.t, *s.x, *s.lam, hamiltonian(system, s)] for s in traj])
+               [[s.t, *s.x, *s.lam, h] for s, h in zip(traj, drift.h_series)])
     if traj.meta.get("truncated"):
         print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
               f"({traj.meta['reason']})", file=sys.stderr)
@@ -401,7 +404,6 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     _write_csv(os.path.join(out_dir, "canonicity.csv"), ["t", "residual", "det_y", "det_mu"],
                zip(report.times, report.residual_series, report.det_y_series,
                    report.det_mu_series))
-    drift = energy_drift(system, traj)
     if red is not None:
         verdict, max_res, inv = _pde_verdict(cfg, red)
     else:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _require_dim)
+                        _cumtrapz, _require_dim)
 
 __all__ = [
     "hamiltonian",
@@ -239,8 +239,7 @@ def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
         return EnergyDriftReport(hs, drift, True)
     ts = traj.times()
     integrand = np.array([float(np.dot(s.lam, sys.ft_at(s.x, s.t))) for s in traj])
-    acc = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (integrand[1:] + integrand[:-1]))])
-    drift = float(np.max(np.abs(hs - hs[0] - acc)))
+    drift = float(np.max(np.abs(hs - hs[0] - _cumtrapz(ts, integrand))))
     return EnergyDriftReport(hs, drift, False)
 
 

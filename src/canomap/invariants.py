@@ -15,11 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _central_diff_x, _require_dim)
+                        _central_diff_x, _cumtrapz, _require_dim)
 # integrate is unused here but stays importable: perfbench/tracing.py
 # patches canomap.invariants.integrate.
-from .hamilton import (_canonical_rhs_rows, _rk4_path, canonical_rhs,
-                       hamiltonian, integrate)
+from .hamilton import _canonical_rhs_rows, _rk4_path, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 
 __all__ = [
@@ -200,10 +199,13 @@ def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
     hs = np.empty(len(traj))
     hj = 0.0
     for i, s in enumerate(traj):
-        xdot, _ = canonical_rhs(sys, s)
-        L[i] = float(np.dot(s.lam, xdot - sys.f_at(s.x, s.t)))
-        hs[i] = hamiltonian(sys, s)
-        hj = max(hj, abs(-hs[i] + float(np.dot(s.lam, sys.f_at(s.x, s.t)))))
+        _require_dim(sys, s)
+        f = sys.f_at(s.x, s.t)
+        hs[i] = float(np.dot(s.lam, f))
+        if not np.isfinite(hs[i]):
+            raise DomainError(f"non-finite Hamiltonian at x={s.x}, t={s.t}")
+        L[i] = float(np.dot(s.lam, f - f))
+        hj = max(hj, abs(-hs[i] + float(np.dot(s.lam, f))))
     S = float(_trapz(L, ts))
     lam_mid = 0.5 * (lams[1:] + lams[:-1])
     h_mid = 0.5 * (hs[1:] + hs[:-1])
@@ -275,6 +277,4 @@ def controlling_potential(sys_old: DynamicSystem, sys_new: DynamicSystem,
         H = float(np.dot(so.lam, xdot))
         G = float(np.dot(sn.lam, ydot))
         integrand[i] = float(np.dot(so.lam, xdot) - np.dot(sn.lam, ydot) + G - H)
-    acc = np.concatenate([[0.0],
-                          np.cumsum(np.diff(t_old) * 0.5 * (integrand[1:] + integrand[:-1]))])
-    return acc
+    return _cumtrapz(t_old, integrand)

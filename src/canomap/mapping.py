@@ -159,7 +159,14 @@ def _residual_at(sys, spec, s):
     return r, scale
 
 
+def _require_cf_dim(sys, spec):
+    if spec.cf.dim != sys.dim:
+        raise ValueError(
+            f"dimension mismatch: controlling function n={spec.cf.dim}, system n={sys.dim}")
+
+
 def _canonicity_over(sys, spec, states, tol, degenerate_tol):
+    _require_cf_dim(sys, spec)
     if spec.variant not in ("Std116", "Cross220"):
         raise ValueError(
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
@@ -230,90 +237,53 @@ class Lambda0Result:
 _G_TOL = 1e-10
 
 
-def _g_std(sys, cf, x0, lam0, k, t0):
-    def g(lam_k):
-        lam = lam0.copy()
-        lam[k] = lam_k
-        s = PhaseState(x0, lam, t0)
-        xdot, lamdot = canonical_rhs(sys, s)
-        ud = _udot_lam(cf, s, xdot, lamdot)
-        C = ud - sys.jac_at(x0, t0) @ cf.ulam_at(s)
-        return float(C @ lam - cf.ux_at(s) @ ud), C
-    return g
-
-
-def _g_cross(sys, cf, x0, lam0, k, t0):
-    def g(lam_k):
-        lam = lam0.copy()
-        lam[k] = lam_k
-        s = PhaseState(x0, lam, t0)
-        xdot, lamdot = canonical_rhs(sys, s)
-        ud = _udot_x(cf, s, xdot, lamdot)
-        ulam = cf.ulam_at(s)
-        D = ud - sys.jac_at(x0, t0) @ ulam
-        return float(D @ lam - ulam @ ud - (ulam - cf.ux_at(s)) @ xdot), D
-    return g
-
-
 def _with_component(lam0, k, value):
     out = lam0.copy()
     out[k] = value
     return out
 
 
-def _paper_initializer(gfun, lam0, k, guess):
-    """Closed-formula initial value when the pivot coefficient is usable."""
-    g_at, coeff = gfun(guess)
-    if abs(coeff[k]) <= 1e-10:
-        return guess
-    # at the guess state the equation reads coeff . lam0 = rhs_scalar
-    rhs = coeff @ _with_component(lam0, k, guess) - g_at
-    partial = sum(coeff[i] * lam0[i] for i in range(lam0.size) if i != k)
-    return float((rhs - partial) / coeff[k])
-
-
-def _solve_scalar(gfun, lam0, k, guess):
+def _solve_scalar(g, guess):
     """Root of g(lam0_k) = 0 with degeneracy detection.
 
-    Order of business: accept the initializer if it is already a root;
-    probe two symmetric stencils to detect a pivot with no effect; bracket
-    geometrically and bisect; polish (or rescue double roots) with damped
-    Newton.
+    Order of business: take one Newton step from the guess (exact when g is
+    affine in lam0_k) and accept it if it is already a root; probe two
+    symmetric stencils to detect a pivot with no effect; bracket
+    geometrically and bisect; polish the accepted or bracketed root (or
+    rescue a double root) with Newton.
     """
-    def g(v):
-        return gfun(v)[0]
-
-    init = _paper_initializer(gfun, lam0, k, guess)
+    slope = _fd_slope(g, guess)
+    init = guess - g(guess) / slope if abs(slope) > 1e-10 else guess
     g0 = g(init)
     scale = max(1.0, abs(init))
     probes = []
     for d in (0.5 * scale, 100.0 * scale):
         probes.append((g(init + d), g(init - d)))
+    root = None
     if abs(g0) < _G_TOL:
-        flat = all(abs(gp) < _G_TOL and abs(gm) < _G_TOL for gp, gm in probes)
-        status = "indeterminate" if flat else "ok"
-        return init, status, abs(g0)
-    if all(abs(gp - gm) <= 1e-12 * max(1.0, abs(g0)) for gp, gm in probes):
+        if all(abs(gp) < _G_TOL and abs(gm) < _G_TOL for gp, gm in probes):
+            return init, "indeterminate", abs(g0)
+        root = init
+    elif all(abs(gp - gm) <= 1e-12 * max(1.0, abs(g0)) for gp, gm in probes):
         raise DegeneratePivotError(
             f"pivot index degenerate, choose another k (g stays at {g0:.3e})")
-
-    # geometric bracket expansion around the initializer
-    root = None
-    for w in (1.0 * scale, 10.0 * scale, 100.0 * scale, 1000.0 * scale):
-        a, b = init - w, init + w
-        ga, gb = g(a), g(b)
-        if abs(ga) < _G_TOL:
-            root = a
-            break
-        if abs(gb) < _G_TOL:
-            root = b
-            break
-        if ga * g0 < 0:
-            root = _bisect(g, a, init, ga, g0)
-            break
-        if gb * g0 < 0:
-            root = _bisect(g, init, b, g0, gb)
-            break
+    else:
+        # geometric bracket expansion around the initializer
+        for w in (1.0 * scale, 10.0 * scale, 100.0 * scale, 1000.0 * scale):
+            a, b = init - w, init + w
+            ga, gb = g(a), g(b)
+            if abs(ga) < _G_TOL:
+                root = a
+                break
+            if abs(gb) < _G_TOL:
+                root = b
+                break
+            if ga * g0 < 0:
+                root = _bisect(g, a, init, ga, g0)
+                break
+            if gb * g0 < 0:
+                root = _bisect(g, init, b, g0, gb)
+                break
 
     if root is None:
         root = _newton(g, init)
@@ -341,14 +311,17 @@ def _bisect(g, a, b, ga, gb, iters=200):
     return 0.5 * (a + b)
 
 
+def _fd_slope(g, x):
+    h = _fd_step(x)
+    return (g(x + h) - g(x - h)) / ((x + h) - (x - h))
+
+
 def _newton(g, x, iters=60):
     for _ in range(iters):
         gx = g(x)
         if abs(gx) < 1e-14:
             return x
-        h = _fd_step(x)
-        d = (x + h) - (x - h)
-        slope = (g(x + h) - g(x - h)) / d
+        slope = _fd_slope(g, x)
         if slope == 0.0 or not np.isfinite(slope):
             return None
         step = gx / slope
@@ -361,34 +334,39 @@ def _newton(g, x, iters=60):
     return x
 
 
-def _synthesize(sys, cf, x0, lam0, k, t0, builder):
+def _synthesize(sys, spec, x0, lam0, k, t0):
+    _require_cf_dim(sys, spec)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     if x0.size != sys.dim or lam0.size != sys.dim:
         raise ValueError("x0 and lam0 must have the system dimension")
     if not 0 <= k < sys.dim:
         raise ValueError(f"pivot index k={k} out of range for n={sys.dim}")
-    gfun = builder(sys, cf, x0, lam0, k, t0)
-    value, status, g_res = _solve_scalar(gfun, lam0, k, float(lam0[k]))
+
+    def g(v):
+        return _residual_at(sys, spec, PhaseState(x0, _with_component(lam0, k, v), t0))[0]
+
+    value, status, g_res = _solve_scalar(g, float(lam0[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,
                          lam0=_with_component(lam0, k, value), k=k)
 
 
 def synthesize_lambda0(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
                        k: int, t0: float = 0.0) -> Lambda0Result:
-    """Choose lam0_k so the standard-variant canonicity equality holds at t0.
+    """Choose lam0_k so the Std116 canonicity residual vanishes at t0.
 
-    lam0 supplies the fixed components; its k-th entry serves only as the
-    initial guess for the scalar root solve.  U_lam generally depends on
-    lam, so the closed formula is an initializer, not the answer.
+    The scalar equation is the residual canonicity_residual_points reports
+    at (x0, lam0, t0).  lam0 supplies the fixed components; its k-th entry
+    is the initial guess for the root solve: one Newton step (exact when the
+    residual is affine in lam0_k), then bracketing and a Newton polish.
     """
-    return _synthesize(sys, cf, x0, lam0, k, t0, _g_std)
+    return _synthesize(sys, MappingSpec("Std116", cf), x0, lam0, k, t0)
 
 
 def synthesize_lambda0_cross(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
                              k: int, t0: float = 0.0) -> Lambda0Result:
-    """Cross-variant analogue of synthesize_lambda0."""
-    return _synthesize(sys, cf, x0, lam0, k, t0, _g_cross)
+    """Cross220 analogue of synthesize_lambda0."""
+    return _synthesize(sys, MappingSpec("Cross220", cf), x0, lam0, k, t0)
 
 
 # ---------------------------------------------------------------------

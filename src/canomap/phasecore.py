@@ -66,6 +66,11 @@ def _central_diff_t(func, t: float, h_scale: float = 1e-6):
     return _central_diff_x(lambda tt: func(tt[0]), np.array([t], dtype=float), h_scale)[..., 0]
 
 
+def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoidal integral of samples a over ts, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (a[1:] + a[:-1]))])
+
+
 # =====================================================================
 # Domain types
 # =====================================================================

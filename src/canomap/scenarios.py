@@ -15,9 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
-                        PhaseState, Trajectory, _central_diff_t, _fd_step)
+                        PhaseState, Trajectory, _central_diff_t, _cumtrapz, _fd_step)
 from .hamilton import integrate
-from .mapping import MappingSpec
+from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
 
 __all__ = [
@@ -363,8 +363,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     # line integral ∫ lam dx = ∫ lam f dt along the extremal
     integrand = np.array([lams[i] * float(sys.f_at(traj.samples[i].x, ts[i])[0])
                           for i in range(len(traj))])
-    f_line = np.concatenate([[0.0], np.cumsum(
-        np.diff(ts) * 0.5 * (integrand[1:] + integrand[:-1]))])
+    f_line = _cumtrapz(ts, integrand)
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:
@@ -407,13 +406,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
 
     # mapped motion on a subsample of the extremal
     idx = np.unique(np.linspace(0, len(traj) - 1, 41).astype(int))
-    ys, mus = [], []
-    for i in idx:
-        s = traj.samples[i]
-        ys.append(s.x[0] + sol.ulam(s.x[0], s.lam[0]))
-        mus.append(s.lam[0] - ux_of(s.x[0], s.lam[0]))
-    ys = np.array(ys)
-    mus = np.array(mus)
+    ys, mus = np.array([apply_map(spec, traj.samples[i]) for i in idx])[:, :, 0].T
     mu_defect = float(np.max(np.abs(mus - c)))
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))

@@ -252,6 +252,32 @@ def test_action_increments_null_field():
     assert rec.S == 0.0
 
 
+def test_action_evaluates_the_field_once_per_sample():
+    calls = {"f": 0, "jac": 0}
+
+    def f(x, t):
+        calls["f"] += 1
+        return -0.5 * x
+
+    def jac(x, t):
+        calls["jac"] += 1
+        return -0.5 * np.eye(1)
+
+    sys_ = DynamicSystem(dim=1, f=f, jac=jac, autonomous=True)
+    traj = integrate(sys_, PhaseState([1.0], [2.0], 0.0), 0.5, 1e-2)
+    calls.update(f=0, jac=0)
+    action_function(sys_, traj)
+    assert calls == {"f": len(traj), "jac": 0}
+
+
+def test_action_rejects_non_finite_hamiltonian():
+    traj = integrate(linear_system(), PhaseState([1.0], [1.0], 0.0), 0.1, 1e-2)
+    blown = DynamicSystem(dim=1, f=lambda x, t: np.array([np.inf]),
+                          jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
+    with pytest.raises(DomainError, match="non-finite Hamiltonian"):
+        action_function(blown, traj)
+
+
 def test_action_increments_track_lam_dx():
     traj = integrate(linear_system(), PhaseState([1.0], [1.0], 0.0), 1.0, 1e-2)
     rec = action_function(linear_system(), traj)

@@ -1,7 +1,7 @@
 """Mapping variants, canonicity checks, and the two synthesis routes."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
                                zero_controlling_function)
@@ -242,6 +242,61 @@ def test_lambda0_cross_no_root():
     with pytest.raises(RootNotFoundError, match="sign change"):
         synthesize_lambda0_cross(linear_system(), quarter_turn_cf(),
                                  x0=[1.0], lam0=[0.5], k=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys_, cf: synthesize_lambda0(sys_, cf, x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0),
+    lambda sys_, cf: synthesize_lambda0_cross(sys_, cf, x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0),
+    lambda sys_, cf: canonicity_residual(
+        sys_, MappingSpec("Std116", cf),
+        integrate(sys_, PhaseState([0.0, 1.0], [0.0, 1.0], 0.0), 0.1, 0.05)),
+    lambda sys_, cf: canonicity_residual_points(
+        sys_, MappingSpec("Cross220", cf), [PhaseState([0.0, 1.0], [0.0, 1.0], 0.0)]),
+], ids=["synthesize_lambda0", "synthesize_lambda0_cross", "canonicity_residual",
+        "canonicity_residual_points"])
+def test_controlling_function_dimension_mismatch(call):
+    with pytest.raises(ValueError, match="dimension mismatch: controlling function n=1, system n=2"):
+        call(rotation_system(), bilinear_cf())
+
+
+def quadratic_cf2(B, P, Q):
+    """U = x.(B lam) + x.(P x)/2 + lam.(Q lam)/2 with P, Q symmetric."""
+    z = np.zeros(2)
+    return ControllingFunction(
+        dim=2,
+        u=lambda x, lam, t: float(x @ B @ lam + 0.5 * x @ P @ x + 0.5 * lam @ Q @ lam),
+        ux=lambda x, lam, t: B @ lam + P @ x,
+        ulam=lambda x, lam, t: B.T @ x + Q @ lam,
+        ut=lambda x, lam, t: 0.0,
+        uxlam=lambda x, lam, t: B,
+        uxx=lambda x, lam, t: P,
+        ulamlam=lambda x, lam, t: Q,
+        uxt=lambda x, lam, t: z,
+        ulamt=lambda x, lam, t: z,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       u=st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10),
+       z=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       k=st.integers(0, 1), variant=st.sampled_from(["Std116", "Cross220"]))
+def test_synthesis_solves_the_verified_residual(a, u, z, k, variant):
+    A = np.array(a).reshape(2, 2)
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A,
+                         autonomous=True)
+    p, q = u[4:7], u[7:10]
+    cf = quadratic_cf2(np.array(u[:4]).reshape(2, 2),
+                       np.array([[p[0], p[1]], [p[1], p[2]]]),
+                       np.array([[q[0], q[1]], [q[1], q[2]]]))
+    synth = synthesize_lambda0 if variant == "Std116" else synthesize_lambda0_cross
+    try:
+        res = synth(sys_, cf, x0=z[:2], lam0=z[2:], k=k, t0=0.3)
+    except (DegeneratePivotError, RootNotFoundError):
+        return
+    rep = canonicity_residual_points(sys_, MappingSpec(variant, cf),
+                                     [PhaseState(z[:2], res.lam0, 0.3)])
+    assert abs(rep.residual_series[0]) == res.g_residual
 
 
 # ---------------------------------------------------------------------

@@ -28,6 +28,8 @@ CASES = {
     "ballistic-n2": {"scenario": "ballistic", "n": 2},
     "straightening": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
                       "x0": [0.3], "map_variant": "Cross220", "emit_gnuplot": True},
+    "straightening-late": {"scenario": "straightening", "t0": 0.2, "t1": 0.7, "step": 0.01,
+                           "x0": [-0.4], "lam0": [2.5]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 
