@@ -95,6 +95,10 @@ class RunConfig:
             raise ConfigError("step must be positive")
         if self.t1 <= self.t0:
             raise ConfigError("t1 must exceed t0")
+        # At or below half the float spacing of the largest |t|, t + step
+        # rounds back to t somewhere in the run and the march would stall.
+        if 2 * self.step <= np.spacing(max(abs(self.t0), abs(self.t1))):
+            raise ConfigError(f"step {self.step} is below the float spacing of t")
         if self.map_variant not in _RUN_VARIANTS:
             raise ConfigError(
                 f"map_variant must be one of {_RUN_VARIANTS} for batch runs")

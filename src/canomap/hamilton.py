@@ -78,6 +78,8 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     dict describing the truncation point if the state blew up (any component
     beyond 1e12 in magnitude, a non-finite value, or a DomainError from the
     field).  With path=False, ts and zs hold only the last finite sample.
+    Raises ValueError when the step is below the float spacing of t, which
+    would leave t where it is.
     """
     slack = 1e-12 * max(1.0, abs(t1))
     ts = [t0]
@@ -86,6 +88,8 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     z = zs[0]
     while t < t1 - slack:
         h = step if t + step <= t1 - slack else t1 - t
+        if t + h == t:
+            raise ValueError(f"step {step} does not advance t={t} (below its float spacing)")
         try:
             k1 = rhs(z, t)
             k2 = rhs(z + 0.5 * h * k1, t + 0.5 * h)
@@ -188,9 +192,9 @@ class FundamentalMatrix:
 def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") -> FundamentalMatrix:
     """Integrate the matrix equation of `kind` along traj's own grid.
 
-    The matrix rides along a re-integration of the canonical pair from
-    traj's initial sample (same RK4 arithmetic, same grid), which avoids
-    interpolating A(x, t) between stored samples.
+    The matrix rides along a re-integration of x from traj's initial sample
+    (same RK4 arithmetic, same grid), which avoids interpolating A(x, t)
+    between stored samples; lam never enters A, so it is not marched.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
@@ -201,17 +205,15 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
 
     def rhs(z, t):
         x = z[:n]
-        lam = z[n:2 * n]
-        M = z[2 * n:].reshape(n, n)
-        A = sys.jac_at(x, t)
-        return np.concatenate([sys.f_at(x, t), -A.T @ lam, mdot(A, M).ravel()])
+        M = z[n:].reshape(n, n)
+        return np.concatenate([sys.f_at(x, t), mdot(sys.jac_at(x, t), M).ravel()])
 
-    z0 = np.concatenate([s0.z(), np.eye(n).ravel()])
+    z0 = np.concatenate([s0.x, np.eye(n).ravel()])
     t_end = traj.samples[-1].t
     ts, zs, diag = _rk4_path(rhs, z0, s0.t, t_end, traj.step)
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
-    values = tuple(z[2 * n:].reshape(n, n) for z in zs)
+    values = tuple(z[n:].reshape(n, n) for z in zs)
     dets = np.array([np.linalg.det(M) for M in values])
     min_abs_det = float(np.min(np.abs(dets)))
     return FundamentalMatrix(kind=kind, values=values, t0=s0.t,

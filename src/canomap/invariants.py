@@ -245,7 +245,7 @@ def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJRes
     """Pointwise residual |U_t + lam·f(x, t)| (old-variable Hamiltonian)."""
     if not points:
         raise ValueError("points must be nonempty")
-    vals = [abs(cf.ut_at(s) + float(np.dot(s.lam, sys.f_at(s.x, s.t)))) for s in points]
+    vals = [abs(cf.ut_at(s) + hamiltonian(sys, s)) for s in points]
     series = np.array(vals)
     return HJResult(float(np.max(series)), series)
 

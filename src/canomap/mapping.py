@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_x, _fd_step)
+                        Trajectory, _central_diff_t, _central_diff_x)
 from .hamilton import canonical_rhs, fundamental_matrix
 
 __all__ = [
@@ -252,7 +252,7 @@ def _solve_scalar(g, guess):
     geometrically and bisect; polish the accepted or bracketed root (or
     rescue a double root) with Newton.
     """
-    slope = _fd_slope(g, guess)
+    slope = _central_diff_t(g, guess)
     init = guess - g(guess) / slope if abs(slope) > 1e-10 else guess
     g0 = g(init)
     scale = max(1.0, abs(init))
@@ -286,16 +286,15 @@ def _solve_scalar(g, guess):
                 break
 
     if root is None:
-        root = _newton(g, init)
-        if root is None or abs(g(root)) > _G_TOL:
+        found = _newton(g, init)
+        if found is None or abs(found[1]) > _G_TOL:
             raise RootNotFoundError(
                 "no sign change in bracket [-1e3, 1e3] around the initializer "
                 f"and Newton fallback failed (g(init)={g0:.3e})")
     else:
-        polished = _newton(g, root)
-        if polished is not None and abs(g(polished)) <= abs(g(root)):
-            root = polished
-    return float(root), "ok", abs(g(root))
+        found = _newton(g, root) or (root, g(root))
+    root, g_root = found
+    return float(root), "ok", abs(g_root)
 
 
 def _bisect(g, a, b, ga, gb, iters=200):
@@ -311,27 +310,26 @@ def _bisect(g, a, b, ga, gb, iters=200):
     return 0.5 * (a + b)
 
 
-def _fd_slope(g, x):
-    h = _fd_step(x)
-    return (g(x + h) - g(x - h)) / ((x + h) - (x - h))
-
-
 def _newton(g, x, iters=60):
+    """Newton from x with the central-difference slope, returning (x, g(x))
+    with |g(x)| no larger than at the start.  Stops at the rounding floor of
+    g, where a step no longer reduces |g|, or once a step moves x by less
+    than 1e-15 relative; None when the slope or the step is unusable."""
+    gx = g(x)
     for _ in range(iters):
-        gx = g(x)
-        if abs(gx) < 1e-14:
-            return x
-        slope = _fd_slope(g, x)
+        slope = _central_diff_t(g, x)
         if slope == 0.0 or not np.isfinite(slope):
             return None
-        step = gx / slope
-        x_new = x - step
+        x_new = x - gx / slope
         if not np.isfinite(x_new):
             return None
+        g_new = g(x_new)
+        if not abs(g_new) < abs(gx):
+            return x, gx
         if abs(x_new - x) < 1e-15 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
+            return x_new, g_new
+        x, gx = x_new, g_new
+    return x, gx
 
 
 def _synthesize(sys, spec, x0, lam0, k, t0):

@@ -32,38 +32,40 @@ class DomainError(ValueError):
 # Finite differences
 # =====================================================================
 
-def _fd_step(v: float, scale: float = 1e-6) -> float:
-    """Step for central differences, balanced for double precision."""
-    return scale * max(1.0, abs(v))
-
-
-def _perturb(vec: np.ndarray, i: int, h: float):
-    """Return (vec+h*e_i, vec-h*e_i, exact step) with the step recomputed
-    from the rounded endpoints so that quotients of linear maps are exact."""
-    vp = vec.copy()
-    vm = vec.copy()
-    vp[i] = vec[i] + h
-    vm[i] = vec[i] - h
-    return vp, vm, vp[i] - vm[i]
-
-
 def _central_diff_x(func, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
     """Jacobian of func: R^n -> R^m by central differences, columns stacked.
 
-    Returns an (m, n) array (or (n,) when func is scalar-valued).
+    Returns an (m, n) array (or (n,) when func is scalar-valued).  Column i
+    steps x_i by h = h_scale * max(1, |x_i|) both ways and divides by the
+    distance of the rounded endpoints, so quotients of linear maps are exact.
     """
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
-        xp, xm, d = _perturb(x, i, _fd_step(x[i], h_scale))
+        h = h_scale * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] = x[i] + h
+        xm[i] = x[i] - h
+        d = xp[i] - xm[i]
         cols.append((np.asarray(func(xp), dtype=float) - np.asarray(func(xm), dtype=float)) / d)
-    out = np.stack(cols, axis=-1)
-    return out
+    return np.stack(cols, axis=-1)
 
 
 def _central_diff_t(func, t: float, h_scale: float = 1e-6):
     """Derivative of func: R -> R^m (or R) by one central difference."""
     return _central_diff_x(lambda tt: func(tt[0]), np.array([t], dtype=float), h_scale)[..., 0]
+
+
+def _central_diff(fn, arg: int, x, lam, t, h_scale: float = 1e-6):
+    """Central difference of a block fn(x, lam, t) in one argument (0 x,
+    1 lam, 2 t), the others held fixed: one more trailing axis of size n for
+    x or lam, none for t."""
+    if arg == 0:
+        return _central_diff_x(lambda v: fn(v, lam, t), x, h_scale)
+    if arg == 1:
+        return _central_diff_x(lambda v: fn(x, v, t), lam, h_scale)
+    return _central_diff_t(lambda v: fn(x, lam, v), t, h_scale)
 
 
 def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -223,15 +225,31 @@ def _require_dim(sys: DynamicSystem, s: PhaseState):
 # Controlling function U(x, lam, t)
 # ---------------------------------------------------------------------
 
+# The central-difference rule behind every missing block of U, in install
+# order (first blocks before the second blocks that differentiate them):
+# block -> (source block, argument differentiated: 0 x, 1 lam, 2 t, ndim).
+_FD_RULE = {
+    "ux": ("u", 0, 1),
+    "ulam": ("u", 1, 1),
+    "ut": ("u", 2, 0),
+    "uxlam": ("ux", 1, 2),
+    "uxx": ("ux", 0, 2),
+    "ulamlam": ("ulam", 1, 2),
+    "uxt": ("ux", 2, 1),
+    "ulamt": ("ulam", 2, 1),
+}
+
+
 class ControllingFunction:
     """Scalar controlling function U(x, lam, t) with derivative closures.
 
     First derivatives ux (U_x), ulam (U_lam), ut (U_t) and the mixed block
     uxlam (d2U/dx_i dlam_j) follow the contract; the remaining second
     derivatives uxx, ulamlam, uxt, ulamt are needed by the flow-restricted
-    canonicity residuals.  Every missing closure is replaced by central
-    differences of the best available lower block and recorded in
-    ``fd_backed``.
+    canonicity residuals.  Every missing closure is replaced by the central
+    difference that _FD_RULE names (first blocks of u with step 1e-6, second
+    blocks of the first ones with step 1e-4 when ux or ulam is FD-backed,
+    else 1e-6) and recorded in ``fd_backed``.
 
     All closures take (x, lam, t) with x, lam in R^n.
     """
@@ -242,63 +260,35 @@ class ControllingFunction:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
         self.u = u
-
-        def vec(f):
-            return None if f is None else (lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(self.dim))
-
-        def mat(f):
-            return None if f is None else (lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(self.dim, self.dim))
-
-        self.ux = vec(ux)
-        self.ulam = vec(ulam)
-        self.ut = None if ut is None else (lambda x, lam, t, _f=ut: float(_f(x, lam, t)))
-        self.uxlam = mat(uxlam)
-        self.uxx = mat(uxx)
-        self.ulamlam = mat(ulamlam)
-        self.uxt = vec(uxt)
-        self.ulamt = vec(ulamt)
-
+        given = dict(ux=ux, ulam=ulam, ut=ut, uxlam=uxlam, uxx=uxx,
+                     ulamlam=ulamlam, uxt=uxt, ulamt=ulamt)
+        for block, f in given.items():
+            setattr(self, block, None if f is None else self._shaped(block, f))
         self.fd_backed = frozenset(self._install_fd())
+
+    def _shaped(self, block, f):
+        """f's result as the block's type: a float, an (n,) or an (n, n) array."""
+        shape = (self.dim,) * _FD_RULE[block][2]
+        if not shape:
+            return lambda x, lam, t: float(f(x, lam, t))
+        return lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(shape)
 
     # --- FD substitution ----------------------------------------------------
 
     def _install_fd(self):
-        backed = []
-        u = self.u
-        n = self.dim
-        if self.ux is None:
-            self.ux = lambda x, lam, t: _central_diff_x(lambda xx: u(xx, lam, t), x).reshape(n)
-            backed.append("ux")
-        if self.ulam is None:
-            self.ulam = lambda x, lam, t: _central_diff_x(lambda ll: u(x, ll, t), lam).reshape(n)
-            backed.append("ulam")
-        if self.ut is None:
-            self.ut = lambda x, lam, t: float(_central_diff_t(lambda tt: u(x, lam, tt), t))
-            backed.append("ut")
-        # Second derivatives differentiate the (possibly analytic) first
-        # blocks; a larger step keeps double-FD rounding in check.
+        """Back every missing block by the central difference _FD_RULE names,
+        and return the names of the blocks so backed."""
+        backed = [block for block in _FD_RULE if getattr(self, block) is None]
+        # Second blocks use a larger step when they differentiate an
+        # FD-backed first block, which keeps double-FD rounding in check.
         h2 = 1e-4 if "ux" in backed or "ulam" in backed else 1e-6
-        ux, ulam, ut = self.ux, self.ulam, self.ut
-        if self.uxlam is None:
-            self.uxlam = lambda x, lam, t: _central_diff_x(
-                lambda ll: ux(x, ll, t), lam, h2).reshape(n, n)
-            backed.append("uxlam")
-        if self.uxx is None:
-            self.uxx = lambda x, lam, t: _central_diff_x(
-                lambda xx: ux(xx, lam, t), x, h2).reshape(n, n)
-            backed.append("uxx")
-        if self.ulamlam is None:
-            self.ulamlam = lambda x, lam, t: _central_diff_x(
-                lambda ll: ulam(x, ll, t), lam, h2).reshape(n, n)
-            backed.append("ulamlam")
-        if self.uxt is None:
-            self.uxt = lambda x, lam, t: np.asarray(
-                _central_diff_t(lambda tt: ux(x, lam, tt), t, h2)).reshape(n)
-            backed.append("uxt")
-        if self.ulamt is None:
-            self.ulamt = lambda x, lam, t: np.asarray(
-                _central_diff_t(lambda tt: ulam(x, lam, tt), t, h2)).reshape(n)
-            backed.append("ulamt")
+        for block in backed:
+            src, arg, _ = _FD_RULE[block]
+            fn = getattr(self, src)
+            h = 1e-6 if src == "u" else h2
+            setattr(self, block, self._shaped(
+                block, lambda x, lam, t, fn=fn, arg=arg, h=h:
+                _central_diff(fn, arg, x, lam, t, h)))
         return backed
 
     # --- evaluation ---------------------------------------------------------
@@ -460,14 +450,13 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
             if s.n != obj.dim:
                 raise ValueError(f"dimension mismatch: controlling function n={obj.dim}, state n={s.n}")
             _check_finite(obj.u_at(s), "u", s)
-            ux_fd = _central_diff_x(lambda xx: obj.u(xx, s.lam, s.t), s.x)
-            ulam_fd = _central_diff_x(lambda ll: obj.u(s.x, ll, s.t), s.lam)
-            ut_fd = _central_diff_t(lambda tt: obj.u(s.x, s.lam, tt), s.t)
-            errs["ux"] = max(errs.get("ux", 0.0), _rel_err(_check_finite(obj.ux_at(s), "ux", s), ux_fd))
-            errs["ulam"] = max(errs.get("ulam", 0.0), _rel_err(_check_finite(obj.ulam_at(s), "ulam", s), ulam_fd))
-            errs["ut"] = max(errs.get("ut", 0.0), _rel_err(_check_finite(obj.ut_at(s), "ut", s), ut_fd))
-            # uxlam[i, j] = d(ux_i)/dlam_j = d(ulam_j)/dx_i
-            uxlam_fd = _central_diff_x(lambda xx: obj.ulam(xx, s.lam, s.t), s.x, 1e-5).T
+            for block in ("ux", "ulam", "ut"):
+                ref = _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t)
+                value = _check_finite(getattr(obj, block)(s.x, s.lam, s.t), block, s)
+                errs[block] = max(errs.get(block, 0.0), _rel_err(value, ref))
+            # uxlam[i, j] = d(ux_i)/dlam_j = d(ulam_j)/dx_i: the reference
+            # differentiates ulam in x, not the ux of the FD rule in lam.
+            uxlam_fd = _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T
             errs["uxlam"] = max(errs.get("uxlam", 0.0),
                                 _rel_err(_check_finite(obj.uxlam_at(s), "uxlam", s), uxlam_fd))
         tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": rtol2}

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
-                        PhaseState, Trajectory, _central_diff_t, _cumtrapz, _fd_step)
-from .hamilton import integrate
+                        PhaseState, Trajectory, _central_diff_t, _cumtrapz)
+from .hamilton import hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
 
@@ -354,16 +354,13 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     traj = integrate(sys, s0, t1, step)
     ts = traj.times()
     xs = traj.xs()[:, 0]
-    lams = traj.lams()[:, 0]
     c = float(prob.c[0])
     a = float(prob.a[0])
     y0 = float(prob.y0[0])
-    energy_mismatch = abs(float(lam0[0]) * float(sys.f_at(x0, t0)[0]) - prob.h)
+    energy_mismatch = abs(hamiltonian(sys, s0) - prob.h)
 
-    # line integral ∫ lam dx = ∫ lam f dt along the extremal
-    integrand = np.array([lams[i] * float(sys.f_at(traj.samples[i].x, ts[i])[0])
-                          for i in range(len(traj))])
-    f_line = _cumtrapz(ts, integrand)
+    # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
+    f_line = _cumtrapz(ts, np.array([hamiltonian(sys, s) for s in traj]))
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:
@@ -390,15 +387,10 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
 
     # controlling-function view of the solved U (time part h t restores the
     # energy level in the Hamilton-Jacobi reading)
-    def ux_of(x, lam):
-        h = _fd_step(x, 1e-6)
-        d = (x + h) - (x - h)
-        return (sol.evaluate(x + h, lam) - sol.evaluate(x - h, lam)) / d
-
     cf = ControllingFunction(
         1,
         u=lambda x, lam, t: sol.evaluate(x[0], lam[0]) + prob.h * t,
-        ux=lambda x, lam, t: np.array([ux_of(x[0], lam[0])]),
+        ux=lambda x, lam, t: _central_diff_t(lambda v: sol.evaluate(v, lam[0]), x[0]),
         ulam=lambda x, lam, t: np.array([sol.ulam(x[0], lam[0])]),
         ut=lambda x, lam, t: prob.h,
     )

@@ -176,6 +176,22 @@ def test_loop_vertices_floor(tmp_path, capsys):
     assert "at least 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t0, t1, step", [
+    (1e9, 1000000001.0, 5e-8),
+    # half the spacing 2**-23 at 1e9: t0 and t1 have odd last bits, so each
+    # rounds up by a whole spacing, but the even t after the first step stays
+    (1000000000.0000001, 1000000000.0011922, 2.0 ** -24),
+], ids=["below-half-spacing", "half-spacing-tie"])
+def test_step_below_float_spacing_is_a_config_error(tmp_path, capsys, t0, t1, step):
+    # the march would never advance t
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="linear", t0=t0, t1=t1,
+                    step=step, output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 2
+    assert "below the float spacing of t" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_straightening_starts_at_t0(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, scenario="straightening", t0=0.5, t1=1.0,

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canomap.phasecore import DomainError, DynamicSystem, PhaseState
+from canomap.phasecore import DomainError, DynamicSystem, PhaseState, Trajectory
 from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
                               energy_drift, fundamental_matrix, hamiltonian,
                               integrate, lagrangian, weierstrass_excess)
+from canomap.invariants import circle_loop, flow_loop
 from canomap.scenarios import ballistic_system
 
 
@@ -114,6 +115,19 @@ def test_integrate_validates_arguments():
         integrate(linear_system(), s0, 1.0, 0.0)
     with pytest.raises(ValueError, match="t1"):
         integrate(linear_system(), s0, 0.0, 1e-3)
+
+
+def test_step_below_float_spacing_of_t_is_rejected():
+    # at t = 1e9 the float spacing is 1.2e-7, so t + 5e-8 == t: the march
+    # would never end, and every caller gets a ValueError instead
+    late = PhaseState([1.0], [1.0], 1e9)
+    with pytest.raises(ValueError, match="does not advance t"):
+        integrate(linear_system(), late, 1e9 + 1, 5e-8)
+    with pytest.raises(ValueError, match="does not advance t"):
+        flow_loop(linear_system(), circle_loop(late, 0.1, 8), [1e9 + 1], 5e-8)
+    traj = Trajectory((late, PhaseState([1.0], [1.0], 1e9 + 1)), 5e-8)
+    with pytest.raises(ValueError, match="does not advance t"):
+        fundamental_matrix(linear_system(), traj)
 
 
 # ---------------------------------------------------------------------

@@ -364,6 +364,13 @@ def test_hj_old_side_exact_solution():
     assert np.all(res.series == 0.0)
 
 
+def test_hj_residual_H_rejects_non_finite_hamiltonian():
+    blown = DynamicSystem(dim=1, f=lambda x, t: np.array([np.inf]),
+                          jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
+    with pytest.raises(DomainError, match="non-finite Hamiltonian"):
+        hj_residual_H(zero_controlling_function(1), blown, [PhaseState([1.0], [1.0], 0.0)])
+
+
 def test_hj_old_side_energy_form():
     # freezing U_t at -H(0) leaves exactly the energy drift as residual
     sysl = linear_system()

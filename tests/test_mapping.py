@@ -187,6 +187,24 @@ def small_bilinear_cf2(c=0.01):
     )
 
 
+def test_lambda0_bilinear_root_matches_closed_form():
+    # U = c x.lam on A = [[0, 1], [-1, 0]]: the Std116 residual is
+    # c^2 lam.Ax, whose root in lam_k is -sum_{j != k} lam_j (Ax)_j / (Ax)_k.
+    # The slope in lam_k is c^2 (Ax)_k, small for c = 0.01, so |g| alone
+    # says little about the root; Newton runs to the rounding floor of g.
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rng = np.random.default_rng(7)
+    for i in range(50):
+        x0, lam0 = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        k = i % 2
+        Ax = A @ x0
+        exact = -lam0[1 - k] * Ax[1 - k] / Ax[k]
+        res = synthesize_lambda0(rotation_system(), small_bilinear_cf2(0.0143),
+                                 x0=x0, lam0=lam0, k=k)
+        assert res.status == "ok"
+        assert abs(res.value - exact) < 1e-12
+
+
 def test_lambda0_zero_control_indeterminate():
     res = synthesize_lambda0(rotation_system(), zero_controlling_function(2),
                              x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0)

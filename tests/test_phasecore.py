@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                               Trajectory, verify_derivatives,
-                               zero_controlling_function)
+                               Trajectory, _central_diff_t, _central_diff_x,
+                               verify_derivatives, zero_controlling_function)
 
 
 def linear_system(n=1, a=1.0):
@@ -200,6 +200,46 @@ def test_fd_fallback_approximates_derivatives():
     assert cf.uxlam_at(s)[0, 0] == pytest.approx(2 * 1.3, rel=1e-4)
     report = verify_derivatives(cf, [s])
     assert report.ok
+
+
+def _wavy_u(x, lam, t):
+    """U = sin(x).lam + cos(t) |x*lam|^2, nonlinear in every argument."""
+    return float(np.sin(x) @ lam + np.cos(t) * float((x * x) @ (lam * lam)))
+
+
+@pytest.mark.parametrize("analytic_first", [False, True], ids=["u-only", "analytic-ux-ulam"])
+def test_fd_rule_pinned_bitwise(analytic_first):
+    # every fallback is the central difference of its source block in one
+    # argument: first blocks of u with step 1e-6, second blocks of the
+    # installed first blocks with h2 = 1e-4 when ux or ulam is FD-backed
+    given = {}
+    if analytic_first:
+        given = dict(
+            ux=lambda x, lam, t: np.cos(x) * lam + 2.0 * np.cos(t) * x * lam * lam,
+            ulam=lambda x, lam, t: np.sin(x) + 2.0 * np.cos(t) * x * x * lam)
+    cf = ControllingFunction(2, _wavy_u, **given)
+    second = {"uxlam", "uxx", "ulamlam", "uxt", "ulamt"}
+    assert cf.fd_backed == frozenset({"ux", "ulam", "ut"} - set(given)) | second
+    h2 = 1e-6 if analytic_first else 1e-4
+    x, lam, t = np.array([0.3, -1.2]), np.array([0.8, 2.5]), 0.7
+    u = _wavy_u
+    expected = {
+        "ux": _central_diff_x(lambda v: u(v, lam, t), x, 1e-6),
+        "ulam": _central_diff_x(lambda v: u(x, v, t), lam, 1e-6),
+        "ut": float(_central_diff_t(lambda v: u(x, lam, v), t, 1e-6)),
+        "uxlam": _central_diff_x(lambda v: cf.ux(x, v, t), lam, h2),
+        "uxx": _central_diff_x(lambda v: cf.ux(v, lam, t), x, h2),
+        "ulamlam": _central_diff_x(lambda v: cf.ulam(x, v, t), lam, h2),
+        "uxt": _central_diff_t(lambda v: cf.ux(x, lam, v), t, h2),
+        "ulamt": _central_diff_t(lambda v: cf.ulam(x, lam, v), t, h2),
+    }
+    for block in cf.fd_backed:
+        got = getattr(cf, block)(x, lam, t)
+        assert np.array_equal(got, expected[block]), block
+        assert np.shape(got) == np.shape(expected[block]), block
+    assert type(cf.ut(x, lam, t)) is float
+    for block, f in given.items():
+        assert np.array_equal(getattr(cf, block)(x, lam, t), f(x, lam, t))
 
 
 def test_zero_controlling_function_exact():

@@ -3,8 +3,13 @@
     python3 tools/cli_digest.py ROOT [ROOT ...]
 
 ROOT is a checkout holding src/canomap.  Each case runs in a fresh
-interpreter; one line per artifact, stdout, stderr and exit code.  With two
-or more roots, exits 1 unless every tree matches the first byte for byte.
+interpreter; one line per artifact, stdout, stderr and exit code.  Besides
+the CLI cases, the benchmark's `synthesis` library session (perfbench/
+session.py, seeds 0-2) runs against each tree, which reaches the layers no
+CLI case does: fundamental_matrix, synthesize_lambda0, FD-backed invert_map,
+verify_derivatives and compose_flow.  The session code is read from this
+checkout's perfbench/ for every tree, and nothing is written there.  With
+two or more roots, exits 1 unless every tree matches the first byte for byte.
 """
 import hashlib
 import json
@@ -32,28 +37,47 @@ CASES = {
                            "x0": [-0.4], "lam0": [2.5]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+SESSION_SEEDS = (0, 1, 2)
+SESSION = ("import sys, session, workloads\n"
+           "session.run(workloads.WORKLOADS['synthesis'].inputs(int(sys.argv[1])), sys.argv[2])")
 
 
 def digest(root):
     sha = lambda data: hashlib.sha256(data).hexdigest()
     env = {k: v for k, v in os.environ.items() if k != "CANOMAP_OUT"}
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
+    src = os.path.join(os.path.abspath(root), "src")
     lines = []
+
+    def record(tag, argv, tmp, pythonpath):
+        """Run argv in tmp, then digest its exit code, streams and every
+        file it wrote under tmp/out."""
+        out = os.path.join(tmp, "out")
+        proc = subprocess.run(argv, capture_output=True, cwd=tmp,
+                              env=dict(env, PYTHONPATH=pythonpath))
+        lines.extend([f"{tag} exit {proc.returncode}", f"{tag} stdout {sha(proc.stdout)}",
+                      f"{tag} stderr {sha(proc.stderr)}"])
+        for dirpath, _dirs, files in sorted(os.walk(out)):
+            for name in sorted(files):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    rel = os.path.relpath(os.path.join(dirpath, name), out)
+                    lines.append(f"{tag} {rel} {sha(fh.read())}")
+
     for (case, cfg), (cmd, extra) in ((c, m) for c in CASES.items() for m in COMMANDS.items()):
         with tempfile.TemporaryDirectory() as tmp:
             out, path = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(dict(cfg, output_dir=out), fh)
-            proc = subprocess.run([sys.executable, "-m", "canomap.cli", cmd, "--config", path,
-                                   *extra], capture_output=True, env=env, cwd=tmp)
-            tag = f"{case} {cmd}"
-            lines += [f"{tag} exit {proc.returncode}", f"{tag} stdout {sha(proc.stdout)}",
-                      f"{tag} stderr {sha(proc.stderr)}"]
-            for dirpath, _dirs, files in sorted(os.walk(out)):
-                for name in sorted(files):
-                    with open(os.path.join(dirpath, name), "rb") as fh:
-                        rel = os.path.relpath(os.path.join(dirpath, name), out)
-                        lines.append(f"{tag} {rel} {sha(fh.read())}")
+            record(f"{case} {cmd}", [sys.executable, "-m", "canomap.cli", cmd, "--config", path,
+                                     *extra], tmp, src)
+    for seed in SESSION_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            os.mkdir(out)
+            # -B: no bytecode is written into perfbench/
+            record(f"synthesis-seed{seed} session",
+                   [sys.executable, "-B", "-c", SESSION, str(seed), os.path.join(out, "session.json")],
+                   tmp, os.pathsep.join([src, os.path.abspath(PERFBENCH)]))
     return lines
 
 
