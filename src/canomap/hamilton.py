@@ -81,7 +81,7 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     Raises ValueError when the step is below the float spacing of t, which
     would leave t where it is.
     """
-    slack = 1e-12 * max(1.0, abs(t1))
+    slack = min(1e-12 * max(1.0, abs(t1)), 1e-6 * step)   # never a whole step
     ts = [t0]
     zs = [np.array(z0, dtype=float)]
     t = t0

@@ -4,9 +4,9 @@ None of these reuse the differential canonicity criterion from `mapping`;
 they check the same claims through different mathematics — the symplectic
 2-form, loop integrals of lam dx - H dt, the action function, pointwise
 Hamilton-Jacobi residuals, and the potential that separates two action
-integrals.  Agreement between the two routes is itself one of the tested
-invariants.
-"""
+integrals.  The routes certify different properties and can disagree: for
+xdot = a x the shear y = x + r lam, mu = lam passes symplectic_test but
+fails the Std116 residual (tests/test_invariants.py pins such cases)."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -181,31 +181,48 @@ class StraighteningProblem:
         object.__setattr__(self, "lam_b", float(self.lam_b))
 
 
-def _adaptive_simpson(g, a, b, tol, depth=48):
-    """Adaptive Simpson quadrature of g over [a, b] (orientation-aware)."""
-    if a == b:
-        return 0.0
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
+def _simpson(g, a, b, tol, depth=48):
+    """Adaptive Simpson of every cell [a_i, b_i] (1-d a, b) at once.  g(s, i)
+    evaluates the integrands of cells i at nodes s of shape (q, len(i)).  A
+    cell refines while not |err| <= 15 tol, halving tol per level, and sums
+    in the scalar recursion's order, so it gets that recursion's value bit
+    for bit; zero-width cells give 0.0."""
+    out = np.zeros(a.shape)
+    cells = i = np.flatnonzero(a != b)
+    a, b = a[i], b[i]
+    fa, fm, fb = g(np.stack([a, 0.5 * (a + b), b]), i)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_split(g, a, b, fa, fm, fb, whole, tol, depth)
+    levels = []
+    while True:
+        m = 0.5 * (a + b)
+        flm, frm = g(np.stack([0.5 * (a + m), 0.5 * (m + b)]), i)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        r = np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth > 0 else i[:0]
+        levels.append((left + right + err / 15.0, r))
+        if r.size == 0:
+            break
+        a, b, i, fa, fm, fb, whole = [np.concatenate([u[r], v[r]]) for u, v in (
+            (a, m), (m, b), (i, i), (fa, fm), (flm, frm), (fm, fb), (left, right))]
+        tol, depth = 0.5 * tol, depth - 1
+    val = levels.pop()[0]
+    for parent, r in reversed(levels):
+        parent[r] = val[:r.size] + val[r.size:]
+        val = parent
+    out[cells] = val
+    return out
 
 
-def _simpson_split(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (_simpson_split(g, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_split(g, m, b, fm, frm, fb, right, half, depth - 1))
+def _field(F, x, lam):
+    """F evaluated on arrays and broadcast to the shape of (x, lam)."""
+    return np.broadcast_to(np.asarray(F(x, lam), dtype=float), np.broadcast(x, lam).shape)
+
+
+def _nearest(grid, v):
+    """Nearest node of an increasing grid to each v (ties: lower, as argmin)."""
+    i = np.clip(np.searchsorted(grid, v), 1, grid.size - 1)
+    return np.where(np.abs(grid[i] - v) < np.abs(grid[i - 1] - v), i, i - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,29 +240,26 @@ class StraighteningSolution:
     def _c(self) -> float:
         return float(self.problem.c[0])
 
-    def evaluate(self, x: float, lam: float) -> float:
-        """U(x, lam) anywhere: incremental integrating-factor quadrature
-        from the nearest solved node when x is a grid column, else from
-        the boundary lam_b directly."""
-        x = float(x)
-        lam = float(lam)
+    def _at(self, x, lam):
+        """U at the points (x, lam), 1-d arrays of one size: incremental
+        integrating-factor quadrature from the nearest solved node where x
+        is a grid column, else from the boundary lam_b directly."""
         if self.degenerate:
-            return float(self.F(x, lam))
+            return _field(self.F, x, lam)
         c = self._c()
-        j = int(np.argmin(np.abs(self.x_grid - x)))
-        if abs(self.x_grid[j] - x) <= 1e-12 * max(1.0, abs(x)):
-            k = int(np.argmin(np.abs(self.lam_grid - lam)))
-            lam_ref = float(self.lam_grid[k])
-            u_ref = float(self.U[j, k])
-        else:
-            lam_ref = self.problem.lam_b
-            u_ref = 0.0
-        if lam == lam_ref:
-            return u_ref
-        integral = _adaptive_simpson(
-            lambda s: np.exp(-(lam - s) / c) * float(self.F(x, s)),
-            lam_ref, lam, self.quad_tol)
-        return float(np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
+        j = _nearest(self.x_grid, x)
+        k = _nearest(self.lam_grid, lam)
+        on = np.abs(self.x_grid[j] - x) <= 1e-12 * np.maximum(1.0, np.abs(x))
+        lam_ref = np.where(on, self.lam_grid[k], self.problem.lam_b)
+        u_ref = np.where(on, self.U[j, k], 0.0)
+        integral = _simpson(lambda s, i: np.exp(-(lam[i] - s) / c) * _field(self.F, x[i], s),
+                            lam_ref, lam, self.quad_tol)
+        return np.where(lam == lam_ref, u_ref,
+                        np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
+
+    def evaluate(self, x: float, lam: float) -> float:
+        """U(x, lam) anywhere."""
+        return float(self._at(np.array([float(x)]), np.array([float(lam)]))[0])
 
     def ulam(self, x: float, lam: float) -> float:
         """U_lam from the equation itself: (F - U) / c."""
@@ -257,17 +271,13 @@ class StraighteningSolution:
         """max |U + c U_lam - F| over the grid, U_lam by central FD."""
         if self.degenerate:
             return 0.0
-        c = self._c()
-        worst = 0.0
-        for j, xv in enumerate(self.x_grid):
-            for k, lv in enumerate(self.lam_grid):
-                hi = lv + fd_h
-                lo = lv - fd_h
-                d = hi - lo
-                ulam_fd = (self.evaluate(xv, hi) - self.evaluate(xv, lo)) / d
-                res = abs(float(self.U[j, k]) + c * ulam_fd - float(self.F(xv, lv)))
-                worst = max(worst, res)
-        return worst
+        X, L = (v.ravel() for v in np.meshgrid(self.x_grid, self.lam_grid, indexing="ij"))
+        hi, lo = L + fd_h, L - fd_h
+        # blocks of 2048 points keep the quadrature's temporaries small
+        u_hi, u_lo = (np.concatenate([self._at(X[b:b + 2048], v[b:b + 2048])
+                                      for b in range(0, X.size, 2048)]) for v in (hi, lo))
+        res = self.U.ravel() + self._c() * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
+        return float(np.max(np.abs(res), initial=0.0))
 
 
 def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
@@ -281,9 +291,11 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
         U(lam_{k+1}) = e^{-dlam/c} U(lam_k)
                        + (1/c) ∫ e^{-(lam_{k+1}-s)/c} F(x, s) ds
 
-    with the integral by adaptive Simpson to quad_tol.  Only n=1 is
-    supported — with 2n independent variables the characteristics picture
-    stops being a desk-scale computation.
+    with the integrals of every cell of every column in one batched adaptive
+    Simpson to quad_tol.  F is called on arrays, and F(x, lam) must return
+    something that broadcasts to their shape (a constant does), else
+    ValueError.  Only n=1 is supported — with 2n independent variables the
+    characteristics picture stops being a desk-scale computation.
     """
     if prob.c.size != 1 or sys.dim != 1:
         raise ValueError("straightening_solve handles n=1 only; "
@@ -292,25 +304,23 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
     lam_grid = np.asarray(lam_grid, dtype=float)
     if x_grid.ndim != 1 or lam_grid.ndim != 1 or lam_grid.size < 2:
         raise ValueError("x_grid and lam_grid must be 1-d (lam_grid with >= 2 nodes)")
-    if np.any(np.diff(lam_grid) <= 0):
-        raise ValueError("lam_grid must be strictly increasing")
+    if np.any(np.diff(lam_grid) <= 0) or np.any(np.diff(x_grid) <= 0):
+        raise ValueError("x_grid and lam_grid must be strictly increasing")
     if abs(lam_grid[0] - prob.lam_b) > 1e-12 * max(1.0, abs(prob.lam_b)):
         raise ValueError("lam_grid must start at the boundary lam_b")
     c = float(prob.c[0])
-    U = np.zeros((x_grid.size, lam_grid.size))
     if abs(c) < 1e-12:
         # Degenerate equation: U = F pointwise, no lam propagation.
-        for j, xv in enumerate(x_grid):
-            U[j, :] = [float(F(xv, lv)) for lv in lam_grid]
+        U = np.array(_field(F, x_grid[:, None], lam_grid))
         return StraighteningSolution(x_grid, lam_grid, U, prob, F, quad_tol, True)
-    for j, xv in enumerate(x_grid):
-        u = 0.0
-        for k in range(1, lam_grid.size):
-            a_, b_ = float(lam_grid[k - 1]), float(lam_grid[k])
-            integral = _adaptive_simpson(
-                lambda s: np.exp(-(b_ - s) / c) * float(F(xv, s)), a_, b_, quad_tol)
-            u = float(np.exp(-(b_ - a_) / c)) * u + integral / c
-            U[j, k] = u
+    X, A = (v.ravel() for v in np.meshgrid(x_grid, lam_grid[:-1], indexing="ij"))
+    B = np.tile(lam_grid[1:], x_grid.size)
+    cells = _simpson(lambda s, i: np.exp(-(B[i] - s) / c) * _field(F, X[i], s),
+                     A, B, quad_tol).reshape(x_grid.size, -1)
+    decay = np.exp(-np.diff(lam_grid) / c)
+    U = np.zeros((x_grid.size, lam_grid.size))
+    for k in range(1, lam_grid.size):
+        U[:, k] = decay[k - 1] * U[:, k - 1] + cells[:, k - 1] / c
     return StraighteningSolution(x_grid, lam_grid, U, prob, F, quad_tol, False)
 
 
@@ -376,7 +386,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         order = np.argsort(xs)
         xs_sorted = xs[order]
         line_sorted = f_line[order]
-        F = lambda x, lam: float(np.interp(x, xs_sorted, line_sorted)) + c * (y0 - x)
+        F = lambda x, lam: np.interp(x, xs_sorted, line_sorted) + c * (y0 - x)
         if x_grid is None:
             x_grid = np.linspace(xs_sorted[0], xs_sorted[-1], 101)
     if lam_grid is None:

@@ -89,6 +89,18 @@ def test_integrate_lands_exactly_on_t1():
     assert ts[-1] - ts[-2] < 0.1
 
 
+def test_integrate_late_start_keeps_every_step():
+    # at t1 = 1e9 a slack of 1e-12 |t1| (1 ms) would swallow all five
+    # 0.1 ms steps and return the initial sample alone; each step's t is
+    # rounded to the float spacing there (1.2e-7), hence rel=1e-6
+    t0 = 1e9
+    traj = integrate(linear_system(), PhaseState([1.0], [1.0], t0), t0 + 5e-4, 1e-4)
+    end = traj.samples[-1]
+    assert len(traj) > 1
+    assert end.t == t0 + 5e-4
+    assert end.x[0] == pytest.approx(np.exp(5e-4), rel=1e-6)
+
+
 def test_integrate_circular_orbit_radius():
     sysb = ballistic_system(1.0)
     s0 = PhaseState([0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0)

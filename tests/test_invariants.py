@@ -5,7 +5,7 @@ import pytest
 from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
                                PhaseState, Trajectory, zero_controlling_function)
 from canomap.hamilton import integrate
-from canomap.mapping import MappingSpec
+from canomap.mapping import MappingSpec, canonicity_residual_points
 from canomap.invariants import (action_function, circle_loop,
                                 controlling_potential, flow_loop,
                                 hj_residual_H, hj_residual_U,
@@ -64,6 +64,49 @@ def test_symplectic_mapping_spec_defects():
     # half-gradient variant scales both coordinates by 1 + c/2
     d = symplectic_test(MappingSpec("Symplectic119", bilinear_cf(0.1)), s)
     assert d == pytest.approx(1.05 ** 2 - 1.0, rel=1e-6)
+
+
+def quadratic_cf(p, q, r):
+    """U = p x^2/2 + q x lam + r lam^2/2 with exact blocks (n = 1)."""
+    E = np.eye(1)
+    return ControllingFunction(
+        dim=1,
+        u=lambda x, lam, t: float(0.5 * p * x @ x + q * x @ lam + 0.5 * r * lam @ lam),
+        ux=lambda x, lam, t: p * x + q * lam,
+        ulam=lambda x, lam, t: q * x + r * lam,
+        ut=lambda x, lam, t: 0.0,
+        uxlam=lambda x, lam, t: q * E,
+        uxx=lambda x, lam, t: p * E,
+        ulamlam=lambda x, lam, t: r * E,
+        uxt=lambda x, lam, t: np.zeros(1),
+        ulamt=lambda x, lam, t: np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize("pqr, verdict, residual, symplectic", [
+    ((0.3, 0.0, 0.0), "canonical", 0.0, 0.0),
+    ((0.0, 0.0, 0.3), "violated", 0.42, 0.0),     # the exact shear y = x + r lam
+    ((0.0, 0.3, 0.0), "violated", 0.063, 0.09),
+])
+def test_differential_and_symplectic_routes_can_disagree(pqr, verdict, residual, symplectic):
+    # xdot = a x with Std116 and quadratic U: the differential residual is
+    # a (p q x^2 + (q^2 - p r) x lam + r (2 - q) lam^2) at every point, so it
+    # rejects the shear that symplectic_test accepts.  The cloud's corner
+    # (1, 1) is where the scaled residual peaks on [-1, 1]^2.
+    a = 0.7
+    p, q, r = pqr
+    rng = np.random.default_rng(0)
+    pts = [PhaseState(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1), rng.uniform(0, 1))
+           for _ in range(19)] + [PhaseState([1.0], [1.0], 0.5)]
+    spec = MappingSpec("Std116", quadratic_cf(p, q, r))
+    rep = canonicity_residual_points(linear_system(a), spec, pts)
+    x, lam = np.array([s.x[0] for s in pts]), np.array([s.lam[0] for s in pts])
+    closed = a * (p * q * x ** 2 + (q * q - p * r) * x * lam + r * (2 - q) * lam ** 2)
+    assert np.max(np.abs(rep.residual_series - closed)) < 1e-12
+    assert rep.verdict == verdict
+    assert rep.max_residual == pytest.approx(residual, abs=1e-12)
+    defect = max(symplectic_test(spec, s) for s in pts)
+    assert defect == pytest.approx(symplectic, abs=1e-9)
 
 
 # ---------------------------------------------------------------------

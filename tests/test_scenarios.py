@@ -6,7 +6,7 @@ from canomap.phasecore import DomainError, DynamicSystem, PhaseState
 from canomap.hamilton import canonical_rhs, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
-from canomap.scenarios import (StraighteningProblem, ballistic_system,
+from canomap.scenarios import (StraighteningProblem, _simpson, ballistic_system,
                                constant_field_reduction,
                                make_ballistic_adjoint, rotation_example,
                                straightening_solve)
@@ -178,12 +178,139 @@ def test_problem_and_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.0, 0.5, 0.4]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+                            np.array([0.5, 0.0]), np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="start at the boundary"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match=">= 2 nodes"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------
+# batched quadrature against the scalar recursion it replaces
+# ---------------------------------------------------------------------
+
+def ref_simpson(g, a, b, tol, depth=48):
+    """Scalar adaptive Simpson of g over [a, b] (orientation-aware)."""
+    if a == b:
+        return 0.0
+    fa, fb = g(a), g(b)
+    m = 0.5 * (a + b)
+    fm = g(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return ref_split(g, a, b, fa, fm, fb, whole, tol, depth)
+
+
+def ref_split(g, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = g(lm)
+    frm = g(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    half = 0.5 * tol
+    return (ref_split(g, a, m, fa, flm, fm, left, half, depth - 1)
+            + ref_split(g, m, b, fm, frm, fb, right, half, depth - 1))
+
+
+def ref_U(sol):
+    """The solved grid by the scalar column-by-column march."""
+    c = float(sol.problem.c[0])
+    F = sol.F
+    U = np.zeros_like(sol.U)
+    for j, xv in enumerate(sol.x_grid):
+        if sol.degenerate:
+            U[j, :] = [float(F(xv, lv)) for lv in sol.lam_grid]
+            continue
+        u = 0.0
+        for k in range(1, sol.lam_grid.size):
+            a_, b_ = float(sol.lam_grid[k - 1]), float(sol.lam_grid[k])
+            integral = ref_simpson(lambda s: np.exp(-(b_ - s) / c) * float(F(xv, s)),
+                                   a_, b_, sol.quad_tol)
+            u = float(np.exp(-(b_ - a_) / c)) * u + integral / c
+            U[j, k] = u
+    return U
+
+
+def ref_evaluate(sol, x, lam):
+    """U(x, lam) by one scalar quadrature from the nearest node or lam_b."""
+    if sol.degenerate:
+        return float(sol.F(x, lam))
+    c = float(sol.problem.c[0])
+    j = int(np.argmin(np.abs(sol.x_grid - x)))
+    if abs(sol.x_grid[j] - x) <= 1e-12 * max(1.0, abs(x)):
+        k = int(np.argmin(np.abs(sol.lam_grid - lam)))
+        lam_ref, u_ref = float(sol.lam_grid[k]), float(sol.U[j, k])
+    else:
+        lam_ref, u_ref = sol.problem.lam_b, 0.0
+    if lam == lam_ref:
+        return u_ref
+    integral = ref_simpson(lambda s: np.exp(-(lam - s) / c) * float(sol.F(x, s)),
+                           lam_ref, lam, sol.quad_tol)
+    return float(np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
+
+
+def ref_residual_check(sol, fd_h=1e-5):
+    if sol.degenerate:
+        return 0.0
+    c = float(sol.problem.c[0])
+    worst = 0.0
+    for j, xv in enumerate(sol.x_grid):
+        for k, lv in enumerate(sol.lam_grid):
+            hi, lo = lv + fd_h, lv - fd_h
+            ulam_fd = (ref_evaluate(sol, xv, hi) - ref_evaluate(sol, xv, lo)) / (hi - lo)
+            worst = max(worst, abs(float(sol.U[j, k]) + c * ulam_fd - float(sol.F(xv, lv))))
+    return worst
+
+
+@pytest.mark.parametrize("c, F", [
+    (0.05, lambda x, lam: 0.05 * (1.0 - x)),          # refines ~90% of the cells
+    (1.0, lambda x, lam: np.sin(x) + np.cos(lam)),    # criterion 10's forcing
+    (-0.7, lambda x, lam: x * lam + np.exp(-lam)),
+    (1.0, lambda x, lam: 1.0),                        # scalar-returning F
+    (0.0, lambda x, lam: x + lam),                    # degenerate U = F
+])
+def test_batched_solution_matches_scalar_recursion_bitwise(c, F):
+    lam_b = 0.5
+    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_b)
+    x_grid = np.linspace(-1.0, 1.0, 9)
+    sol = straightening_solve(prob, scalar_system(), F, x_grid,
+                              lam_b + np.arange(17) / 8.0)
+    assert np.array_equal(sol.U, ref_U(sol))
+    assert sol.residual_check() == ref_residual_check(sol)
+    # on-grid x (from the nearest node) and off-grid x (from lam_b); lam
+    # between nodes, behind lam_b, on a node (a zero-width interval),
+    # halfway between two nodes (the tie goes to the lower one) and far out
+    for x in (x_grid[0], x_grid[4], 0.123, 3.0):
+        for lam in (lam_b, lam_b + 0.31, lam_b - 0.4, sol.lam_grid[7],
+                    lam_b + 7.0 / 16.0, 5.0):
+            assert sol.evaluate(x, lam) == ref_evaluate(sol, x, lam)
+
+
+def test_batched_simpson_matches_recursion_per_cell():
+    # cells refine to different depths, one has zero width, one runs
+    # backwards, and a NaN integrand refines down to the depth limit
+    a = np.array([0.0, 0.5, 1.0, -0.3, 2.0, 0.0])
+    b = np.array([1.0, 0.5, -1.0, 0.7, 2.1, 1.0])
+    p = np.array([0.3, 0.0, -0.2, 0.0, 2.05, np.nan])
+    ints = lambda i: (lambda s: np.sqrt(np.abs(s - p[i])))
+    got = _simpson(lambda s, i: np.sqrt(np.abs(s - p[i])), a, b, 1e-9, depth=12)
+    want = [ref_simpson(ints(i), a[i], b[i], 1e-9, depth=12) for i in range(a.size)]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[1] == 0.0
+
+
+def test_forcing_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError):
+        straightening_solve(unit_problem(), scalar_system(), lambda x, lam: np.ones(7),
+                            np.array([0.0, 0.5]), np.linspace(0.0, 2.0, 11))
 
 
 # ---------------------------------------------------------------------

@@ -35,6 +35,9 @@ CASES = {
                       "x0": [0.3], "map_variant": "Cross220", "emit_gnuplot": True},
     "straightening-late": {"scenario": "straightening", "t0": 0.2, "t1": 0.7, "step": 0.01,
                            "x0": [-0.4], "lam0": [2.5]},
+    # c = lam0 = 0.05: the quadrature refines thousands of cells
+    "straightening-refine": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
+                             "lam0": [0.05]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
