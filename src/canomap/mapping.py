@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t, _central_diff_x)
+                        Trajectory, _central_diff_t)
 from .hamilton import canonical_rhs, fundamental_matrix
 
 __all__ = [
@@ -37,7 +37,16 @@ __all__ = [
     "invert_map",
 ]
 
-VARIANTS = ("Std116", "Symplectic119", "SignVariant218", "SignVariant219", "Cross220")
+# Each variant as y = x + a G_y, mu = lam + b G_mu with G_y, G_mu drawn from
+# {U_x, U_lam}: variant -> (s1, s2) -> (a, G_y, b, G_mu).
+_FORM = {
+    "Std116": lambda s1, s2: (1, "ulam", -1, "ux"),
+    "Symplectic119": lambda s1, s2: (0.5, "ulam", 0.5, "ux"),
+    "SignVariant218": lambda s1, s2: (s1, "ulam", s2, "ux"),
+    "SignVariant219": lambda s1, s2: (s1, "ux", s2, "ulam"),
+    "Cross220": lambda s1, s2: (1, "ux", -1, "ulam"),
+}
+VARIANTS = tuple(_FORM)
 
 
 class DegeneratePivotError(ValueError):
@@ -80,19 +89,8 @@ def apply_map(spec: MappingSpec, s: PhaseState):
     cf = spec.cf
     if s.n != cf.dim:
         raise ValueError(f"dimension mismatch: controlling function n={cf.dim}, state n={s.n}")
-    s1, s2 = spec.signs
-    v = spec.variant
-    if v == "Std116":
-        return s.x + cf.ulam_at(s), s.lam - cf.ux_at(s)
-    if v == "Symplectic119":
-        # Half-gradient form; both Jacobian blocks share one determinant.
-        return s.x + 0.5 * cf.ulam_at(s), s.lam + 0.5 * cf.ux_at(s)
-    if v == "SignVariant218":
-        return s.x + s1 * cf.ulam_at(s), s.lam + s2 * cf.ux_at(s)
-    if v == "SignVariant219":
-        return s.x + s1 * cf.ux_at(s), s.lam + s2 * cf.ulam_at(s)
-    # Cross220
-    return s.x + cf.ux_at(s), s.lam - cf.ulam_at(s)
+    a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
+    return s.x + a * getattr(cf, gy + "_at")(s), s.lam + b * getattr(cf, gmu + "_at")(s)
 
 
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
@@ -102,22 +100,17 @@ def jacobian_condition(spec: MappingSpec, s: PhaseState):
     closed form of its equal Jacobians.
     """
     cf = spec.cf
-    s1, s2 = spec.signs
-    E = np.eye(cf.dim)
-    v = spec.variant
-    if v == "Symplectic119":
+    if spec.variant == "Symplectic119":
         d = 1.0 + 0.25 * float(np.linalg.det(cf.uxlam_at(s)))
         return d, d
-    if v in ("Std116", "SignVariant218"):
+    a, gy, b, _ = _FORM[spec.variant](*spec.signs)
+    if gy == "ulam":  # G_y = U_lam and G_mu = U_x: both blocks are U_xlam
         M = cf.uxlam_at(s)
-        return (float(np.linalg.det(E + s1 * M.T)),
-                float(np.linalg.det(E + s2 * M)))
-    if v == "SignVariant219":
-        return (float(np.linalg.det(E + s1 * cf.uxx_at(s))),
-                float(np.linalg.det(E + s2 * cf.ulamlam_at(s))))
-    # Cross220
-    return (float(np.linalg.det(E + cf.uxx_at(s))),
-            float(np.linalg.det(E - cf.ulamlam_at(s))))
+        dy, dmu = M.T, M
+    else:
+        dy, dmu = cf.uxx_at(s), cf.ulamlam_at(s)
+    E = np.eye(cf.dim)
+    return float(np.linalg.det(E + a * dy)), float(np.linalg.det(E + b * dmu))
 
 
 # ---------------------------------------------------------------------
@@ -419,46 +412,63 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 # Numerical inverse
 # ---------------------------------------------------------------------
 
+def _map_jacobian(spec: MappingSpec, s: PhaseState):
+    """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
+    a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
+    cf, E = spec.cf, np.eye(spec.cf.dim)
+    uxlam = cf.uxlam_at(s)
+    d = {"ux": (cf.uxx_at(s), uxlam), "ulam": (uxlam.T, cf.ulamlam_at(s))}  # dG/dx, dG/dlam
+    return np.block([[E + a * d[gy][0], a * d[gy][1]], [b * d[gmu][0], E + b * d[gmu][1]]])
+
+
 def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     """Recover (x, lam) with apply_map(spec, (x, lam, t)) = (y, mu).
 
-    Damped Newton on the stacked residual with an FD Jacobian; tolerance
-    1e-12 on the max-norm, at most 50 iterations.
+    Newton on the stacked residual r with the matrix _map_jacobian; returns
+    once max|r| < tol = 1e-12 max(1, |(y, mu)|_inf).  Where a full step no
+    longer reduces max|r|, r is at the map's rounding floor, accepted up to
+    tol, or, when U_x or U_lam is FD-backed, up to tol + 4 eps max(1, |U|) /
+    1e-6; a higher floor tries steps halved down to 1/64.  At most 50
+    iterations; ConvergenceError otherwise.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    n = spec.cf.dim
+    cf, n = spec.cf, spec.cf.dim
+    y, mu, x0, lam0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
+        y, mu, y if x_init is None else x_init, mu if lam_init is None else lam_init))
+    for name, v in zip(("y", "mu", "x_init", "lam_init"), (y, mu, x0, lam0)):
+        if v.shape != (n,):
+            raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
     target = np.concatenate([y, mu])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(target))))
+    fd_term = 4.0 * np.finfo(float).eps / 1e-6 if {"ux", "ulam"} & cf.fd_backed else 0.0
 
     def residual(z):
-        yy, mm = apply_map(spec, PhaseState(z[:n], z[n:], t))
-        return np.concatenate([yy, mm]) - target
+        return np.concatenate(apply_map(spec, PhaseState(z[:n], z[n:], t))) - target
 
-    z = np.concatenate([
-        np.atleast_1d(np.asarray(x_init, dtype=float)) if x_init is not None else y,
-        np.atleast_1d(np.asarray(lam_init, dtype=float)) if lam_init is not None else mu,
-    ])
+    def at_floor(s, norm):
+        return norm <= tol or (fd_term > 0.0 and norm <= tol + fd_term * max(1.0, abs(cf.u_at(s))))
+
+    z = np.concatenate([x0, lam0])
     r = residual(z)
+    norm = np.max(np.abs(r))
     for _ in range(50):
-        if np.max(np.abs(r)) < 1e-12:
-            return z[:n].copy(), z[n:].copy()
-        J = _central_diff_x(residual, z)
+        if norm < tol:
+            break
+        s = PhaseState(z[:n], z[n:], t)
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(_map_jacobian(spec, s), -r)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular FD Jacobian during inversion: {exc}")
-        alpha = 1.0
-        norm0 = np.max(np.abs(r))
-        while alpha >= 1.0 / 64.0:
-            z_try = z + alpha * delta
-            r_try = residual(z_try)
-            if np.max(np.abs(r_try)) < norm0:
-                z, r = z_try, r_try
+            raise ConvergenceError(f"singular Jacobian during inversion: {exc}")
+        for alpha in 0.5 ** np.arange(7):
+            r_try = residual(z + alpha * delta)
+            if np.max(np.abs(r_try)) < norm:
+                z, r, norm = z + alpha * delta, r_try, np.max(np.abs(r_try))
                 break
-            alpha *= 0.5
+            if alpha == 1.0 and at_floor(s, norm):
+                return z[:n].copy(), z[n:].copy()
         else:
-            raise ConvergenceError("damped Newton stalled while inverting the mapping")
-    if np.max(np.abs(r)) < 1e-12:
+            raise ConvergenceError(
+                f"damped Newton stalled while inverting the mapping at residual floor {norm:.3e}")
+    if at_floor(PhaseState(z[:n], z[n:], t), norm):
         return z[:n].copy(), z[n:].copy()
     raise ConvergenceError(
-        f"mapping inversion did not reach 1e-12 in 50 iterations (residual {np.max(np.abs(r)):.3e})")
+        f"mapping inversion did not reach {tol:.0e} in 50 iterations (residual {norm:.3e})")

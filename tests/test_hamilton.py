@@ -1,7 +1,7 @@
 """Hamiltonian lift, canonical flow, fundamental matrices, energy checks."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from canomap.phasecore import DomainError, DynamicSystem, PhaseState, Trajectory
 from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
@@ -183,6 +183,22 @@ def test_fundamental_matrix_duality_and_multiplier_transport():
     err = max(float(np.max(np.abs(Bm @ lam0 - lam)))
               for Bm, lam in zip(B.values, lams))
     assert err < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       z=st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+def test_fundamental_matrix_duality_over_linear_fields(a, z):
+    # B transports multipliers and D variations, so B(t) D(t)^T = E; RK4's
+    # per-step defect is (hA)^6/72, far below 1e-10 at h = 5e-3, |A| <= 2.
+    A = np.array(a).reshape(2, 2)
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    traj = integrate(sys_, PhaseState(z[:2], z[2:], 0.0), 0.5, 5e-3)
+    B = fundamental_matrix(sys_, traj, "B")
+    D = fundamental_matrix(sys_, traj, "D")
+    assert len(B.values) == len(D.values) == 101
+    worst = max(float(np.max(np.abs(Bm @ Dm.T - np.eye(2)))) for Bm, Dm in zip(B.values, D.values))
+    assert worst < 1e-10
 
 
 def test_fundamental_matrix_paper_convention_differs():

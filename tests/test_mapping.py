@@ -1,13 +1,15 @@
 """Mapping variants, canonicity checks, and the two synthesis routes."""
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                               zero_controlling_function)
+                               _central_diff_x, zero_controlling_function)
 from canomap.hamilton import integrate
-from canomap.mapping import (ConvergenceError, DegeneratePivotError,
-                             MappingSpec, RootNotFoundError, apply_map,
+from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
+                             MappingSpec, RootNotFoundError, _map_jacobian, apply_map,
                              canonicity_residual, canonicity_residual_points,
                              invert_map, jacobian_condition, synthesize_lambda0,
                              synthesize_lambda0_cross, synthesize_ulam)
@@ -368,3 +370,90 @@ def test_invert_map_failure_reported():
     with pytest.raises(ConvergenceError, match="inver"):
         invert_map(spec, np.array([1.0]), np.array([1.0]), 0.0,
                    x_init=np.array([0.5]), lam_init=np.array([0.5]))
+
+
+def test_invert_map_fd_backed_failure_reported():
+    # the FD twin of the case above: U = -x lam with only u given
+    spec = MappingSpec("Std116", ControllingFunction(1, lambda x, lam, t: -float(x @ lam)))
+    assert {"ux", "ulam"} <= spec.cf.fd_backed
+    with pytest.raises(ConvergenceError, match="inver"):
+        invert_map(spec, np.array([1.0]), np.array([1.0]), 0.0,
+                   x_init=np.array([0.5]), lam_init=np.array([0.5]))
+
+
+@pytest.mark.parametrize("kwargs, name, size", [
+    ({"y": [1.0]}, "y", 1),
+    ({"mu": [1.0, 2.0, 3.0]}, "mu", 3),
+    ({"x_init": [0.0]}, "x_init", 1),
+    ({"lam_init": [0.0, 0.0, 0.0]}, "lam_init", 3),
+], ids=["y", "mu", "x_init", "lam_init"])
+def test_invert_map_dimension_mismatch(kwargs, name, size):
+    args = dict({"y": [1.0, 0.5], "mu": [0.2, -0.4]}, **kwargs)
+    with pytest.raises(ValueError,
+                       match=f"dimension mismatch: controlling function n=2, {name} n={size}$"):
+        invert_map(MappingSpec("Std116", small_bilinear_cf2()), t=0.0, **args)
+
+
+def _variant_specs(cf):
+    for variant in VARIANTS:
+        for signs in ((1, -1),) if variant == "Std116" else ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+            yield MappingSpec(variant, cf, signs=signs)
+
+
+# The variants as written out: (s1, s2, U_x, U_lam) -> (y - x, mu - lam).
+OFFSETS = {
+    "Std116": lambda s1, s2, ux, ulam: (ulam, -ux),
+    "Symplectic119": lambda s1, s2, ux, ulam: (0.5 * ulam, 0.5 * ux),
+    "SignVariant218": lambda s1, s2, ux, ulam: (s1 * ulam, s2 * ux),
+    "SignVariant219": lambda s1, s2, ux, ulam: (s1 * ux, s2 * ulam),
+    "Cross220": lambda s1, s2, ux, ulam: (ux, -ulam),
+}
+
+
+def test_variant_table_image_and_jacobian():
+    # B is not symmetric, so a U_xlam used where its transpose belongs shows
+    B = np.array([[0.3, -0.7], [0.5, 0.2]])
+    P = np.array([[0.4, 0.1], [0.1, -0.6]])
+    Q = np.array([[-0.2, 0.3], [0.3, 0.8]])
+    cf = quadratic_cf2(B, P, Q)
+    z = np.array([0.7, -1.1, 0.4, 1.3])
+    s = PhaseState(z[:2], z[2:], 0.2)
+    for spec in _variant_specs(cf):
+        dy, dmu = OFFSETS[spec.variant](*spec.signs, cf.ux_at(s), cf.ulam_at(s))
+        y, mu = apply_map(spec, s)
+        assert np.array_equal(y, s.x + dy) and np.array_equal(mu, s.lam + dmu)
+        ref = _central_diff_x(
+            lambda v: np.concatenate(apply_map(spec, PhaseState(v[:2], v[2:], 0.2))), z)
+        err = np.max(np.abs(_map_jacobian(spec, s) - ref))
+        assert err < 1e-8, (spec.variant, spec.signs, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.lists(st.floats(-0.2, 0.2), min_size=10, max_size=10),
+       z=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       variant=st.sampled_from(VARIANTS), signs=st.sampled_from([(1, -1), (-1, 1), (1, 1), (-1, -1)]))
+def test_invert_map_undoes_apply_map(u, z, variant, signs):
+    # entries of at most 0.2 keep the affine map's Jacobian well away from singular
+    p, q = u[4:7], u[7:10]
+    cf = quadratic_cf2(np.array(u[:4]).reshape(2, 2), np.array([[p[0], p[1]], [p[1], p[2]]]),
+                       np.array([[q[0], q[1]], [q[1], q[2]]]))
+    spec = MappingSpec(variant, cf, signs=(1, -1) if variant == "Std116" else signs)
+    y, mu = apply_map(spec, PhaseState(z[:2], z[2:], 0.3))
+    x, lam = invert_map(spec, y, mu, 0.3)
+    assert np.max(np.abs(np.concatenate([x, lam]) - z)) < 1e-9
+
+
+def test_invert_map_fd_backed_reaches_the_rounding_floor():
+    # U = 0.1 (sin(x).lam + |x*lam|^2 / 2) with every block FD-backed: the
+    # noise of U_x and U_lam (near 1e-11) sits above 1e-12, so each inversion
+    # ends at the map's rounding floor rather than at the absolute tolerance.
+    def u(x, lam, t):
+        return 0.1 * (float(np.sin(x) @ lam) + 0.5 * float((x * x) @ (lam * lam)))
+
+    spec = MappingSpec("Std116", ControllingFunction(2, u))
+    rng = random.Random(0)
+    for _ in range(50):
+        z = np.array([rng.uniform(-1.0, 1.0) for _ in range(4)])
+        y, mu = apply_map(spec, PhaseState(z[:2], z[2:], 0.0))
+        x, lam = invert_map(spec, y, mu, 0.0)
+        assert np.max(np.abs(np.concatenate([x, lam]) - z)) < 1e-9

@@ -9,7 +9,8 @@ session.py, seeds 0-2) runs against each tree, which reaches the layers no
 CLI case does: fundamental_matrix, synthesize_lambda0, FD-backed invert_map,
 verify_derivatives and compose_flow.  The session code is read from this
 checkout's perfbench/ for every tree, and nothing is written there.  With
-two or more roots, exits 1 unless every tree matches the first byte for byte.
+two or more roots, exits 1 unless every tree matches the first byte for byte,
+and names each tag (case, command, artifact) whose digest differs.
 """
 import hashlib
 import json
@@ -92,8 +93,14 @@ if __name__ == "__main__":
     for root, lines in zip(roots, results):
         print(f"# {root}", *lines, sep="\n")
     bad = [root for root, lines in zip(roots, results) if lines != results[0]]
-    for root in bad:
-        print(f"DIFFERS from {roots[0]}: {root}")
+    for root, lines in zip(roots, results):
+        if root in bad:
+            # one line per tag (case, command, artifact) whose digest differs
+            first, this = (dict(line.rsplit(" ", 1) for line in ls) for ls in (results[0], lines))
+            for tag in sorted(set(first) | set(this)):
+                if first.get(tag) != this.get(tag):
+                    print(f"  differs: {tag}")
+            print(f"DIFFERS from {roots[0]}: {root}")
     if len(roots) > 1 and not bad:
         print(f"IDENTICAL: {len(results[0])} digests in each of {len(roots)} trees")
     sys.exit(1 if bad else 0)
