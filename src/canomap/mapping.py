@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasecore import (ControllingFunction, DynamicSystem, PhaseState,
+from .phasecore import (_FD_STEP, ControllingFunction, DynamicSystem, PhaseState,
                         Trajectory, _central_diff_t)
 from .hamilton import canonical_rhs, fundamental_matrix
 
@@ -37,14 +37,15 @@ __all__ = [
     "invert_map",
 ]
 
-# Each variant as y = x + a G_y, mu = lam + b G_mu with G_y, G_mu drawn from
-# {U_x, U_lam}: variant -> (s1, s2) -> (a, G_y, b, G_mu).
+# Each variant as y = x + a G_y, mu = lam + b G_mu with G_y, G_mu the
+# accessor of U_x or U_lam: variant -> (s1, s2) -> (a, G_y, b, G_mu).
+_UX, _ULAM = ControllingFunction.ux_at, ControllingFunction.ulam_at
 _FORM = {
-    "Std116": lambda s1, s2: (1, "ulam", -1, "ux"),
-    "Symplectic119": lambda s1, s2: (0.5, "ulam", 0.5, "ux"),
-    "SignVariant218": lambda s1, s2: (s1, "ulam", s2, "ux"),
-    "SignVariant219": lambda s1, s2: (s1, "ux", s2, "ulam"),
-    "Cross220": lambda s1, s2: (1, "ux", -1, "ulam"),
+    "Std116": lambda s1, s2: (1, _ULAM, -1, _UX),
+    "Symplectic119": lambda s1, s2: (0.5, _ULAM, 0.5, _UX),
+    "SignVariant218": lambda s1, s2: (s1, _ULAM, s2, _UX),
+    "SignVariant219": lambda s1, s2: (s1, _UX, s2, _ULAM),
+    "Cross220": lambda s1, s2: (1, _UX, -1, _ULAM),
 }
 VARIANTS = tuple(_FORM)
 
@@ -90,7 +91,7 @@ def apply_map(spec: MappingSpec, s: PhaseState):
     if s.n != cf.dim:
         raise ValueError(f"dimension mismatch: controlling function n={cf.dim}, state n={s.n}")
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    return s.x + a * getattr(cf, gy + "_at")(s), s.lam + b * getattr(cf, gmu + "_at")(s)
+    return s.x + a * gy(cf, s), s.lam + b * gmu(cf, s)
 
 
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
@@ -104,7 +105,7 @@ def jacobian_condition(spec: MappingSpec, s: PhaseState):
         d = 1.0 + 0.25 * float(np.linalg.det(cf.uxlam_at(s)))
         return d, d
     a, gy, b, _ = _FORM[spec.variant](*spec.signs)
-    if gy == "ulam":  # G_y = U_lam and G_mu = U_x: both blocks are U_xlam
+    if gy is _ULAM:  # G_y = U_lam and G_mu = U_x: both blocks are U_xlam
         M = cf.uxlam_at(s)
         dy, dmu = M.T, M
     else:
@@ -417,7 +418,7 @@ def _map_jacobian(spec: MappingSpec, s: PhaseState):
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
     cf, E = spec.cf, np.eye(spec.cf.dim)
     uxlam = cf.uxlam_at(s)
-    d = {"ux": (cf.uxx_at(s), uxlam), "ulam": (uxlam.T, cf.ulamlam_at(s))}  # dG/dx, dG/dlam
+    d = {_UX: (cf.uxx_at(s), uxlam), _ULAM: (uxlam.T, cf.ulamlam_at(s))}  # dG/dx, dG/dlam
     return np.block([[E + a * d[gy][0], a * d[gy][1]], [b * d[gmu][0], E + b * d[gmu][1]]])
 
 
@@ -428,8 +429,8 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     once max|r| < tol = 1e-12 max(1, |(y, mu)|_inf).  Where a full step no
     longer reduces max|r|, r is at the map's rounding floor, accepted up to
     tol, or, when U_x or U_lam is FD-backed, up to tol + 4 eps max(1, |U|) /
-    1e-6; a higher floor tries steps halved down to 1/64.  At most 50
-    iterations; ConvergenceError otherwise.
+    _FD_STEP; a higher floor tries steps halved down to 1/64.  After 50
+    iterations only max|r| <= tol is accepted; ConvergenceError otherwise.
     """
     cf, n = spec.cf, spec.cf.dim
     y, mu, x0, lam0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
@@ -439,13 +440,10 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
             raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
     target = np.concatenate([y, mu])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(target))))
-    fd_term = 4.0 * np.finfo(float).eps / 1e-6 if {"ux", "ulam"} & cf.fd_backed else 0.0
+    fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {"ux", "ulam"} & cf.fd_backed else 0.0
 
     def residual(z):
         return np.concatenate(apply_map(spec, PhaseState(z[:n], z[n:], t))) - target
-
-    def at_floor(s, norm):
-        return norm <= tol or (fd_term > 0.0 and norm <= tol + fd_term * max(1.0, abs(cf.u_at(s))))
 
     z = np.concatenate([x0, lam0])
     r = residual(z)
@@ -463,12 +461,13 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
             if np.max(np.abs(r_try)) < norm:
                 z, r, norm = z + alpha * delta, r_try, np.max(np.abs(r_try))
                 break
-            if alpha == 1.0 and at_floor(s, norm):
-                return z[:n].copy(), z[n:].copy()
+            if alpha == 1.0 and (norm <= tol or fd_term > 0.0 and
+                                 norm <= tol + fd_term * max(1.0, abs(cf.u_at(s)))):
+                return z[:n].copy(), z[n:].copy()   # a full step stalls at the floor
         else:
             raise ConvergenceError(
                 f"damped Newton stalled while inverting the mapping at residual floor {norm:.3e}")
-    if at_floor(PhaseState(z[:n], z[n:], t), norm):
+    if norm <= tol:
         return z[:n].copy(), z[n:].copy()
     raise ConvergenceError(
         f"mapping inversion did not reach {tol:.0e} in 50 iterations (residual {norm:.3e})")

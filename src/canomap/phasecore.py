@@ -228,6 +228,7 @@ def _require_dim(sys: DynamicSystem, s: PhaseState):
 # The central-difference rule behind every missing block of U, in install
 # order (first blocks before the second blocks that differentiate them):
 # block -> (source block, argument differentiated: 0 x, 1 lam, 2 t, ndim).
+_FD_STEP = 1e-6   # step scale of the first blocks, which differentiate u
 _FD_RULE = {
     "ux": ("u", 0, 1),
     "ulam": ("u", 1, 1),
@@ -247,7 +248,7 @@ class ControllingFunction:
     uxlam (d2U/dx_i dlam_j) follow the contract; the remaining second
     derivatives uxx, ulamlam, uxt, ulamt are needed by the flow-restricted
     canonicity residuals.  Every missing closure is replaced by the central
-    difference that _FD_RULE names (first blocks of u with step 1e-6, second
+    difference that _FD_RULE names (first blocks of u with step _FD_STEP, second
     blocks of the first ones with step 1e-4 when ux or ulam is FD-backed,
     else 1e-6) and recorded in ``fd_backed``.
 
@@ -285,7 +286,7 @@ class ControllingFunction:
         for block in backed:
             src, arg, _ = _FD_RULE[block]
             fn = getattr(self, src)
-            h = 1e-6 if src == "u" else h2
+            h = _FD_STEP if src == "u" else h2
             setattr(self, block, self._shaped(
                 block, lambda x, lam, t, fn=fn, arg=arg, h=h:
                 _central_diff(fn, arg, x, lam, t, h)))

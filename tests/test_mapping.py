@@ -457,3 +457,16 @@ def test_invert_map_fd_backed_reaches_the_rounding_floor():
         y, mu = apply_map(spec, PhaseState(z[:2], z[2:], 0.0))
         x, lam = invert_map(spec, y, mu, 0.0)
         assert np.max(np.abs(np.concatenate([x, lam]) - z)) < 1e-9
+
+
+def test_invert_map_fd_backed_out_of_iterations_reported():
+    # U = 0.0005 x^2 with U_x FD-backed, and a given U_xx of 1.5 where the
+    # true one is 0.001: each Newton step cuts max|r| by only 0.6, so after
+    # 50 iterations r is near 2e-11, still falling.  That is above tol
+    # (1e-12) though below the FD floor bound (about 9e-10), and no step has
+    # stalled, so the iterate is no root.
+    cf = ControllingFunction(1, lambda x, lam, t: 0.0005 * float(x @ x),
+                             uxx=lambda x, lam, t: [[1.5]])
+    assert "ux" in cf.fd_backed
+    with pytest.raises(ConvergenceError, match="inver.* in 50 iterations"):
+        invert_map(MappingSpec("Cross220", cf), [1.0], [0.0], 0.0, x_init=[-1.0], lam_init=[0.0])

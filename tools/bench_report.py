@@ -1,10 +1,11 @@
 """Collate one perfbench pass over every workload into BENCH_<pr>.json.
 
-    python3 tools/bench_report.py --pr N [--seed S] [--seconds T] [--out PATH]
+    python3 tools/bench_report.py --pr N [--seed S] [--out PATH]
 
 Run from the root of a checkout.  For each workload that BENCHMARK.json
-declares, perfbench/run.py runs unchanged, first with --trace 0 (end-to-end
-metrics) and then with --trace 1 (per-layer metrics).  This script reads the
+declares, perfbench/run.py runs unchanged for BENCHMARK.json's run_seconds,
+first with --trace 0 (end-to-end metrics) and then with --trace 1 (per-layer
+metrics).  This script reads the
 result.json that each run leaves in perfbench/.work/ and keeps:
 
 - the run's provenance (host, versions, commit, iteration counts);
@@ -77,13 +78,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per perfbench run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--out", default=None, help="default: BENCH_<pr>.json at the root")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     report = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
               "perfbench": " ".join(bench["command"]), "workloads": {}}
     for w in bench["workloads"]:
