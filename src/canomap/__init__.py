@@ -13,7 +13,7 @@ from .phasecore import (ControllingFunction, DerivativeReport, DomainError,
                         verify_derivatives, zero_controlling_function)
 from .hamilton import (EnergyDriftReport, FundamentalMatrix, canonical_rhs,
                        energy_drift, fundamental_matrix, hamiltonian,
-                       integrate, lagrangian, weierstrass_excess)
+                       integrate, weierstrass_excess)
 from .mapping import (CanonicityReport, ConvergenceError, DegeneratePivotError,
                       Lambda0Result, MappingSpec, RootNotFoundError,
                       UlamSynthesis, VARIANTS, apply_map, canonicity_residual,
@@ -24,7 +24,7 @@ from .invariants import (ActionRecord, HJResult, LoopEnsemble, action_function,
                          circle_loop, controlling_potential, flow_loop,
                          hj_residual_H, hj_residual_U, poincare_cartan_loop,
                          symplectic_test)
-from .liemap import (Generator, ScalarField, compose_flow, hamiltonian_field,
+from .liemap import (Generator, compose_flow, hamiltonian_field,
                      infinitesimal_step, poisson_bracket)
 from .scenarios import (ConstantFieldReport, StraighteningProblem,
                         StraighteningSolution, ballistic_system,
@@ -38,8 +38,7 @@ __all__ = [
     "PhaseState", "Trajectory", "verify_derivatives",
     "zero_controlling_function",
     "EnergyDriftReport", "FundamentalMatrix", "canonical_rhs", "energy_drift",
-    "fundamental_matrix", "hamiltonian", "integrate", "lagrangian",
-    "weierstrass_excess",
+    "fundamental_matrix", "hamiltonian", "integrate", "weierstrass_excess",
     "CanonicityReport", "ConvergenceError", "DegeneratePivotError",
     "Lambda0Result", "MappingSpec", "RootNotFoundError", "UlamSynthesis",
     "VARIANTS", "apply_map", "canonicity_residual",
@@ -48,7 +47,7 @@ __all__ = [
     "ActionRecord", "HJResult", "LoopEnsemble", "action_function",
     "circle_loop", "controlling_potential", "flow_loop", "hj_residual_H",
     "hj_residual_U", "poincare_cartan_loop", "symplectic_test",
-    "Generator", "ScalarField", "compose_flow", "hamiltonian_field",
+    "Generator", "compose_flow", "hamiltonian_field",
     "infinitesimal_step", "poisson_bracket",
     "ConstantFieldReport", "StraighteningProblem", "StraighteningSolution",
     "ballistic_system", "constant_field_reduction", "make_ballistic_adjoint",

@@ -12,7 +12,6 @@ the energy diagnostics quantify how well dH/dt = lam . f_t holds discretely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "fundamental_matrix",
     "EnergyDriftReport",
     "energy_drift",
-    "lagrangian",
     "weierstrass_excess",
 ]
 
@@ -246,15 +244,8 @@ def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
 
 
 # ---------------------------------------------------------------------
-# Variational integrands
+# Variational integrand
 # ---------------------------------------------------------------------
-
-def lagrangian(sys: DynamicSystem, s: PhaseState, xdot: Sequence[float]) -> float:
-    """L = lam . (xdot - f); identically zero when xdot is the field itself."""
-    _require_dim(sys, s)
-    xdot = np.asarray(xdot, dtype=float)
-    return float(np.dot(s.lam, xdot - sys.f_at(s.x, s.t)))
-
 
 def weierstrass_excess(sys: DynamicSystem, s: PhaseState, xdot, g) -> float:
     """Excess E = lam.(g-f) - lam.(xdot-f) - lam.(g-xdot).

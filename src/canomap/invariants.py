@@ -38,12 +38,12 @@ __all__ = [
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def symplectic_test(mapping, s: PhaseState, h_scale: float = 1e-6) -> float:
+def symplectic_test(mapping, s: PhaseState) -> float:
     """Max-norm defect ||J^T I J - I|| of the mapping's FD Jacobian at s.
 
     `mapping` is either a MappingSpec or a callable (x, lam) -> (y, mu);
-    J is the 2n x 2n central-difference Jacobian of the stacked map and
-    I the standard symplectic matrix [[0, E], [-E, 0]].
+    J is the 2n x 2n central-difference Jacobian of the stacked map (step
+    1e-6 max(1, |z_i|)) and I the standard symplectic matrix [[0, E], [-E, 0]].
     """
     n = s.n
     if isinstance(mapping, MappingSpec):
@@ -59,7 +59,7 @@ def symplectic_test(mapping, s: PhaseState, h_scale: float = 1e-6) -> float:
         return np.concatenate([np.atleast_1d(np.asarray(y, dtype=float)),
                                np.atleast_1d(np.asarray(mu, dtype=float))])
 
-    J = _central_diff_x(stacked, s.z(), h_scale)
+    J = _central_diff_x(stacked, s.z())
     E = np.eye(n)
     I = np.block([[np.zeros((n, n)), E], [-E, np.zeros((n, n))]])
     return float(np.max(np.abs(J.T @ I @ J - I)))

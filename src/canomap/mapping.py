@@ -66,8 +66,8 @@ class ConvergenceError(RuntimeError):
 class MappingSpec:
     """Mapping variant + controlling function.
 
-    signs applies to the sign variants; Std116 is SignVariant218 with
-    signs (+1, -1), and that pairing is enforced.
+    signs applies to the sign variants SignVariant218/219 only; every other
+    variant takes the default (+1, -1) (Std116 is SignVariant218 with it).
     """
 
     variant: str
@@ -80,8 +80,8 @@ class MappingSpec:
         signs = tuple(int(s) for s in self.signs)
         if len(signs) != 2 or any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be a pair drawn from {+1, -1}")
-        if self.variant == "Std116" and signs != (1, -1):
-            raise ValueError("Std116 is the (+1, -1) sign assignment; pass SignVariant218 to vary it")
+        if signs != (1, -1) and self.variant not in ("SignVariant218", "SignVariant219"):
+            raise ValueError(f"{self.variant} has fixed signs (+1, -1); vary them in SignVariant218/219")
         object.__setattr__(self, "signs", signs)
 
 
@@ -430,7 +430,9 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     longer reduces max|r|, r is at the map's rounding floor, accepted up to
     tol, or, when U_x or U_lam is FD-backed, up to tol + 4 eps max(1, |U|) /
     _FD_STEP; a higher floor tries steps halved down to 1/64.  After 50
-    iterations only max|r| <= tol is accepted; ConvergenceError otherwise.
+    iterations only max|r| <= tol is accepted; ConvergenceError otherwise,
+    also for a non-finite residual at the start.  A non-finite trial step
+    counts as not reducing max|r|.
     """
     cf, n = spec.cf, spec.cf.dim
     y, mu, x0, lam0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
@@ -443,11 +445,15 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {"ux", "ulam"} & cf.fd_backed else 0.0
 
     def residual(z):
+        if not np.isfinite(z).all():
+            return np.full(2 * n, np.nan)
         return np.concatenate(apply_map(spec, PhaseState(z[:n], z[n:], t))) - target
 
     z = np.concatenate([x0, lam0])
     r = residual(z)
     norm = np.max(np.abs(r))
+    if not np.isfinite(norm):
+        raise ConvergenceError(f"non-finite residual {r} at the start of the inversion")
     for _ in range(50):
         if norm < tol:
             break

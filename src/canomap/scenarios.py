@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _R_MIN = 1e-6
+_QUAD_TOL = 1e-10      # adaptive Simpson tolerance of the straightening quadratures
+_RESIDUAL_FD_H = 1e-5  # central-difference step in lam of residual_check
 
 
 # ---------------------------------------------------------------------
@@ -234,7 +236,6 @@ class StraighteningSolution:
     U: np.ndarray            # shape (len(x_grid), len(lam_grid))
     problem: StraighteningProblem
     F: Callable
-    quad_tol: float
     degenerate: bool         # |c| below threshold: algebraic U = F case
 
     def _c(self) -> float:
@@ -253,7 +254,7 @@ class StraighteningSolution:
         lam_ref = np.where(on, self.lam_grid[k], self.problem.lam_b)
         u_ref = np.where(on, self.U[j, k], 0.0)
         integral = _simpson(lambda s, i: np.exp(-(lam[i] - s) / c) * _field(self.F, x[i], s),
-                            lam_ref, lam, self.quad_tol)
+                            lam_ref, lam, _QUAD_TOL)
         return np.where(lam == lam_ref, u_ref,
                         np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
 
@@ -267,12 +268,12 @@ class StraighteningSolution:
             raise ValueError("U_lam is not determined by the degenerate (c=0) equation")
         return (float(self.F(x, lam)) - self.evaluate(x, lam)) / self._c()
 
-    def residual_check(self, fd_h: float = 1e-5) -> float:
+    def residual_check(self) -> float:
         """max |U + c U_lam - F| over the grid, U_lam by central FD."""
         if self.degenerate:
             return 0.0
         X, L = (v.ravel() for v in np.meshgrid(self.x_grid, self.lam_grid, indexing="ij"))
-        hi, lo = L + fd_h, L - fd_h
+        hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
         # blocks of 2048 points keep the quadrature's temporaries small
         u_hi, u_lo = (np.concatenate([self._at(X[b:b + 2048], v[b:b + 2048])
                                       for b in range(0, X.size, 2048)]) for v in (hi, lo))
@@ -281,8 +282,7 @@ class StraighteningSolution:
 
 
 def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
-                        F: Callable, x_grid, lam_grid,
-                        quad_tol: float = 1e-10) -> StraighteningSolution:
+                        F: Callable, x_grid, lam_grid) -> StraighteningSolution:
     """Solve U + c U_lam = F(x, lam) column-by-column with U(x, lam_b) = 0.
 
     Each grid x is an independent characteristic line in lam; the exact
@@ -292,7 +292,7 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
                        + (1/c) ∫ e^{-(lam_{k+1}-s)/c} F(x, s) ds
 
     with the integrals of every cell of every column in one batched adaptive
-    Simpson to quad_tol.  F is called on arrays, and F(x, lam) must return
+    Simpson to _QUAD_TOL.  F is called on arrays, and F(x, lam) must return
     something that broadcasts to their shape (a constant does), else
     ValueError.  Only n=1 is supported — with 2n independent variables the
     characteristics picture stops being a desk-scale computation.
@@ -312,16 +312,16 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
     if abs(c) < 1e-12:
         # Degenerate equation: U = F pointwise, no lam propagation.
         U = np.array(_field(F, x_grid[:, None], lam_grid))
-        return StraighteningSolution(x_grid, lam_grid, U, prob, F, quad_tol, True)
+        return StraighteningSolution(x_grid, lam_grid, U, prob, F, True)
     X, A = (v.ravel() for v in np.meshgrid(x_grid, lam_grid[:-1], indexing="ij"))
     B = np.tile(lam_grid[1:], x_grid.size)
     cells = _simpson(lambda s, i: np.exp(-(B[i] - s) / c) * _field(F, X[i], s),
-                     A, B, quad_tol).reshape(x_grid.size, -1)
+                     A, B, _QUAD_TOL).reshape(x_grid.size, -1)
     decay = np.exp(-np.diff(lam_grid) / c)
     U = np.zeros((x_grid.size, lam_grid.size))
     for k in range(1, lam_grid.size):
         U[:, k] = decay[k - 1] * U[:, k - 1] + cells[:, k - 1] / c
-    return StraighteningSolution(x_grid, lam_grid, U, prob, F, quad_tol, False)
+    return StraighteningSolution(x_grid, lam_grid, U, prob, F, False)
 
 
 # ---------------------------------------------------------------------
@@ -344,8 +344,7 @@ class ConstantFieldReport:
 def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
                              x0, lam0, lam_grid=None, x_grid=None,
                              t1: float = 1.0, step: float = 1e-3,
-                             t0: float = 0.0,
-                             quad_tol: float = 1e-10) -> ConstantFieldReport:
+                             t0: float = 0.0) -> ConstantFieldReport:
     """Synthesize U that straightens an autonomous scalar system.
 
     Builds F(x, lam) = ∫ lam dx + c (y0 - x) with the line integral taken
@@ -392,7 +391,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     if lam_grid is None:
         lam_grid = prob.lam_b + np.linspace(0.0, 2.0, 101)
 
-    sol = straightening_solve(prob, sys, F, x_grid, lam_grid, quad_tol)
+    sol = straightening_solve(prob, sys, F, x_grid, lam_grid)
     pde_residual = sol.residual_check()
 
     # controlling-function view of the solved U (time part h t restores the

@@ -20,8 +20,8 @@ from canomap.mapping import (DegeneratePivotError, MappingSpec, apply_map,
                              synthesize_lambda0, synthesize_ulam)
 from canomap.invariants import (action_function, circle_loop, flow_loop,
                                 poincare_cartan_loop, symplectic_test)
-from canomap.liemap import (Generator, ScalarField, compose_flow,
-                            hamiltonian_field, infinitesimal_step)
+from canomap.liemap import (Generator, compose_flow, hamiltonian_field,
+                            infinitesimal_step)
 from canomap.scenarios import (StraighteningProblem, ballistic_system,
                                make_ballistic_adjoint, rotation_example,
                                straightening_solve)
@@ -257,9 +257,9 @@ def test_criterion_10_straightening_equation():
 
 def test_criterion_11_order_of_accuracy():
     with criterion(11, "defect and composition follow their orders", 10.0):
-        om = ScalarField(1, omega=lambda x, lam: float(lam[0] * np.sin(x[0])),
-                         omega_x=lambda x, lam: lam * np.cos(x[0]),
-                         omega_lam=lambda x, lam: np.sin(x))
+        om = ControllingFunction(1, lambda x, lam, t: float(lam[0] * np.sin(x[0])),
+                                 ux=lambda x, lam, t: lam * np.cos(x[0]),
+                                 ulam=lambda x, lam, t: np.sin(x))
         s = PhaseState([0.7], [1.3], 0.0)
         epss = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         defects = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from canomap.phasecore import DomainError, DynamicSystem, PhaseState, Trajectory
 from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
                               energy_drift, fundamental_matrix, hamiltonian,
-                              integrate, lagrangian, weierstrass_excess)
+                              integrate, weierstrass_excess)
 from canomap.invariants import circle_loop, flow_loop
 from canomap.scenarios import ballistic_system
 
@@ -255,21 +255,8 @@ def test_energy_drift_driven_field_compensated():
 
 
 # ---------------------------------------------------------------------
-# variational integrands
+# variational integrand
 # ---------------------------------------------------------------------
-
-def test_lagrangian_vanishes_on_extremals():
-    sysl = linear_system()
-    traj = integrate(sysl, PhaseState([1.0], [1.0], 0.0), 1.0, 1e-2)
-    for s in traj:
-        xdot, _ = canonical_rhs(sysl, s)
-        assert lagrangian(sysl, s, xdot) == 0.0
-
-
-def test_lagrangian_off_extremal():
-    s = PhaseState([2.0], [3.0], 0.0)
-    assert lagrangian(linear_system(), s, [5.0]) == pytest.approx(9.0)
-
 
 @given(x=st.floats(-10, 10), lam=st.floats(-10, 10),
        xdot=st.floats(-10, 10), g=st.floats(-10, 10))

@@ -3,26 +3,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canomap.phasecore import DomainError, DynamicSystem, PhaseState
+from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
+                               PhaseState)
 from canomap.hamilton import integrate
 from canomap.invariants import symplectic_test
-from canomap.liemap import (Generator, ScalarField, compose_flow,
-                            hamiltonian_field, infinitesimal_step,
-                            poisson_bracket)
+from canomap.liemap import (Generator, compose_flow, hamiltonian_field,
+                            infinitesimal_step, poisson_bracket)
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
 def coord_field(i, n=1):
-    return ScalarField(n, omega=lambda x, lam: float(x[i]),
-                       omega_x=lambda x, lam: np.eye(n)[i],
-                       omega_lam=lambda x, lam: np.zeros(n))
+    return ControllingFunction(n, lambda x, lam, t: float(x[i]),
+                               ux=lambda x, lam, t: np.eye(n)[i],
+                               ulam=lambda x, lam, t: np.zeros(n))
 
 
 def momentum_field(i, n=1):
-    return ScalarField(n, omega=lambda x, lam: float(lam[i]),
-                       omega_x=lambda x, lam: np.zeros(n),
-                       omega_lam=lambda x, lam: np.eye(n)[i])
+    return ControllingFunction(n, lambda x, lam, t: float(lam[i]),
+                               ux=lambda x, lam, t: np.zeros(n),
+                               ulam=lambda x, lam, t: np.eye(n)[i])
 
 
 # ---------------------------------------------------------------------
@@ -35,19 +35,19 @@ def test_canonical_pair_bracket():
 
 
 def test_bracket_of_field_with_itself():
-    om = ScalarField(1, omega=lambda x, lam: float(x[0] * lam[0]),
-                     omega_x=lambda x, lam: lam.copy(),
-                     omega_lam=lambda x, lam: x.copy())
+    om = ControllingFunction(1, lambda x, lam, t: float(x[0] * lam[0]),
+                             ux=lambda x, lam, t: lam.copy(),
+                             ulam=lambda x, lam, t: x.copy())
     assert poisson_bracket(om, om, PhaseState([1.7], [0.4], 0.0)) == 0.0
 
 
 def test_quadratic_bracket_value():
-    psi = ScalarField(1, omega=lambda x, lam: float(x[0] ** 2),
-                      omega_x=lambda x, lam: 2.0 * x,
-                      omega_lam=lambda x, lam: np.zeros(1))
-    om = ScalarField(1, omega=lambda x, lam: float(lam[0] ** 2),
-                     omega_x=lambda x, lam: np.zeros(1),
-                     omega_lam=lambda x, lam: 2.0 * lam)
+    psi = ControllingFunction(1, lambda x, lam, t: float(x[0] ** 2),
+                              ux=lambda x, lam, t: 2.0 * x,
+                              ulam=lambda x, lam, t: np.zeros(1))
+    om = ControllingFunction(1, lambda x, lam, t: float(lam[0] ** 2),
+                             ux=lambda x, lam, t: np.zeros(1),
+                             ulam=lambda x, lam, t: 2.0 * lam)
     # {x^2, lam^2} = 4 x lam = 8 at (1, 2)
     assert poisson_bracket(psi, om, PhaseState([1.0], [2.0], 0.0)) == 8.0
 
@@ -55,12 +55,12 @@ def test_quadratic_bracket_value():
 @given(x=finite, lam=finite, a=finite, b=finite)
 def test_bracket_antisymmetry_exact(x, lam, a, b):
     s = PhaseState([x], [lam], 0.0)
-    psi = ScalarField(1, omega=lambda xx, ll: float(a * xx[0] * ll[0]),
-                      omega_x=lambda xx, ll: a * ll,
-                      omega_lam=lambda xx, ll: a * xx)
-    om = ScalarField(1, omega=lambda xx, ll: float(b * (xx[0] + ll[0] ** 2)),
-                     omega_x=lambda xx, ll: np.full(1, b),
-                     omega_lam=lambda xx, ll: 2.0 * b * ll)
+    psi = ControllingFunction(1, lambda xx, ll, t: float(a * xx[0] * ll[0]),
+                              ux=lambda xx, ll, t: a * ll,
+                              ulam=lambda xx, ll, t: a * xx)
+    om = ControllingFunction(1, lambda xx, ll, t: float(b * (xx[0] + ll[0] ** 2)),
+                             ux=lambda xx, ll, t: np.full(1, b),
+                             ulam=lambda xx, ll, t: 2.0 * b * ll)
     assert poisson_bracket(psi, om, s) == -poisson_bracket(om, psi, s)
 
 
@@ -71,11 +71,15 @@ def test_bracket_dimension_checked():
 
 
 def test_fd_backed_scalar_field():
-    om = ScalarField(1, omega=lambda x, lam: float(x[0] * lam[0]))
-    assert om.fd_backed == frozenset({"omega_x", "omega_lam"})
+    om = ControllingFunction(1, lambda x, lam, t: float(x[0] * lam[0]))
+    assert {"ux", "ulam"} <= om.fd_backed
     s = PhaseState([1.5], [2.5], 0.0)
-    assert om.grad_x(s)[0] == pytest.approx(2.5, rel=1e-9)
-    assert om.grad_lam(s)[0] == pytest.approx(1.5, rel=1e-9)
+    # {x, om} = om_lam = x and {lam, om} = -om_x = -lam, through the FD rule
+    assert poisson_bracket(coord_field(0), om, s) == pytest.approx(1.5, rel=1e-9)
+    assert poisson_bracket(momentum_field(0), om, s) == pytest.approx(-2.5, rel=1e-9)
+    y, mu = infinitesimal_step(Generator(om, 0.1), s)
+    assert y[0] == pytest.approx(1.65, rel=1e-9)
+    assert mu[0] == pytest.approx(2.25, rel=1e-9)
 
 
 def test_hamiltonian_field_reproduces_rhs():
@@ -83,7 +87,7 @@ def test_hamiltonian_field_reproduces_rhs():
                          jac=lambda x, t: np.eye(1), autonomous=True)
     H = hamiltonian_field(sysl)
     s = PhaseState([2.0], [3.0], 0.0)
-    assert H.at(s) == 6.0
+    assert H.u_at(s) == 6.0
     # {x, H} = f and {lam, H} = -A^T lam, the canonical equations
     assert poisson_bracket(coord_field(0), H, s) == 2.0
     assert poisson_bracket(momentum_field(0), H, s) == -3.0
@@ -94,27 +98,27 @@ def test_hamiltonian_field_reproduces_rhs():
 # ---------------------------------------------------------------------
 
 def test_constant_generator_is_identity():
-    om = ScalarField(1, omega=lambda x, lam: 7.0,
-                     omega_x=lambda x, lam: np.zeros(1),
-                     omega_lam=lambda x, lam: np.zeros(1))
+    om = ControllingFunction(1, lambda x, lam, t: 7.0,
+                             ux=lambda x, lam, t: np.zeros(1),
+                             ulam=lambda x, lam, t: np.zeros(1))
     s = PhaseState([1.2], [-0.4], 0.0)
     y, mu = infinitesimal_step(Generator(om, 0.1), s)
     assert np.array_equal(y, s.x) and np.array_equal(mu, s.lam)
 
 
 def test_bilinear_generator_step():
-    om = ScalarField(1, omega=lambda x, lam: float(lam[0] * x[0]),
-                     omega_x=lambda x, lam: lam.copy(),
-                     omega_lam=lambda x, lam: x.copy())
+    om = ControllingFunction(1, lambda x, lam, t: float(lam[0] * x[0]),
+                             ux=lambda x, lam, t: lam.copy(),
+                             ulam=lambda x, lam, t: x.copy())
     y, mu = infinitesimal_step(Generator(om, 0.01), PhaseState([1.0], [1.0], 0.0))
     assert y[0] == pytest.approx(1.01, abs=1e-15)
     assert mu[0] == pytest.approx(0.99, abs=1e-15)
 
 
 def test_step_symplectic_defect_is_eps_squared():
-    om = ScalarField(1, omega=lambda x, lam: float(lam[0] * x[0]),
-                     omega_x=lambda x, lam: lam.copy(),
-                     omega_lam=lambda x, lam: x.copy())
+    om = ControllingFunction(1, lambda x, lam, t: float(lam[0] * x[0]),
+                             ux=lambda x, lam, t: lam.copy(),
+                             ulam=lambda x, lam, t: x.copy())
     s = PhaseState([1.0], [1.0], 0.0)
     eps = 1e-3
 
@@ -127,9 +131,9 @@ def test_step_symplectic_defect_is_eps_squared():
 
 
 def test_defect_order_two_in_eps():
-    om = ScalarField(1, omega=lambda x, lam: float(lam[0] * np.sin(x[0])),
-                     omega_x=lambda x, lam: lam * np.cos(x[0]),
-                     omega_lam=lambda x, lam: np.sin(x))
+    om = ControllingFunction(1, lambda x, lam, t: float(lam[0] * np.sin(x[0])),
+                             ux=lambda x, lam, t: lam * np.cos(x[0]),
+                             ulam=lambda x, lam, t: np.sin(x))
     s = PhaseState([0.7], [1.3], 0.0)
     epss = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     defects = []
@@ -142,7 +146,7 @@ def test_defect_order_two_in_eps():
 
 
 def test_generator_validation():
-    om = ScalarField(1, omega=lambda x, lam: float(x[0]))
+    om = ControllingFunction(1, lambda x, lam, t: float(x[0]))
     with pytest.raises(ValueError, match="nonzero"):
         Generator(om, 0.0)
     with pytest.raises(ValueError, match="finite"):
@@ -185,9 +189,28 @@ def test_compose_flow_first_order_error():
     assert compose_flow(H, s0, 1.0, 400).t == pytest.approx(1.0, abs=1e-12)
 
 
+def test_compose_flow_reads_the_state_time():
+    # xdot = t from x = 0 gives x(1) = 1/2; the Euler sum of eps t_i is
+    # 1/2 - 1/(2N), so the error is first order.  A field frozen at t = 0
+    # would stay at x = 0 for every N.
+    drive = DynamicSystem(dim=1, f=lambda x, t: np.array([t]),
+                          jac=lambda x, t: np.zeros((1, 1)))
+    H = hamiltonian_field(drive)
+    s0 = PhaseState([0.0], [1.0], 0.0)
+    Ns = [50, 100, 200, 400]
+    errs = []
+    for N in Ns:
+        end = compose_flow(H, s0, 1.0, N)
+        assert end.lam[0] == 1.0
+        errs.append(abs(end.x[0] - 0.5))
+        assert errs[-1] == pytest.approx(0.5 / N, rel=1e-9)
+    slope = np.polyfit(np.log(Ns), np.log(errs), 1)[0]
+    assert 0.9 < abs(slope) < 1.1
+
+
 def test_compose_flow_blowup_diagnostic():
-    quad = ScalarField(1, omega=lambda x, lam: float(lam[0] * x[0] ** 2),
-                       omega_x=lambda x, lam: 2.0 * lam * x,
-                       omega_lam=lambda x, lam: x ** 2)
+    quad = ControllingFunction(1, lambda x, lam, t: float(lam[0] * x[0] ** 2),
+                               ux=lambda x, lam, t: 2.0 * lam * x,
+                               ulam=lambda x, lam, t: x ** 2)
     with pytest.raises(DomainError, match="blew up at step"):
         compose_flow(quad, PhaseState([5.0], [0.0], 0.0), 10.0, 20)

@@ -105,6 +105,14 @@ def test_sign_variants_flip_offsets():
         MappingSpec("Affine", bilinear_cf(0.1))
 
 
+@pytest.mark.parametrize("variant", ["Std116", "Symplectic119", "Cross220"])
+def test_fixed_sign_variants_reject_signs(variant):
+    for signs in ((-1, 1), (1, 1), (-1, -1)):
+        with pytest.raises(ValueError, match=f"^{variant} has fixed signs"):
+            MappingSpec(variant, bilinear_cf(0.1), signs=signs)
+    assert MappingSpec(variant, bilinear_cf(0.1), signs=(1, -1)).signs == (1, -1)
+
+
 def test_jacobian_condition_values():
     s = PhaseState([1.0], [2.0], 0.0)
     d1, d2 = jacobian_condition(MappingSpec("Std116",
@@ -372,6 +380,25 @@ def test_invert_map_failure_reported():
                    x_init=np.array([0.5]), lam_init=np.array([0.5]))
 
 
+def test_invert_map_non_finite_residual_reported():
+    # U = sqrt(x) lam is NaN for x < 0, so the start x = -0.5 has no residual
+    cf = ControllingFunction(1, lambda x, lam, t: float(np.sqrt(x[0]) * lam[0]))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ConvergenceError, match=r"non-finite residual \[nan nan\]"):
+        invert_map(MappingSpec("Std116", cf), [1.0], [1.0], 0.0, x_init=[-0.5])
+
+
+def test_invert_map_non_finite_step_is_not_a_reduction():
+    # U = sqrt(x) lam with analytic U_x, U_lam: at x = 5e-7 the residual is
+    # finite, but U_xx's FD stencil (step 1e-6) reaches x < 0, so the Newton
+    # matrix and every damped step are NaN; none may count as progress.
+    cf = ControllingFunction(1, lambda x, lam, t: float(np.sqrt(x[0]) * lam[0]),
+                             ux=lambda x, lam, t: 0.5 / np.sqrt(x) * lam,
+                             ulam=lambda x, lam, t: np.sqrt(x))
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="stalled"):
+        invert_map(MappingSpec("Std116", cf), [0.1], [1.0], 0.0, x_init=[5e-7])
+
+
 def test_invert_map_fd_backed_failure_reported():
     # the FD twin of the case above: U = -x lam with only u given
     spec = MappingSpec("Std116", ControllingFunction(1, lambda x, lam, t: -float(x @ lam)))
@@ -394,9 +421,17 @@ def test_invert_map_dimension_mismatch(kwargs, name, size):
         invert_map(MappingSpec("Std116", small_bilinear_cf2()), t=0.0, **args)
 
 
+SIGN_PAIRS = ((1, -1), (-1, 1), (1, 1), (-1, -1))
+
+
+def _signs_of(variant):
+    """Every sign pair for the sign variants; the default (1, -1) for the rest."""
+    return SIGN_PAIRS if variant.startswith("SignVariant") else ((1, -1),)
+
+
 def _variant_specs(cf):
     for variant in VARIANTS:
-        for signs in ((1, -1),) if variant == "Std116" else ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+        for signs in _signs_of(variant):
             yield MappingSpec(variant, cf, signs=signs)
 
 
@@ -431,13 +466,13 @@ def test_variant_table_image_and_jacobian():
 @settings(max_examples=60, deadline=None)
 @given(u=st.lists(st.floats(-0.2, 0.2), min_size=10, max_size=10),
        z=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
-       variant=st.sampled_from(VARIANTS), signs=st.sampled_from([(1, -1), (-1, 1), (1, 1), (-1, -1)]))
+       variant=st.sampled_from(VARIANTS), signs=st.sampled_from(SIGN_PAIRS))
 def test_invert_map_undoes_apply_map(u, z, variant, signs):
     # entries of at most 0.2 keep the affine map's Jacobian well away from singular
     p, q = u[4:7], u[7:10]
     cf = quadratic_cf2(np.array(u[:4]).reshape(2, 2), np.array([[p[0], p[1]], [p[1], p[2]]]),
                        np.array([[q[0], q[1]], [q[1], q[2]]]))
-    spec = MappingSpec(variant, cf, signs=(1, -1) if variant == "Std116" else signs)
+    spec = MappingSpec(variant, cf, signs=signs if signs in _signs_of(variant) else (1, -1))
     y, mu = apply_map(spec, PhaseState(z[:2], z[2:], 0.3))
     x, lam = invert_map(spec, y, mu, 0.3)
     assert np.max(np.abs(np.concatenate([x, lam]) - z)) < 1e-9

@@ -6,8 +6,8 @@ from canomap.phasecore import DomainError, DynamicSystem, PhaseState
 from canomap.hamilton import canonical_rhs, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
-from canomap.scenarios import (StraighteningProblem, _simpson, ballistic_system,
-                               constant_field_reduction,
+from canomap.scenarios import (_QUAD_TOL, _RESIDUAL_FD_H, StraighteningProblem,
+                               _simpson, ballistic_system, constant_field_reduction,
                                make_ballistic_adjoint, rotation_example,
                                straightening_solve)
 
@@ -233,7 +233,7 @@ def ref_U(sol):
         for k in range(1, sol.lam_grid.size):
             a_, b_ = float(sol.lam_grid[k - 1]), float(sol.lam_grid[k])
             integral = ref_simpson(lambda s: np.exp(-(b_ - s) / c) * float(F(xv, s)),
-                                   a_, b_, sol.quad_tol)
+                                   a_, b_, _QUAD_TOL)
             u = float(np.exp(-(b_ - a_) / c)) * u + integral / c
             U[j, k] = u
     return U
@@ -253,18 +253,18 @@ def ref_evaluate(sol, x, lam):
     if lam == lam_ref:
         return u_ref
     integral = ref_simpson(lambda s: np.exp(-(lam - s) / c) * float(sol.F(x, s)),
-                           lam_ref, lam, sol.quad_tol)
+                           lam_ref, lam, _QUAD_TOL)
     return float(np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
 
 
-def ref_residual_check(sol, fd_h=1e-5):
+def ref_residual_check(sol):
     if sol.degenerate:
         return 0.0
     c = float(sol.problem.c[0])
     worst = 0.0
     for j, xv in enumerate(sol.x_grid):
         for k, lv in enumerate(sol.lam_grid):
-            hi, lo = lv + fd_h, lv - fd_h
+            hi, lo = lv + _RESIDUAL_FD_H, lv - _RESIDUAL_FD_H
             ulam_fd = (ref_evaluate(sol, xv, hi) - ref_evaluate(sol, xv, lo)) / (hi - lo)
             worst = max(worst, abs(float(sol.U[j, k]) + c * ulam_fd - float(sol.F(xv, lv))))
     return worst
