@@ -242,7 +242,7 @@ def _ballistic_cloud(rng, cfg):
 
 def _subsample(traj, count=9):
     idx = np.unique(np.linspace(0, len(traj) - 1, count).astype(int))
-    return [traj.samples[i] for i in idx]
+    return [traj[i] for i in idx]
 
 
 def _rotation_image_error(cfg, system, spec, traj):
@@ -259,8 +259,8 @@ def _rotation_image_error(cfg, system, spec, traj):
 def _ballistic_conservation(cfg, system, spec, traj):
     """Drift of the area integral r v_phi and of the cyclic multiplier lam_4,
     and the generic adjoint -A^T lam against the hand-written one."""
-    rv = np.array([s.x[2] * s.x[1] for s in traj])
-    lam4 = traj.lams()[:, 3]
+    rv = traj.x[:, 2] * traj.x[:, 1]
+    lam4 = traj.lam[:, 3]
     adj = make_ballistic_adjoint(cfg.sigma)
     agree = max(float(np.max(np.abs(adj(s) + system.jac_at(s.x, s.t).T @ s.lam)))
                 for s in _subsample(traj))
@@ -364,9 +364,9 @@ def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
         "loop_drift": None,
     }
     if cfg.n == 1:
-        loop0 = circle_loop(traj.samples[0], 0.5, cfg.loop_vertices)
+        loop0 = circle_loop(traj[0], 0.5, cfg.loop_vertices)
         ens = flow_loop(system, loop0, [cfg.t1], cfg.step)
-        inv["loop_drift"] = poincare_cartan_loop(system, ens)
+        inv["loop_drift"] = poincare_cartan_loop(ens)
     if scenario.extras is not None:
         inv.update(scenario.extras(cfg, system, spec, traj))
     if scenario.basis == "symplectic":
@@ -396,7 +396,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t"] + [f"x_{i+1}" for i in range(cfg.n)]
                + [f"lam_{i+1}" for i in range(cfg.n)] + ["H"],
-               [[s.t, *s.x, *s.lam, h] for s, h in zip(traj, drift.h_series)])
+               np.column_stack([traj.t, traj.x, traj.lam, drift.h_series]))
     if traj.meta.get("truncated"):
         print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
               f"({traj.meta['reason']})", file=sys.stderr)

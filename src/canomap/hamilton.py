@@ -134,13 +134,11 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
 
     def rhs(z, t):
         x = z[:n]
-        lam = z[n:]
-        return np.concatenate([sys.f_at(x, t), -sys.jac_at(x, t).T @ lam])
+        return np.concatenate([sys.f_at(x, t), -sys.jac_at(x, t).T @ z[n:]])
 
     ts, zs, diag = _rk4_path(rhs, s0.z(), s0.t, t1, step)
-    samples = [PhaseState._trusted(z[:n], z[n:], t) for t, z in zip(ts, zs)]
-    meta = dict(diag) if diag else {}
-    return Trajectory(tuple(samples), step, meta)
+    Z = np.array(zs)
+    return Trajectory(ts, Z[:, :n], Z[:, n:], step, dict(diag) if diag else {})
 
 
 # ---------------------------------------------------------------------
@@ -167,7 +165,7 @@ class FundamentalMatrix:
     """
 
     kind: str
-    values: tuple          # one n x n array per sample time
+    values: np.ndarray     # (N, n, n): the matrix at each sample time
     t0: float
     times: np.ndarray
     min_abs_det: float
@@ -198,7 +196,7 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
     mdot = _KINDS[kind]
     n = sys.dim
-    s0 = traj.samples[0]
+    s0 = traj[0]
     _require_dim(sys, s0)
 
     def rhs(z, t):
@@ -207,13 +205,11 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
         return np.concatenate([sys.f_at(x, t), mdot(sys.jac_at(x, t), M).ravel()])
 
     z0 = np.concatenate([s0.x, np.eye(n).ravel()])
-    t_end = traj.samples[-1].t
-    ts, zs, diag = _rk4_path(rhs, z0, s0.t, t_end, traj.step)
+    ts, zs, diag = _rk4_path(rhs, z0, s0.t, traj.t[-1], traj.step)
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
-    values = tuple(z[n:].reshape(n, n) for z in zs)
-    dets = np.array([np.linalg.det(M) for M in values])
-    min_abs_det = float(np.min(np.abs(dets)))
+    values = np.array(zs)[:, n:].reshape(-1, n, n)
+    min_abs_det = float(np.min(np.abs(np.linalg.det(values))))
     return FundamentalMatrix(kind=kind, values=values, t0=s0.t,
                              times=np.asarray(ts), min_abs_det=min_abs_det,
                              singular=bool(min_abs_det < 1e-12))
@@ -237,9 +233,8 @@ def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
     if sys.autonomous:
         drift = float(np.max(np.abs(hs - hs[0])))
         return EnergyDriftReport(hs, drift, True)
-    ts = traj.times()
     integrand = np.array([float(np.dot(s.lam, sys.ft_at(s.x, s.t))) for s in traj])
-    drift = float(np.max(np.abs(hs - hs[0] - _cumtrapz(ts, integrand))))
+    drift = float(np.max(np.abs(hs - hs[0] - _cumtrapz(traj.t, integrand))))
     return EnergyDriftReport(hs, drift, False)
 
 

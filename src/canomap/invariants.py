@@ -2,7 +2,7 @@
 
 None of these reuse the differential canonicity criterion from `mapping`;
 they check the same claims through different mathematics — the symplectic
-2-form, loop integrals of lam dx - H dt, the action function, pointwise
+2-form, fixed-time loop integrals of lam dx, the action function, pointwise
 Hamilton-Jacobi residuals, and the potential that separates two action
 integrals.  The routes certify different properties and can disagree: for
 xdot = a x the shear y = x + r lam, mu = lam passes symplectic_test but
@@ -83,8 +83,7 @@ class LoopEnsemble:
             first, last = loop[0], loop[-1]
             if not (np.array_equal(first.x, last.x) and np.array_equal(first.lam, last.lam)):
                 raise ValueError("loop is not closed (first and last vertices differ)")
-            ts = {v.t for v in loop}
-            if len(ts) != 1:
+            if len({v.t for v in loop}) != 1:
                 raise ValueError("loop vertices must share a common time")
 
 
@@ -134,19 +133,13 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     return LoopEnsemble(loop0=loop0, flowed=tuple(flowed))
 
 
-def _loop_integral(sys: DynamicSystem, loop, richardson: bool) -> float:
-    """Trapezoidal ∮ lam·dx − H·dt over the polygon's vertices."""
+def _loop_integral(loop, richardson: bool) -> float:
+    """Trapezoidal ∮ lam·dx over the polygon's vertices."""
     lams = np.array([v.lam for v in loop])
     xs = np.array([v.x for v in loop])
-    ts = np.array([v.t for v in loop])
-    hs = np.array([hamiltonian(sys, v) for v in loop])
 
     def trapz(sl):
-        lam_mid = 0.5 * (lams[sl][1:] + lams[sl][:-1])
-        h_mid = 0.5 * (hs[sl][1:] + hs[sl][:-1])
-        dx = np.diff(xs[sl], axis=0)
-        dt = np.diff(ts[sl])
-        return float(np.sum(lam_mid * dx) - np.sum(h_mid * dt))
+        return float(np.sum(0.5 * (lams[sl][1:] + lams[sl][:-1]) * np.diff(xs[sl], axis=0)))
 
     full = trapz(slice(None))
     if not richardson:
@@ -157,19 +150,19 @@ def _loop_integral(sys: DynamicSystem, loop, richardson: bool) -> float:
     return (4.0 * full - coarse) / 3.0
 
 
-def poincare_cartan_loop(sys: DynamicSystem, ens: LoopEnsemble,
-                         richardson: bool = False) -> float:
-    """Max drift of ∮ lam·dx − H·dt across the ensemble's flowed loops.
+def poincare_cartan_loop(ens: LoopEnsemble, richardson: bool = False) -> float:
+    """Max drift of ∮ lam·dx across the ensemble's flowed loops.
 
-    On constant-time loops the H term drops out (dt = 0 edge-wise), so the
-    integral reduces to the oriented phase-plane area enclosed.  Loops with
-    fewer than 8 distinct vertices are rejected as too coarse to quadrature.
+    Each loop lies at one time (dt = 0 on every edge), so this is the
+    Poincaré–Cartan integral ∮ lam·dx − H·dt on a constant-time loop: the
+    oriented phase-plane area enclosed.  Loops with fewer than 8 distinct
+    vertices are rejected as too coarse to quadrature.
     """
     for loop in (ens.loop0, *ens.flowed):
         if len(loop) - 1 < 8:
             raise ValueError("loop with <8 vertices: quadrature too coarse")
-    base = _loop_integral(sys, ens.loop0, richardson)
-    drifts = [abs(_loop_integral(sys, loop, richardson) - base) for loop in ens.flowed]
+    base = _loop_integral(ens.loop0, richardson)
+    drifts = [abs(_loop_integral(loop, richardson) - base) for loop in ens.flowed]
     return float(max(drifts)) if drifts else 0.0
 
 
@@ -192,20 +185,18 @@ def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
     collapsing to |−H + lam·f| — zero in exact arithmetic, so the returned
     value measures pure numerics.
     """
-    ts = traj.times()
-    xs = traj.xs()
-    lams = traj.lams()
+    ts, xs, lams = traj.t, traj.x, traj.lam
+    _require_dim(sys, traj[0])
     L = np.empty(len(traj))
     hs = np.empty(len(traj))
     hj = 0.0
-    for i, s in enumerate(traj):
-        _require_dim(sys, s)
-        f = sys.f_at(s.x, s.t)
-        hs[i] = float(np.dot(s.lam, f))
+    for i, (x, lam, t) in enumerate(zip(xs, lams, ts.tolist())):
+        f = sys.f_at(x, t)
+        hs[i] = float(np.dot(lam, f))
         if not np.isfinite(hs[i]):
-            raise DomainError(f"non-finite Hamiltonian at x={s.x}, t={s.t}")
-        L[i] = float(np.dot(s.lam, f - f))
-        hj = max(hj, abs(-hs[i] + float(np.dot(s.lam, f))))
+            raise DomainError(f"non-finite Hamiltonian at x={x}, t={t}")
+        L[i] = float(np.dot(lam, f - f))
+        hj = max(hj, abs(-hs[i] + float(np.dot(lam, f))))
     S = float(_trapz(L, ts))
     lam_mid = 0.5 * (lams[1:] + lams[:-1])
     h_mid = 0.5 * (hs[1:] + hs[:-1])
@@ -266,15 +257,15 @@ def controlling_potential(sys_old: DynamicSystem, sys_new: DynamicSystem,
     """
     if len(traj_old) != len(traj_new):
         raise ValueError("mismatched grids: trajectories differ in length")
-    t_old = traj_old.times()
-    t_new = traj_new.times()
-    if float(np.max(np.abs(t_old - t_new))) > 1e-9:
+    if float(np.max(np.abs(traj_old.t - traj_new.t))) > 1e-9:
         raise ValueError("mismatched grids: sample times differ")
     integrand = np.empty(len(traj_old))
-    for i, (so, sn) in enumerate(zip(traj_old, traj_new)):
-        xdot = sys_old.f_at(so.x, so.t)
-        ydot = sys_new.f_at(sn.x, sn.t)
-        H = float(np.dot(so.lam, xdot))
-        G = float(np.dot(sn.lam, ydot))
-        integrand[i] = float(np.dot(so.lam, xdot) - np.dot(sn.lam, ydot) + G - H)
-    return _cumtrapz(t_old, integrand)
+    old = zip(traj_old.x, traj_old.lam, traj_old.t.tolist())
+    new = zip(traj_new.x, traj_new.lam, traj_new.t.tolist())
+    for i, ((x, lam, t), (y, mu, tn)) in enumerate(zip(old, new)):
+        xdot = sys_old.f_at(x, t)
+        ydot = sys_new.f_at(y, tn)
+        H = float(np.dot(lam, xdot))
+        G = float(np.dot(mu, ydot))
+        integrand[i] = float(np.dot(lam, xdot) - np.dot(mu, ydot) + G - H)
+    return _cumtrapz(traj_old.t, integrand)

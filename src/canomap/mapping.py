@@ -405,7 +405,7 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
         uxt=lambda x, lam, t: zeros_n,
         ulamt=lambda x, lam, t: sys.jac_at(x, t) @ dvec(t),
     )
-    ulam_series = np.array([Dv @ ulam0 for Dv in D.values])
+    ulam_series = D.values @ ulam0
     return UlamSynthesis(cf=cf, ulam_series=ulam_series, propagator=D)
 
 

@@ -7,6 +7,7 @@ substituted by central finite differences and flagged as FD-backed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -199,8 +200,8 @@ class PhaseState:
 
     @classmethod
     def _trusted(cls, x: np.ndarray, lam: np.ndarray, t: float) -> "PhaseState":
-        """Wrap 1-d float arrays of equal shape that are already known to be
-        finite, skipping __post_init__'s checks (RK4 output is checked per step)."""
+        """Wrap 1-d float arrays of equal shape known to be finite, skipping
+        __post_init__'s checks (RK4 checks each step, Trajectory its arrays)."""
         s = object.__new__(cls)
         object.__setattr__(s, "x", x)
         object.__setattr__(s, "lam", lam)
@@ -342,36 +343,49 @@ def zero_controlling_function(dim: int) -> ControllingFunction:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered phase-state samples from a fixed-step integration."""
+    """Time-ordered samples of the extended phase space from a fixed-step
+    integration, held as read-only float copies of the given arrays;
+    traj[i] and iteration build PhaseState samples on demand."""
 
-    samples: tuple            # PhaseState, strictly increasing in t
+    t: np.ndarray             # (N,) sample times, strictly increasing
+    x: np.ndarray             # (N, n) phase coordinates
+    lam: np.ndarray           # (N, n) multipliers
     step: float               # nominal step h (last interval may be shorter)
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
+        t, x, lam = (np.array(a, dtype=float) for a in (self.t, self.x, self.lam))
+        if (t.ndim != 1 or x.ndim != 2 or not x.shape[1] or x.shape != lam.shape
+                or x.shape[0] != t.size):
+            raise ValueError(f"expected t (N,), x and lam (N, n); got shapes "
+                             f"{t.shape}, {x.shape}, {lam.shape}")
+        if not t.size:
             raise ValueError("trajectory needs at least one sample")
-        ts = np.array([s.t for s in samples])
-        if samples and np.any(np.diff(ts) <= 0):
+        if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(lam).all()):
+            raise ValueError("non-finite trajectory sample")
+        if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
+        for name, a in (("t", t), ("x", x), ("lam", lam)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "step", float(self.step))
 
     def __len__(self):
-        return len(self.samples)
+        return self.t.size
+
+    def __getitem__(self, i) -> PhaseState:
+        i = operator.index(i)   # an integer: a slice would give a 2-d x
+        return PhaseState._trusted(self.x[i], self.lam[i], self.t[i])
 
     def __iter__(self):
-        return iter(self.samples)
+        return map(PhaseState._trusted, self.x, self.lam, self.t)
 
+    # times() and samples are unused in canomap but stay readable:
+    # perfbench/session.py reads them.
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
-    def xs(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    def lams(self) -> np.ndarray:
-        return np.array([s.lam for s in self.samples])
+    samples = property(lambda self: tuple(self))
 
 
 # =====================================================================

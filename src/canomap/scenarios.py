@@ -361,8 +361,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     s0 = PhaseState(x0, lam0, t0)
     traj = integrate(sys, s0, t1, step)
-    ts = traj.times()
-    xs = traj.xs()[:, 0]
+    ts, xs = traj.t, traj.x[:, 0]
     c = float(prob.c[0])
     a = float(prob.a[0])
     y0 = float(prob.y0[0])
@@ -407,12 +406,12 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
 
     # mapped motion on a subsample of the extremal
     idx = np.unique(np.linspace(0, len(traj) - 1, 41).astype(int))
-    ys, mus = np.array([apply_map(spec, traj.samples[i]) for i in idx])[:, :, 0].T
+    ys, mus = np.array([apply_map(spec, traj[i]) for i in idx])[:, :, 0].T
     mu_defect = float(np.max(np.abs(mus - c)))
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))
 
-    pts = [traj.samples[i] for i in idx[:: max(1, len(idx) // 8)]]
+    pts = [traj[i] for i in idx[:: max(1, len(idx) // 8)]]
     hj = hj_residual_U(cf, lambda y, mu, t: a * float(mu[0]), spec, pts)
 
     note = (f"boundary U(x, lam_b)=0 imposed at lam_b={prob.lam_b} "

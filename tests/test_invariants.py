@@ -116,14 +116,14 @@ def test_differential_and_symplectic_routes_can_disagree(pqr, verdict, residual,
 def test_loop_drift_null_field_is_zero():
     ens = flow_loop(null_system(), circle_loop(PhaseState([0.0], [0.0], 0.0),
                                                1.0, 16), [1.0], 1e-2)
-    assert poincare_cartan_loop(null_system(), ens) == 0.0
+    assert poincare_cartan_loop(ens) == 0.0
 
 
 def test_loop_drift_linear_field():
     sysl = linear_system()
     ens = flow_loop(sysl, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 256),
                     [1.0], 1e-2)
-    assert poincare_cartan_loop(sysl, ens) < 1e-5
+    assert poincare_cartan_loop(ens) < 1e-5
 
 
 def test_loop_vertex_count_gate():
@@ -131,10 +131,10 @@ def test_loop_vertex_count_gate():
     ens7 = flow_loop(sysn, circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, 7),
                      [0.5], 1e-2)
     with pytest.raises(ValueError, match="too coarse"):
-        poincare_cartan_loop(sysn, ens7)
+        poincare_cartan_loop(ens7)
     ens8 = flow_loop(sysn, circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, 8),
                      [0.5], 1e-2)
-    assert poincare_cartan_loop(sysn, ens8) == 0.0
+    assert poincare_cartan_loop(ens8) == 0.0
 
 
 def test_loop_drift_quadratic_convergence():
@@ -145,7 +145,7 @@ def test_loop_drift_quadratic_convergence():
     drifts = {}
     for M in (64, 128):
         ens = flow_loop(syss, circle_loop(center, 1.0, M), [1.0], 1e-2)
-        drifts[M] = poincare_cartan_loop(syss, ens)
+        drifts[M] = poincare_cartan_loop(ens)
     assert 3.2 < drifts[64] / drifts[128] < 4.8
 
 
@@ -155,13 +155,13 @@ def test_loop_richardson_refinement():
                          autonomous=True)
     ens = flow_loop(syss, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 64),
                     [1.0], 1e-2)
-    plain = poincare_cartan_loop(syss, ens)
-    refined = poincare_cartan_loop(syss, ens, richardson=True)
+    plain = poincare_cartan_loop(ens)
+    refined = poincare_cartan_loop(ens, richardson=True)
     assert refined < plain / 50.0
     odd = flow_loop(syss, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 9),
                     [1.0], 1e-2)
     with pytest.raises(ValueError, match="even vertex count"):
-        poincare_cartan_loop(syss, odd, richardson=True)
+        poincare_cartan_loop(odd, richardson=True)
 
 
 def _driven_sine(vectorized):
@@ -223,7 +223,7 @@ def test_flow_loop_matches_per_vertex_integrate_bitwise(system, loop):
     for t1, flowed in zip(targets, ens.flowed):
         assert flowed[-1] is flowed[0]
         for v, img in zip(loop[:-1], flowed[:-1]):
-            ref = integrate(system, v, t1, 0.04).samples[-1]
+            ref = integrate(system, v, t1, 0.04)[-1]
             assert img.t == ref.t == t1
             assert np.array_equal(img.x, ref.x) and np.array_equal(img.lam, ref.lam)
 
@@ -431,7 +431,7 @@ def test_hj_old_side_energy_form():
         uxt=lambda x, lam, t: np.zeros(1),
         ulamt=lambda x, lam, t: np.zeros(1),
     )
-    res = hj_residual_H(cf, sysl, list(traj.samples))
+    res = hj_residual_H(cf, sysl, list(traj))
     assert res.max_residual < 1e-8
 
 
@@ -453,18 +453,17 @@ def test_potential_straightened_pair():
     sys_new = DynamicSystem(dim=1, f=lambda x, t: np.ones(1),
                             jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
     y0, c = 2.0, 0.5
-    ts = traj_old.times()
-    samples = tuple(PhaseState([y0 + t], [c], t) for t in ts)
-    traj_new = Trajectory(samples=samples, step=traj_old.step, meta={})
+    ts = traj_old.t
+    traj_new = Trajectory(ts, y0 + ts[:, None], np.full((ts.size, 1), c), traj_old.step)
     series = controlling_potential(sys_old, sys_new, traj_old, traj_new)
     assert np.max(np.abs(series)) < 1e-12
     # cross-check against the action gap computed the long way:
     # cum int lam dx minus c (y - y0), both ~ 0.5 t here
-    xs = traj_old.xs()[:, 0]
-    lams = traj_old.lams()[:, 0]
+    xs = traj_old.x[:, 0]
+    lams = traj_old.lam[:, 0]
     lam_dx = np.concatenate([[0.0],
                              np.cumsum(0.5 * (lams[1:] + lams[:-1]) * np.diff(xs))])
-    gap = lam_dx - c * (traj_new.xs()[:, 0] - y0)
+    gap = lam_dx - c * (traj_new.x[:, 0] - y0)
     assert np.max(np.abs(series - gap)) < 1e-6
 
 
@@ -474,8 +473,6 @@ def test_potential_mismatched_grids():
     short = integrate(sysl, PhaseState([1.0], [1.0], 0.0), 0.5, 1e-2)
     with pytest.raises(ValueError, match="mismatched grids"):
         controlling_potential(sysl, sysl, traj, short)
-    shifted = Trajectory(samples=tuple(PhaseState(s.x, s.lam, s.t + 1e-3)
-                                       for s in traj.samples),
-                         step=traj.step, meta={})
+    shifted = Trajectory(traj.t + 1e-3, traj.x, traj.lam, traj.step)
     with pytest.raises(ValueError, match="mismatched grids"):
         controlling_potential(sysl, sysl, traj, shifted)

@@ -175,7 +175,7 @@ def test_compose_flow_first_order_error():
     sysl = DynamicSystem(dim=1, f=lambda x, t: x,
                          jac=lambda x, t: np.eye(1), autonomous=True)
     s0 = PhaseState([1.0], [1.0], 0.0)
-    ref = integrate(sysl, s0, 1.0, 1e-3).samples[-1]
+    ref = integrate(sysl, s0, 1.0, 1e-3)[-1]
     H = hamiltonian_field(sysl)
     errs = []
     Ns = [50, 100, 200, 400]

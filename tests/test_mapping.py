@@ -345,7 +345,7 @@ def test_ulam_scalar_growth():
     traj = integrate(linear_system(a=a), PhaseState([1.0], [1.0], 0.0),
                      1.0, 1e-3)
     synth = synthesize_ulam(linear_system(a=a), traj, np.array([1.0]))
-    ts = traj.times()
+    ts = traj.t
     assert np.max(np.abs(synth.ulam_series[:, 0] - np.exp(a * ts))) < 1e-8
 
 

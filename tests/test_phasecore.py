@@ -166,16 +166,59 @@ def test_phase_state_shape_and_finiteness():
 
 
 def test_trajectory_requires_increasing_times():
-    a = PhaseState([0.0], [0.0], 0.0)
-    b = PhaseState([1.0], [0.0], 1.0)
-    traj = Trajectory((a, b), 1.0)
+    traj = Trajectory([0.0, 1.0], [[0.0], [1.0]], [[0.0], [0.0]], 1.0)
     assert len(traj) == 2
-    assert np.array_equal(traj.times(), [0.0, 1.0])
-    assert traj.xs().shape == (2, 1)
-    with pytest.raises(ValueError):
-        Trajectory((b, a), 1.0)
-    with pytest.raises(ValueError):
-        Trajectory((), 1.0)
+    assert np.array_equal(traj.t, [0.0, 1.0])
+    assert traj.x.shape == traj.lam.shape == (2, 1)
+    for t in ([1.0, 0.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(t, [[0.0], [1.0]], [[0.0], [0.0]], 1.0)
+
+
+@pytest.mark.parametrize("t, x, lam", [
+    ([[0.0, 1.0]], [[0.0], [1.0]], [[0.0], [0.0]]),    # 2-d t
+    ([0.0, 1.0], [0.0, 1.0], [0.0, 0.0]),              # 1-d x and lam
+    ([0.0, 1.0], [[0.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]]),  # lam wider than x
+    ([0.0, 1.0, 2.0], [[0.0], [1.0]], [[0.0], [0.0]]),  # more times than states
+    ([0.0, 1.0], np.zeros((2, 0)), np.zeros((2, 0))),  # n = 0
+], ids=["t-2d", "x-1d", "lam-mismatch", "t-longer", "n-zero"])
+def test_trajectory_rejects_bad_shapes(t, x, lam):
+    with pytest.raises(ValueError, match="expected t"):
+        Trajectory(t, x, lam, 1.0)
+
+
+def test_trajectory_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        Trajectory([], np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+
+
+@pytest.mark.parametrize("column", ["t", "x", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_rejects_non_finite_entries(column, bad):
+    arrays = {"t": np.array([0.0, 1.0]), "x": np.zeros((2, 2)), "lam": np.ones((2, 2))}
+    arrays[column][-1, ...] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(arrays["t"], arrays["x"], arrays["lam"], 1.0)
+
+
+def test_trajectory_samples_on_demand_and_read_only():
+    t, x, lam = np.array([0.0, 0.5, 1.0]), np.arange(6.0).reshape(3, 2), -np.ones((3, 2))
+    traj = Trajectory(t, x, lam, 0.5)
+    end = traj[-1]
+    assert isinstance(end, PhaseState) and type(end.t) is float
+    assert end.t == 1.0 and np.array_equal(end.x, [4.0, 5.0]) and end.lam.shape == (2,)
+    assert [s.t for s in traj] == [0.0, 0.5, 1.0]
+    with pytest.raises(IndexError):
+        traj[3]
+    with pytest.raises(TypeError):   # a slice would give a PhaseState with 2-d x
+        traj[0:2]
+    for column in (traj.t, traj.x, traj.lam):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 7.0
+    # the caller's arrays are copied, not frozen
+    x[0, 0] = 9.0
+    t[0] = -1.0
+    assert traj.x[0, 0] == 0.0 and traj.t[0] == 0.0
 
 
 # ---------------------------------------------------------------------
