@@ -85,18 +85,19 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     t = t0
     z = zs[0]
     while t < t1 - slack:
-        h = step if t + step <= t1 - slack else t1 - t
-        if t + h == t:
+        t_next = t + step if t + step < t1 - slack else t1
+        h = t_next - t          # the increment t really makes: fl(t + step) - t
+        if h == 0:
             raise ValueError(f"step {step} does not advance t={t} (below its float spacing)")
         try:
             k1 = rhs(z, t)
             k2 = rhs(z + 0.5 * h * k1, t + 0.5 * h)
             k3 = rhs(z + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rhs(z + h * k3, t + h)
+            k4 = rhs(z + h * k3, t_next)
         except DomainError as exc:
             return ts, zs, {"truncated": True, "t_truncated": t, "reason": str(exc)}
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t1 if t + h >= t1 - slack else t + h
+        t = t_next
         if not np.abs(z).max() <= _BLOWUP_LIMIT:  # also catches NaN
             return ts, zs, {"truncated": True, "t_truncated": t,
                             "reason": "state magnitude exceeded 1e12"}

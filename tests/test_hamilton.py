@@ -1,7 +1,7 @@
 """Hamiltonian lift, canonical flow, fundamental matrices, energy checks."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canomap.phasecore import DomainError, DynamicSystem, PhaseState, Trajectory
 from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
@@ -97,6 +97,39 @@ def test_integrate_late_start_keeps_every_step():
     assert len(traj) > 1
     assert end.t == t0 + 5e-4
     assert end.x[0] == pytest.approx(np.exp(5e-4), rel=1e-6)
+
+
+def test_late_start_state_follows_the_stored_times():
+    # at t = 1e9, t + 1e-4 rounds to t + 1.000166e-4: the state must advance
+    # by that stored increment, so log x at the end equals the stored span
+    # (measured 7e-17 off; the span is 4.99964e-4, and integrating a
+    # nominal 1e-4 per step gave log x = 4.99897e-4)
+    traj = integrate(linear_system(), PhaseState([1.0], [1.0], 1e9), 1e9 + 5e-4, 1e-4)
+    assert abs(np.log(traj.x[-1, 0]) - (traj.t[-1] - traj.t[0])) < 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(T=st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(0, 9)))
+@example(T=12.5)
+@example(T=1e3)
+@example(T=1e9)
+def test_autonomous_integrate_is_time_shift_invariant(T):
+    # The run over [T, T + 1] is compared with the run from 0 over the same
+    # stored span fl(T + 1) - T.  Each of the k additions t + step rounds by
+    # at most half a spacing of |T| + 2 in either run, which bounds how far
+    # t - T strays from the unshifted grid.  The last step (about 0.001 at
+    # step 0.003) is far longer than that, so both runs take 335 samples.
+    for sys_, x0, lam0 in ((linear_system(), [1.0], [1.0]),
+                           (ballistic_system(1.0), [0.0, 1.1, 1.0, 0.0], [0.3, -0.2, 0.5, 0.1])):
+        shifted = integrate(sys_, PhaseState(x0, lam0, T), T + 1.0, 0.003)
+        ref = integrate(sys_, PhaseState(x0, lam0, 0.0), shifted.t[-1] - T, 0.003)
+        assert len(shifted) == len(ref) == 335
+        grid_bound = np.arange(335) * np.spacing(abs(T) + 2.0)
+        assert np.all(np.abs((shifted.t - T) - ref.t) <= grid_bound)
+        # the end states differ by at most 5.8e-15 over 60 shifts up to 1e9;
+        # integrating a nominal step instead left 1e-13 at T = 12.5, 2e-5 at 1e9
+        assert np.max(np.abs(shifted.x[-1] - ref.x[-1])) < 2e-14
+        assert np.max(np.abs(shifted.lam[-1] - ref.lam[-1])) < 2e-14
 
 
 def test_integrate_circular_orbit_radius():
