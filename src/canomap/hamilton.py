@@ -86,7 +86,7 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     z = zs[0]
     while t < t1 - slack:
         t_next = t + step if t + step < t1 - slack else t1
-        h = t_next - t          # the increment t really makes: fl(t + step) - t
+        h = t_next - t          # the increment of the stored t, not the nominal step
         if h == 0:
             raise ValueError(f"step {step} does not advance t={t} (below its float spacing)")
         try:

@@ -355,12 +355,10 @@ class Trajectory:
 
     def __post_init__(self):
         t, x, lam = (np.array(a, dtype=float) for a in (self.t, self.x, self.lam))
-        if (t.ndim != 1 or x.ndim != 2 or not x.shape[1] or x.shape != lam.shape
-                or x.shape[0] != t.size):
-            raise ValueError(f"expected t (N,), x and lam (N, n); got shapes "
-                             f"{t.shape}, {x.shape}, {lam.shape}")
-        if not t.size:
-            raise ValueError("trajectory needs at least one sample")
+        if (t.ndim != 1 or not t.size or x.ndim != 2 or not x.shape[1]
+                or x.shape != lam.shape or x.shape[0] != t.size):
+            raise ValueError(f"expected t (N,), x and lam (N, n), with at least one sample "
+                             f"and n >= 1; got shapes {t.shape}, {x.shape}, {lam.shape}")
         if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(lam).all()):
             raise ValueError("non-finite trajectory sample")
         if np.any(np.diff(t) <= 0):
