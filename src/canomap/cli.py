@@ -396,7 +396,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t"] + [f"x_{i+1}" for i in range(cfg.n)]
                + [f"lam_{i+1}" for i in range(cfg.n)] + ["H"],
-               np.column_stack([traj.t, traj.x, traj.lam, drift.h_series]).tolist())
+               np.column_stack([traj.t, traj.x, traj.lam, drift.h_series]))
     if traj.meta.get("truncated"):
         print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
               f"({traj.meta['reason']})", file=sys.stderr)
