@@ -228,15 +228,29 @@ class EnergyDriftReport:
     autonomous: bool
 
 
+def _lam_dot(fn, traj: Trajectory) -> np.ndarray:
+    """lam . fn(x, t) at every sample, read from traj's columns."""
+    return np.array([float(np.dot(lam, fn(x, t)))
+                     for x, lam, t in zip(traj.x, traj.lam, traj.t.tolist())])
+
+
+def _h_series(sys: DynamicSystem, traj: Trajectory) -> np.ndarray:
+    """hamiltonian at every sample of traj, with its errors, from the columns."""
+    _require_dim(sys, traj[0])
+    hs = _lam_dot(sys.f_at, traj)
+    if not np.isfinite(hs).all():
+        i = int(np.argmin(np.isfinite(hs)))
+        raise DomainError(f"non-finite Hamiltonian at x={traj.x[i]}, t={traj.t[i].item()}")
+    return hs
+
+
 def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
     """Drift of H along traj, compensating lam . f_t for driven systems."""
-    hs = np.array([hamiltonian(sys, s) for s in traj])
-    if sys.autonomous:
-        drift = float(np.max(np.abs(hs - hs[0])))
-        return EnergyDriftReport(hs, drift, True)
-    integrand = np.array([float(np.dot(s.lam, sys.ft_at(s.x, s.t))) for s in traj])
-    drift = float(np.max(np.abs(hs - hs[0] - _cumtrapz(traj.t, integrand))))
-    return EnergyDriftReport(hs, drift, False)
+    hs = _h_series(sys, traj)
+    dh = hs - hs[0]
+    if not sys.autonomous:
+        dh = dh - _cumtrapz(traj.t, _lam_dot(sys.ft_at, traj))
+    return EnergyDriftReport(hs, float(np.max(np.abs(dh))), bool(sys.autonomous))
 
 
 # ---------------------------------------------------------------------

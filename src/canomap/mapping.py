@@ -9,14 +9,15 @@ whole U_lam profile) can be synthesized so the residual vanishes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .phasecore import (_FD_STEP, ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t)
-from .hamilton import canonical_rhs, fundamental_matrix
+                        Trajectory, _central_diff_t, _require_dim)
+from .hamilton import fundamental_matrix
 
 __all__ = [
     "VARIANTS",
@@ -100,18 +101,28 @@ def jacobian_condition(spec: MappingSpec, s: PhaseState):
     Symplectic119 reports 1 + det(U_xlam)/4 for both entries — the shared
     closed form of its equal Jacobians.
     """
-    cf = spec.cf
     if spec.variant == "Symplectic119":
-        d = 1.0 + 0.25 * float(np.linalg.det(cf.uxlam_at(s)))
+        d = 1.0 + 0.25 * float(np.linalg.det(spec.cf.uxlam_at(s)))
         return d, d
+    dy, dmu = _dets(spec, _rows(spec.cf, np.array([s.t]), s.x[None], s.lam[None]))
+    return float(dy[0]), float(dmu[0])
+
+
+def _rows(cf: ControllingFunction, t, X, LAM):
+    """rows(block): U's block at M samples (t (M,), X and LAM (M, n)) stacked
+    on a first axis, called once per sample however often it is asked for."""
+    ts = t.tolist()
+    return functools.cache(
+        lambda block: np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)]))
+
+
+def _dets(spec: MappingSpec, rows):
+    """(det dy/dx, det dmu/dlam) at every sample of rows, one batched det each."""
     a, gy, b, _ = _FORM[spec.variant](*spec.signs)
-    if gy is _ULAM:  # G_y = U_lam and G_mu = U_x: both blocks are U_xlam
-        M = cf.uxlam_at(s)
-        dy, dmu = M.T, M
-    else:
-        dy, dmu = cf.uxx_at(s), cf.ulamlam_at(s)
-    E = np.eye(cf.dim)
-    return float(np.linalg.det(E + a * dy)), float(np.linalg.det(E + b * dmu))
+    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy is _ULAM  # U_lam, U_x
+               else (rows("uxx"), rows("ulamlam")))
+    E = np.eye(spec.cf.dim)
+    return np.linalg.det(E + a * dy), np.linalg.det(E + b * dmu)
 
 
 # ---------------------------------------------------------------------
@@ -129,28 +140,31 @@ class CanonicityReport:
     times: np.ndarray
 
 
-def _udot_lam(cf: ControllingFunction, s: PhaseState, xdot, lamdot):
-    """Total time derivative of U_lam restricted to the flow."""
-    return cf.uxlam_at(s).T @ xdot + cf.ulamlam_at(s) @ lamdot + cf.ulamt_at(s)
+# Row-wise A[i] @ v[i] and a[i] . b[i] by stacked matmul, bitwise equal to
+# the single-row products (einsum and norm(axis=1) are not).
+_mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
+_dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+_BLOCK = 1024   # samples per array pass of _canonicity_over: bounds its temporaries
 
 
-def _udot_x(cf: ControllingFunction, s: PhaseState, xdot, lamdot):
-    """Total time derivative of U_x restricted to the flow."""
-    return cf.uxx_at(s) @ xdot + cf.uxlam_at(s) @ lamdot + cf.uxt_at(s)
-
-
-def _residual_at(sys, spec, s):
-    cf = spec.cf
-    xdot, lamdot = canonical_rhs(sys, s)
-    ux = cf.ux_at(s)
-    ulam = cf.ulam_at(s)
+def _residuals(sys, spec, t, X, LAM):
+    """The Std116/Cross220 equation of canonicity_residual at M samples (t
+    (M,), X and LAM (M, n)): raw residual r, its scale max(1, |lam||U_lam|)
+    and the rows of U behind them.  Blocks are called once per sample."""
+    ts = t.tolist()
+    xdot = np.array([sys.f_at(x, ti) for x, ti in zip(X, ts)])
+    lamdot = _mv(-np.swapaxes(np.array([sys.jac_at(x, ti) for x, ti in zip(X, ts)]), 1, 2), LAM)
+    rows = _rows(spec.cf, t, X, LAM)
+    ux, ulam = rows("ux"), rows("ulam")
     if spec.variant == "Std116":
-        r = float((ux - s.lam) @ _udot_lam(cf, s, xdot, lamdot) - ulam @ lamdot)
+        udot = (_mv(np.swapaxes(rows("uxlam"), 1, 2), xdot) + _mv(rows("ulamlam"), lamdot)
+                + rows("ulamt"))
+        r = _dot(ux - LAM, udot) - _dot(ulam, lamdot)
     else:  # Cross220
-        r = float((s.lam - ulam) @ _udot_x(cf, s, xdot, lamdot)
-                  - (ulam - ux) @ xdot + ulam @ lamdot)
-    scale = max(1.0, float(np.linalg.norm(s.lam)) * float(np.linalg.norm(ulam)))
-    return r, scale
+        udot = _mv(rows("uxx"), xdot) + _mv(rows("uxlam"), lamdot) + rows("uxt")
+        r = _dot(LAM - ulam, udot) - _dot(ulam - ux, xdot) + _dot(ulam, lamdot)
+    scale = np.maximum(1.0, np.sqrt(_dot(LAM, LAM)) * np.sqrt(_dot(ulam, ulam)))
+    return r, scale, rows
 
 
 def _require_cf_dim(sys, spec):
@@ -159,35 +173,23 @@ def _require_cf_dim(sys, spec):
             f"dimension mismatch: controlling function n={spec.cf.dim}, system n={sys.dim}")
 
 
-def _canonicity_over(sys, spec, states, tol, degenerate_tol):
+def _canonicity_over(sys, spec, t, X, LAM, tol, degenerate_tol):
     _require_cf_dim(sys, spec)
     if spec.variant not in ("Std116", "Cross220"):
         raise ValueError(
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
-    raws, scaled, dys, dmus, ts = [], [], [], [], []
-    for s in states:
-        r, scale = _residual_at(sys, spec, s)
-        raws.append(r)
-        scaled.append(abs(r) / scale)
-        dy, dmu = jacobian_condition(spec, s)
-        dys.append(dy)
-        dmus.append(dmu)
-        ts.append(s.t)
-    max_residual = float(np.max(scaled))
+    cols = []
+    for i in range(0, t.size, _BLOCK):
+        r, scale, rows = _residuals(sys, spec, *(a[i:i + _BLOCK] for a in (t, X, LAM)))
+        cols.append((r, scale, *_dets(spec, rows)))
+    r, scale, dys, dmus = map(np.concatenate, zip(*cols))
+    max_residual = float(np.max(np.abs(r) / scale))
     jac_min = float(np.min(np.abs(np.concatenate([dys, dmus]))))
-    if jac_min < degenerate_tol:
-        verdict = "degenerate"
-    elif max_residual < tol:
-        verdict = "canonical"
-    else:
-        verdict = "violated"
-    return CanonicityReport(max_residual=max_residual,
-                            residual_series=np.array(raws),
-                            jacobian_min_abs_det=jac_min,
-                            verdict=verdict,
-                            det_y_series=np.array(dys),
-                            det_mu_series=np.array(dmus),
-                            times=np.array(ts))
+    verdict = ("degenerate" if jac_min < degenerate_tol
+               else "canonical" if max_residual < tol else "violated")
+    return CanonicityReport(max_residual=max_residual, residual_series=r,
+                            jacobian_min_abs_det=jac_min, verdict=verdict,
+                            det_y_series=dys, det_mu_series=dmus, times=np.array(t))
 
 
 def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
@@ -199,7 +201,8 @@ def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
     flow derivatives substituted from the canonical pair.  The scaled max
     residual is |r| / max(1, |lam||U_lam|) per sample.
     """
-    return _canonicity_over(sys, spec, list(traj), tol, degenerate_tol)
+    _require_dim(sys, traj[0])
+    return _canonicity_over(sys, spec, traj.t, traj.x, traj.lam, tol, degenerate_tol)
 
 
 def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
@@ -212,7 +215,10 @@ def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
     """
     if not points:
         raise ValueError("points must be nonempty")
-    return _canonicity_over(sys, spec, list(points), tol, degenerate_tol)
+    for s in points:
+        _require_dim(sys, s)
+    t, X, LAM = (np.array([getattr(s, a) for s in points]) for a in ("t", "x", "lam"))
+    return _canonicity_over(sys, spec, t, X, LAM, tol, degenerate_tol)
 
 
 # ---------------------------------------------------------------------
@@ -336,7 +342,8 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
         raise ValueError(f"pivot index k={k} out of range for n={sys.dim}")
 
     def g(v):
-        return _residual_at(sys, spec, PhaseState(x0, _with_component(lam0, k, v), t0))[0]
+        s = PhaseState(x0, _with_component(lam0, k, v), t0)
+        return float(_residuals(sys, spec, np.array([s.t]), s.x[None], s.lam[None])[0][0])
 
     value, status, g_res = _solve_scalar(g, float(lam0[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,
@@ -416,9 +423,9 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 def _map_jacobian(spec: MappingSpec, s: PhaseState):
     """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    cf, E = spec.cf, np.eye(spec.cf.dim)
-    uxlam = cf.uxlam_at(s)
-    d = {_UX: (cf.uxx_at(s), uxlam), _ULAM: (uxlam.T, cf.ulamlam_at(s))}  # dG/dx, dG/dlam
+    cf, E, args = spec.cf, np.eye(spec.cf.dim), (s.x, s.lam, s.t)
+    uxlam = cf.uxlam(*args)
+    d = {_UX: (cf.uxx(*args), uxlam), _ULAM: (uxlam.T, cf.ulamlam(*args))}  # dG/dx, dG/dlam
     return np.block([[E + a * d[gy][0], a * d[gy][1]], [b * d[gmu][0], E + b * d[gmu][1]]])
 
 

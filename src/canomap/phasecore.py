@@ -310,18 +310,6 @@ class ControllingFunction:
     def uxlam_at(self, s: PhaseState) -> np.ndarray:
         return self.uxlam(s.x, s.lam, s.t)
 
-    def uxx_at(self, s: PhaseState) -> np.ndarray:
-        return self.uxx(s.x, s.lam, s.t)
-
-    def ulamlam_at(self, s: PhaseState) -> np.ndarray:
-        return self.ulamlam(s.x, s.lam, s.t)
-
-    def uxt_at(self, s: PhaseState) -> np.ndarray:
-        return self.uxt(s.x, s.lam, s.t)
-
-    def ulamt_at(self, s: PhaseState) -> np.ndarray:
-        return self.ulamt(s.x, s.lam, s.t)
-
 
 def zero_controlling_function(dim: int) -> ControllingFunction:
     """U identically zero, with exact (analytic) zero derivative blocks."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz)
-from .hamilton import hamiltonian, integrate
+from .hamilton import _h_series, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
 
@@ -57,7 +57,7 @@ def ballistic_system(sigma: float) -> DynamicSystem:
     sig2 = float(sigma) ** 2
 
     def f(s, t):
-        v_r, v_phi, r, _phi = s
+        v_r, v_phi, r, _phi = s.tolist()
         if r <= _R_MIN:
             raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
         return np.array([v_phi ** 2 / r - sig2 / r ** 2,
@@ -66,7 +66,7 @@ def ballistic_system(sigma: float) -> DynamicSystem:
                          v_phi / r])
 
     def jac(s, t):
-        v_r, v_phi, r, _phi = s
+        v_r, v_phi, r, _phi = s.tolist()
         if r <= _R_MIN:
             raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
         return np.array([
@@ -368,7 +368,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     energy_mismatch = abs(hamiltonian(sys, s0) - prob.h)
 
     # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
-    f_line = _cumtrapz(ts, np.array([hamiltonian(sys, s) for s in traj]))
+    f_line = _cumtrapz(ts, _h_series(sys, traj))
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:

@@ -280,6 +280,40 @@ def test_energy_drift_driven_field_compensated():
     assert report.h_series[-1] == pytest.approx(3.0, rel=1e-10)
 
 
+def test_energy_drift_reads_the_columns_bitwise():
+    sysb = ballistic_system(1.0)
+    traj = integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
+                     1.0, 1e-2)
+    hs = np.array([hamiltonian(sysb, s) for s in traj])
+    report = energy_drift(sysb, traj)
+    assert report.h_series.tobytes() == hs.tobytes()
+    assert report.drift == float(np.max(np.abs(hs - hs[0])))
+    # a driven field: the lam . f_t integrand comes from the columns too
+    driven = DynamicSystem(dim=1, f=lambda x, t: np.sin(t) * x,
+                           ft=lambda x, t: np.cos(t) * x, jac=lambda x, t: np.sin(t) * np.eye(1))
+    traj = integrate(driven, PhaseState([0.4], [1.3], 0.2), 1.0, 1e-2)
+    hs = np.array([hamiltonian(driven, s) for s in traj])
+    ft = np.array([float(s.lam @ driven.ft_at(s.x, s.t)) for s in traj])
+    trapz = np.concatenate([[0.0], np.cumsum(np.diff(traj.t) * 0.5 * (ft[1:] + ft[:-1]))])
+    report = energy_drift(driven, traj)
+    assert report.h_series.tobytes() == hs.tobytes()
+    assert report.drift == float(np.max(np.abs(hs - hs[0] - trapz)))
+
+
+def test_energy_drift_names_the_first_non_finite_sample():
+    wall = DynamicSystem(dim=1, f=lambda x, t: np.where(x > 0.5, np.inf, x),
+                         jac=lambda x, t: np.eye(1), autonomous=True)
+    traj = Trajectory([0.0, 0.1, 0.2, 0.3], [[0.1], [0.6], [0.7], [0.2]],
+                      [[1.0], [1.0], [1.0], [1.0]], 0.1)
+    with pytest.raises(DomainError) as want:
+        hamiltonian(wall, traj[1])
+    with pytest.raises(DomainError) as got:
+        energy_drift(wall, traj)
+    assert str(got.value) == str(want.value) == "non-finite Hamiltonian at x=[0.6], t=0.1"
+    with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=1$"):
+        energy_drift(linear_system(n=2), traj)
+
+
 # ---------------------------------------------------------------------
 # variational integrand
 # ---------------------------------------------------------------------

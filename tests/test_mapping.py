@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
-                               _central_diff_x, zero_controlling_function)
-from canomap.hamilton import integrate
+from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem, PhaseState,
+                               Trajectory, _central_diff_x, zero_controlling_function)
+from canomap.hamilton import canonical_rhs, integrate
 from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
                              MappingSpec, RootNotFoundError, _map_jacobian, apply_map,
                              canonicity_residual, canonicity_residual_points,
                              invert_map, jacobian_condition, synthesize_lambda0,
                              synthesize_lambda0_cross, synthesize_ulam)
+from canomap.scenarios import ballistic_system, make_ballistic_adjoint
 
 
 def linear_system(n=1, a=1.0):
@@ -505,3 +506,237 @@ def test_invert_map_fd_backed_out_of_iterations_reported():
     assert "ux" in cf.fd_backed
     with pytest.raises(ConvergenceError, match="inver.* in 50 iterations"):
         invert_map(MappingSpec("Cross220", cf), [1.0], [0.0], 0.0, x_init=[-1.0], lam_init=[0.0])
+
+
+# ---------------------------------------------------------------------
+# the array core of the canonicity checks against the per-sample equation
+# ---------------------------------------------------------------------
+
+# The canonicity equation one PhaseState at a time, as canomap evaluated it
+# before the array core (second blocks now called directly, since U has no
+# accessors for them): the reference that core must match bit for bit.
+def _udot_lam(cf, s, xdot, lamdot):
+    """Total time derivative of U_lam restricted to the flow."""
+    return (cf.uxlam_at(s).T @ xdot + cf.ulamlam(s.x, s.lam, s.t) @ lamdot
+            + cf.ulamt(s.x, s.lam, s.t))
+
+
+def _udot_x(cf, s, xdot, lamdot):
+    """Total time derivative of U_x restricted to the flow."""
+    return cf.uxx(s.x, s.lam, s.t) @ xdot + cf.uxlam_at(s) @ lamdot + cf.uxt(s.x, s.lam, s.t)
+
+
+def _residual_at(sys, spec, s):
+    cf = spec.cf
+    xdot, lamdot = canonical_rhs(sys, s)
+    ux = cf.ux_at(s)
+    ulam = cf.ulam_at(s)
+    if spec.variant == "Std116":
+        r = float((ux - s.lam) @ _udot_lam(cf, s, xdot, lamdot) - ulam @ lamdot)
+    else:  # Cross220
+        r = float((s.lam - ulam) @ _udot_x(cf, s, xdot, lamdot)
+                  - (ulam - ux) @ xdot + ulam @ lamdot)
+    scale = max(1.0, float(np.linalg.norm(s.lam)) * float(np.linalg.norm(ulam)))
+    return r, scale
+
+
+def _jacobian_condition_at(spec, s):
+    cf = spec.cf
+    if spec.variant == "Std116":
+        M = cf.uxlam_at(s)
+        dy, dmu = M.T, -M
+    else:  # Cross220
+        dy, dmu = cf.uxx(s.x, s.lam, s.t), -cf.ulamlam(s.x, s.lam, s.t)
+    E = np.eye(cf.dim)
+    return float(np.linalg.det(E + dy)), float(np.linalg.det(E + dmu))
+
+
+def _assert_reference(rep, sys_, spec, states):
+    raws, scaled, dys, dmus = [], [], [], []
+    for s in states:
+        r, scale = _residual_at(sys_, spec, s)
+        raws.append(r)
+        scaled.append(abs(r) / scale)
+        dy, dmu = _jacobian_condition_at(spec, s)
+        dys.append(dy)
+        dmus.append(dmu)
+    assert rep.residual_series.tobytes() == np.array(raws).tobytes()
+    assert rep.det_y_series.tobytes() == np.array(dys).tobytes()
+    assert rep.det_mu_series.tobytes() == np.array(dmus).tobytes()
+    assert rep.max_residual == float(np.max(scaled))
+    assert rep.times.tobytes() == np.array([s.t for s in states]).tobytes()
+
+
+def random_quadratic_cf(u, n, analytic):
+    """U = x.(B lam) + x.(P x)/2 + lam.(Q lam)/2 + t (c.x + d.lam) from the
+    numbers u, with P and Q symmetrized; with analytic=False only u is given,
+    so every block is FD-backed."""
+    u = np.asarray(u)
+    B, P, Q = (u[i * n * n:(i + 1) * n * n].reshape(n, n) for i in range(3))
+    P, Q = P + P.T, Q + Q.T
+    c, d = u[3 * n * n:3 * n * n + n], u[3 * n * n + n:3 * n * n + 2 * n]
+
+    def U(x, lam, t):
+        return float(x @ B @ lam + 0.5 * x @ P @ x + 0.5 * lam @ Q @ lam + t * (c @ x + d @ lam))
+    if not analytic:
+        return ControllingFunction(n, u=U)
+    return ControllingFunction(
+        n, u=U,
+        ux=lambda x, lam, t: B @ lam + P @ x + t * c,
+        ulam=lambda x, lam, t: B.T @ x + Q @ lam + t * d,
+        ut=lambda x, lam, t: float(c @ x + d @ lam),
+        uxlam=lambda x, lam, t: B,
+        uxx=lambda x, lam, t: P,
+        ulamlam=lambda x, lam, t: Q,
+        uxt=lambda x, lam, t: c,
+        ulamt=lambda x, lam, t: d,
+    )
+
+
+QUADRATIC = st.lists(st.floats(-0.5, 0.5), min_size=56, max_size=56)   # enough for n = 4
+CANONICITY_VARIANTS = st.sampled_from(["Std116", "Cross220"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(st.floats(-2, 2), min_size=4, max_size=4), u=QUADRATIC,
+       z=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       variant=CANONICITY_VARIANTS, analytic=st.booleans())
+def test_array_core_is_the_per_sample_equation_on_linear_fields(a, u, z, variant, analytic):
+    A = np.array(a).reshape(2, 2)
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    spec = MappingSpec(variant, random_quadratic_cf(u, 2, analytic))
+    traj = integrate(sys_, PhaseState(z[:2], z[2:], 0.3), 0.8, 0.05)
+    _assert_reference(canonicity_residual(sys_, spec, traj), sys_, spec, list(traj))
+
+
+@settings(max_examples=8, deadline=None)
+@given(u=QUADRATIC, variant=CANONICITY_VARIANTS, analytic=st.booleans())
+def test_array_core_is_the_per_sample_equation_on_a_ballistic_orbit(u, variant, analytic):
+    sysb = ballistic_system(1.0)
+    spec = MappingSpec(variant, random_quadratic_cf(u, 4, analytic))
+    traj = integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
+                     0.25, 1e-2)
+    _assert_reference(canonicity_residual(sysb, spec, traj), sysb, spec, list(traj))
+
+
+@pytest.mark.parametrize("variant", ["Std116", "Cross220"])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_cloud_report_is_its_single_point_reports(variant, analytic):
+    rng = np.random.default_rng(11)
+    sysb = ballistic_system(1.0)
+    spec = MappingSpec(variant, random_quadratic_cf(rng.uniform(-0.5, 0.5, 56), 4, analytic))
+    pts = [PhaseState(np.r_[rng.uniform(-1, 1, 2), rng.uniform(0.5, 2), rng.uniform(-1, 1)],
+                      rng.uniform(-1, 1, 4), rng.uniform(0, 1)) for _ in range(25)]
+    rep = canonicity_residual_points(sysb, spec, pts)
+    _assert_reference(rep, sysb, spec, pts)
+    singles = [canonicity_residual_points(sysb, spec, [p]) for p in pts]
+    for name in ("residual_series", "det_y_series", "det_mu_series", "times"):
+        joined = np.concatenate([getattr(one, name) for one in singles])
+        assert getattr(rep, name).tobytes() == joined.tobytes(), name
+    assert rep.max_residual == max(one.max_residual for one in singles)
+    assert rep.jacobian_min_abs_det == min(one.jacobian_min_abs_det for one in singles)
+    for i, p in enumerate(pts):
+        assert jacobian_condition(spec, p) == (rep.det_y_series[i], rep.det_mu_series[i])
+
+
+def test_canonicity_errors_keep_their_types_and_messages():
+    sys2, cf2 = rotation_system(), small_bilinear_cf2()
+    p2 = PhaseState([0.0, 1.0], [0.5, 1.0], 0.0)
+    traj = integrate(sys2, p2, 0.1, 0.05)
+    with pytest.raises(ValueError, match="^points must be nonempty$"):
+        canonicity_residual_points(sys2, MappingSpec("Std116", cf2), [])
+    for variant in ("Symplectic119", "SignVariant218", "SignVariant219"):
+        spec = MappingSpec(variant, cf2)
+        msg = f"^canonicity criterion is defined for Std116 and Cross220, not '{variant}'$"
+        with pytest.raises(ValueError, match=msg):
+            canonicity_residual(sys2, spec, traj)
+        with pytest.raises(ValueError, match=msg):
+            canonicity_residual_points(sys2, spec, [p2])
+    p3 = PhaseState([0.0, 1.0, 2.0], [0.5, 1.0, 1.5], 0.0)
+    for call in (lambda spec: canonicity_residual_points(sys2, spec, [p2, p3]),
+                 lambda spec: canonicity_residual(
+                     sys2, spec, Trajectory([0.0, 1.0], [p3.x, p3.x], [p3.lam, p3.lam], 1.0))):
+        for variant in ("Std116", "Cross220"):
+            with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=3$"):
+                call(MappingSpec(variant, cf2))
+    sysb = ballistic_system(1.0)
+    inside = PhaseState([0.0, 1.0, 1e-7, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0)
+    outside = PhaseState([0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0)
+    orbit = Trajectory([0.0, 1.0], [outside.x, inside.x], [outside.lam, inside.lam], 1.0)
+    for variant in ("Std116", "Cross220"):
+        spec = MappingSpec(variant, zero_controlling_function(4))
+        with pytest.raises(DomainError, match="^radius 1e-07 at or below the guard 1e-06$"):
+            canonicity_residual_points(sysb, spec, [outside, inside])
+        with pytest.raises(DomainError, match="^radius 1e-07 at or below the guard 1e-06$"):
+            canonicity_residual(sysb, spec, orbit)
+
+
+# ---------------------------------------------------------------------
+# mutations the canonicity residual must see
+# ---------------------------------------------------------------------
+
+C_HALF_SQUARE = 0.3
+
+
+def half_square_cf(c=C_HALF_SQUARE, n=4):
+    """U = c |lam|^2 / 2, analytic: U_lam = c lam, U_lamlam = c E, so the
+    Std116 residual is (0 - lam) . c lamdot - c lam . lamdot = -2 c lam . lamdot."""
+    z, zz = np.zeros(n), np.zeros((n, n))
+    return ControllingFunction(
+        n,
+        u=lambda x, lam, t: 0.5 * c * float(lam @ lam),
+        ux=lambda x, lam, t: z,
+        ulam=lambda x, lam, t: c * lam,
+        ut=lambda x, lam, t: 0.0,
+        uxlam=lambda x, lam, t: zz,
+        uxx=lambda x, lam, t: zz,
+        ulamlam=lambda x, lam, t: c * np.eye(n),
+        uxt=lambda x, lam, t: z,
+        ulamt=lambda x, lam, t: z,
+    )
+
+
+def _eccentric_orbit(sysb):
+    """2,001 samples: the array core runs in blocks of 1,024, so this crosses two seams."""
+    return integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
+                     2.0, 1e-3)
+
+
+def test_residual_is_the_closed_form_with_the_printed_adjoint():
+    sysb = ballistic_system(1.0)
+    traj = _eccentric_orbit(sysb)
+    spec = MappingSpec("Std116", half_square_cf())
+    rep = canonicity_residual(sysb, spec, traj)
+    _assert_reference(rep, sysb, spec, list(traj))
+    adjoint = make_ballistic_adjoint(1.0)
+    expect = np.array([-2.0 * C_HALF_SQUARE * float(s.lam @ adjoint(s)) for s in traj])
+    assert np.all(np.abs(rep.residual_series - expect) <= 1e-12 * np.abs(expect))
+    assert rep.verdict == "violated"
+
+
+def test_residual_sees_a_wrong_jacobian_sign():
+    sysb = ballistic_system(1.0)
+    traj = _eccentric_orbit(sysb)
+    spec = MappingSpec("Std116", half_square_cf())
+
+    def flipped(x, t):
+        A = sysb.jac(x, t).copy()
+        A[0, 1] = -A[0, 1]      # d(v_r')/d(v_phi) = 2 v_phi / r with the wrong sign
+        return A
+    wrong = DynamicSystem(dim=4, f=sysb.f, jac=flipped, autonomous=True)
+    moved = np.abs(canonicity_residual(wrong, spec, traj).residual_series
+                   - canonicity_residual(sysb, spec, traj).residual_series)
+    assert np.max(moved) > 0.5 * C_HALF_SQUARE
+
+
+@pytest.mark.parametrize("k", [0, 17, 1023, 1024, 2000])
+def test_residual_sees_a_perturbed_sample_there_only(k):
+    sysb = ballistic_system(1.0)
+    traj = _eccentric_orbit(sysb)
+    spec = MappingSpec("Std116", half_square_cf())
+    base = canonicity_residual(sysb, spec, traj).residual_series
+    x = traj.x.copy()
+    x[k, 2] *= 1.01             # the radius of sample k
+    bent = Trajectory(traj.t, x, traj.lam, traj.step)
+    changed = np.flatnonzero(canonicity_residual(sysb, spec, bent).residual_series != base)
+    assert changed.tolist() == [k]

@@ -1,9 +1,10 @@
 """Worked systems: ballistic flight, phase-plane quarter-turn, straightening."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from canomap.phasecore import DomainError, DynamicSystem, PhaseState
-from canomap.hamilton import canonical_rhs, integrate
+from canomap.phasecore import DomainError, DynamicSystem, PhaseState, _cumtrapz
+from canomap.hamilton import canonical_rhs, hamiltonian, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
 from canomap.scenarios import (_QUAD_TOL, _RESIDUAL_FD_H, StraighteningProblem,
@@ -65,6 +66,44 @@ def test_radius_guard_truncates_infall():
 def test_sigma_validated():
     with pytest.raises(ValueError, match="positive"):
         ballistic_system(0.0)
+
+
+def _ballistic_on_numpy_scalars(sig2):
+    """The ballistic f and jac unpacking the state into numpy scalars."""
+    def f(s):
+        v_r, v_phi, r, _phi = s
+        return np.array([v_phi ** 2 / r - sig2 / r ** 2, -v_r * v_phi / r, v_r, v_phi / r])
+
+    def jac(s):
+        v_r, v_phi, r, _phi = s
+        return np.array([
+            [0.0, 2.0 * v_phi / r, -v_phi ** 2 / r ** 2 + 2.0 * sig2 / r ** 3, 0.0],
+            [-v_phi / r, -v_r / r, v_r * v_phi / r ** 2, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0 / r, -v_phi / r ** 2, 0.0],
+        ])
+    return f, jac
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.floats(1e-3, 1e3),
+       v=st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3),
+       r=st.floats(1.0000001e-6, 1e6))
+def test_ballistic_field_on_floats_is_bitwise_the_numpy_scalar_field(sigma, v, r):
+    sysb = ballistic_system(sigma)
+    f, jac = _ballistic_on_numpy_scalars(float(sigma) ** 2)
+    s = np.array([v[0], v[1], r, v[2]])
+    assert sysb.f(s, 0.0).tobytes() == f(s).tobytes()
+    assert sysb.jac(s, 0.0).tobytes() == jac(s).tobytes()
+
+
+@given(r=st.floats(-1e3, 1e-6))
+def test_ballistic_field_guards_the_centre(r):
+    sysb = ballistic_system(1.0)
+    s = np.array([0.1, 1.0, r, 0.0])
+    for fn in (sysb.f, sysb.jac):
+        with pytest.raises(DomainError, match="at or below the guard 1e-06$"):
+            fn(s, 0.0)
 
 
 # ---------------------------------------------------------------------
@@ -340,6 +379,8 @@ def test_reduction_moving_extremal_diagnostics():
     # H * t = 0.5 t along the extremal
     assert rep.energy_mismatch < 1e-12
     assert rep.f_line[-1] == pytest.approx(0.5, rel=1e-6)
+    hs = np.array([hamiltonian(lin, s) for s in rep.traj])
+    assert np.array_equal(rep.f_line, _cumtrapz(rep.traj.t, hs))
     # mapped-motion defects are genuinely O(0.1) here: only a frozen field
     # sits entirely on the boundary where the reduction is exact
     assert rep.ydot_max_err < 1.0
