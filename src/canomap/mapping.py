@@ -119,7 +119,8 @@ def _rows(cf: ControllingFunction, t, X, LAM):
 def _dets(spec: MappingSpec, rows):
     """(det dy/dx, det dmu/dlam) at every sample of rows, one batched det each."""
     a, gy, b, _ = _FORM[spec.variant](*spec.signs)
-    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy is _ULAM  # U_lam, U_x
+    # G_y = U_lam and G_mu = U_x (both blocks U_xlam), or G_y = U_x and G_mu = U_lam
+    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy is _ULAM
                else (rows("uxx"), rows("ulamlam")))
     E = np.eye(spec.cf.dim)
     return np.linalg.det(E + a * dy), np.linalg.det(E + b * dmu)
