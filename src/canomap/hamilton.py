@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _cumtrapz, _require_dim)
+                        _cumtrapz, _dot, _mv, _require_dim)
 
 __all__ = [
     "hamiltonian",
@@ -41,24 +41,37 @@ def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
     return h
 
 
+def _lift(sys: DynamicSystem, x: np.ndarray, lam: np.ndarray, t: float):
+    """The lifted right-hand side (xdot, lamdot) = (f, (-A^T) lam) at one
+    state (x, lam of shape (n,)), or at a stack (M, n) sharing t, each row
+    bitwise its single state.  Not -(A^T lam): that flips signed zeros."""
+    if x.ndim == 1:
+        return sys.f_at(x, t), (-sys.jac_at(x, t).T) @ lam
+    return sys.f_rows(x, t), _mv(-np.swapaxes(sys.jac_rows(x, t), 1, 2), lam)
+
+
 def canonical_rhs(sys: DynamicSystem, s: PhaseState):
-    """Right-hand side (xdot, lamdot) of the lifted canonical system."""
+    """Right-hand side (xdot, lamdot) of the lifted canonical system at one
+    state: the single-state form of the lift that integrate marches."""
     _require_dim(sys, s)
-    xdot = sys.f_at(s.x, s.t)
-    lamdot = -sys.jac_at(s.x, s.t).T @ s.lam
-    return xdot, lamdot
+    return _lift(sys, s.x, s.lam, s.t)
 
 
-def _canonical_rhs_rows(sys: DynamicSystem):
-    """rhs(Z, t) of the lifted system on a stack Z of shape (M, 2n); each
-    row is bitwise equal to the single-state right-hand side in integrate."""
-    n = sys.dim
+def _lift_at(sys: DynamicSystem, t: np.ndarray, X: np.ndarray, LAM: np.ndarray):
+    """(xdot, lamdot) at M samples, each at its own time (t (M,), X and LAM
+    (M, n)): one single-state lift per row, stacked."""
+    xdot, lamdot = zip(*(_lift(sys, *a) for a in zip(X, LAM, t.tolist())))
+    return np.array(xdot), np.array(lamdot)
 
-    def rhs(Z, t):
-        X = Z[:, :n]
-        lamdot = -np.swapaxes(sys.jac_rows(X, t), 1, 2) @ Z[:, n:, None]
-        return np.concatenate([sys.f_rows(X, t), lamdot[:, :, 0]], axis=1)
-    return rhs
+
+def _rates(sys: DynamicSystem, traj: Trajectory):
+    """(xdot, lamdot), the lift at every sample of traj as (N, n) arrays:
+    traj's columns when sys is (by identity) the system that made them, else
+    evaluated here row by row, so a system checked against traj is called."""
+    _require_dim(sys, traj[0])
+    if traj.system is sys:
+        return traj.xdot, traj.lamdot
+    return _lift_at(sys, traj.t, traj.x, traj.lam)
 
 
 # ---------------------------------------------------------------------
@@ -72,18 +85,22 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     z may be one flat state or a stack of them; the arithmetic is
     elementwise, so every row of a stack follows the flat march bitwise.
 
-    Returns (ts, zs, diagnostic) where diagnostic is None on success and a
-    dict describing the truncation point if the state blew up (any component
-    beyond 1e12 in magnitude, a non-finite value, or a DomainError from the
-    field).  With path=False, ts and zs hold only the last finite sample.
+    Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
+    a dict describing the truncation point if the state blew up (any
+    component beyond 1e12 in magnitude, a non-finite value, or a DomainError
+    from the field).  zs stacks the samples and ks each step's first stage
+    rhs(zs[i], ts[i]) as read-only arrays, gathered as raw bytes rather than
+    one array object per step.  With path=False, ts and zs hold only the
+    last finite sample and ks is empty.
     Raises ValueError when the step is below the float spacing of t, which
     would leave t where it is.
     """
     slack = min(1e-12 * max(1.0, abs(t1)), 1e-6 * step)   # never a whole step
     ts = [t0]
-    zs = [np.array(z0, dtype=float)]
+    z = np.array(z0, dtype=float)
+    zs, ks = bytearray(z.tobytes()), bytearray()
     t = t0
-    z = zs[0]
+    diag = None
     while t < t1 - slack:
         t_next = t + step if t + step < t1 - slack else t1
         h = t_next - t          # the increment of the stored t, not the nominal step
@@ -95,17 +112,22 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
             k3 = rhs(z + 0.5 * h * k2, t + 0.5 * h)
             k4 = rhs(z + h * k3, t_next)
         except DomainError as exc:
-            return ts, zs, {"truncated": True, "t_truncated": t, "reason": str(exc)}
+            diag = {"truncated": True, "t_truncated": t, "reason": str(exc)}
+            break
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
         if not np.abs(z).max() <= _BLOWUP_LIMIT:  # also catches NaN
-            return ts, zs, {"truncated": True, "t_truncated": t,
-                            "reason": "state magnitude exceeded 1e12"}
-        ts.append(t)
-        zs.append(z)
-        if not path:
-            del ts[0], zs[0]
-    return ts, zs, None
+            diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
+            break
+        if path:
+            ts.append(t)
+            zs += z.tobytes()
+            ks += k1.tobytes()
+        else:
+            ts, zs = [t], z.tobytes()
+    zs, ks = (np.frombuffer(b).reshape((-1,) + z.shape) for b in (zs, ks))
+    zs.flags.writeable = ks.flags.writeable = False
+    return ts, zs, diag, ks
 
 
 def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Trajectory:
@@ -123,8 +145,11 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
 
     Returns
     -------
-    Trajectory.  On blow-up the trajectory is truncated at the last finite
-    sample and meta carries {"truncated": True, "t_truncated": ..., "reason"}.
+    Trajectory, with each step's first RK4 stage, and the lift at the last
+    sample, as its xdot/lamdot columns (none when the field raises
+    DomainError at the last sample).  On blow-up the trajectory is truncated
+    at the last finite sample and meta carries {"truncated": True,
+    "t_truncated": ..., "reason"}.
     """
     _require_dim(sys, s0)
     if step <= 0:
@@ -132,14 +157,15 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     if t1 <= s0.t:
         raise ValueError("t1 must exceed the initial time")
     n = sys.dim
-
-    def rhs(z, t):
-        x = z[:n]
-        return np.concatenate([sys.f_at(x, t), -sys.jac_at(x, t).T @ z[n:]])
-
-    ts, zs, diag = _rk4_path(rhs, s0.z(), s0.t, t1, step)
-    Z = np.array(zs)
-    return Trajectory(ts, Z[:, :n], Z[:, n:], step, dict(diag) if diag else {})
+    rhs = lambda z, t: np.concatenate(_lift(sys, z[:n], z[n:], t))
+    ts, Z, diag, K = _rk4_path(rhs, s0.z(), s0.t, t1, step)
+    meta = dict(diag) if diag else {}
+    try:   # the last sample starts no step
+        K = np.vstack([K, rhs(Z[-1], ts[-1])])
+    except DomainError:   # no columns: each diagnostic meets the error there
+        return Trajectory(ts, Z[:, :n], Z[:, n:], step, meta)
+    K.flags.writeable = False
+    return Trajectory(ts, Z[:, :n], Z[:, n:], step, meta, K[:, :n], K[:, n:], sys)
 
 
 # ---------------------------------------------------------------------
@@ -206,7 +232,7 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
         return np.concatenate([sys.f_at(x, t), mdot(sys.jac_at(x, t), M).ravel()])
 
     z0 = np.concatenate([s0.x, np.eye(n).ravel()])
-    ts, zs, diag = _rk4_path(rhs, z0, s0.t, traj.t[-1], traj.step)
+    ts, zs, diag, _ = _rk4_path(rhs, z0, s0.t, traj.t[-1], traj.step)
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
     values = np.array(zs)[:, n:].reshape(-1, n, n)
@@ -228,16 +254,16 @@ class EnergyDriftReport:
     autonomous: bool
 
 
-def _lam_dot(fn, traj: Trajectory) -> np.ndarray:
-    """lam . fn(x, t) at every sample, read from traj's columns."""
-    return np.array([float(np.dot(lam, fn(x, t)))
-                     for x, lam, t in zip(traj.x, traj.lam, traj.t.tolist())])
+def _lam_dot(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise lam[i] . v[i], bitwise np.dot of each row: stacked matmul,
+    but for n = 1 the bare product (matmul turns a -0 product into +0)."""
+    return lam[:, 0] * v[:, 0] if lam.shape[1] == 1 else _dot(lam, v)
 
 
-def _h_series(sys: DynamicSystem, traj: Trajectory) -> np.ndarray:
-    """hamiltonian at every sample of traj, with its errors, from the columns."""
-    _require_dim(sys, traj[0])
-    hs = _lam_dot(sys.f_at, traj)
+def _h_series(traj: Trajectory, xdot: np.ndarray) -> np.ndarray:
+    """H = lam . xdot (xdot from _rates) at every sample of traj, raising
+    hamiltonian's error at the first non-finite one."""
+    hs = _lam_dot(traj.lam, xdot)
     if not np.isfinite(hs).all():
         i = int(np.argmin(np.isfinite(hs)))
         raise DomainError(f"non-finite Hamiltonian at x={traj.x[i]}, t={traj.t[i].item()}")
@@ -246,10 +272,11 @@ def _h_series(sys: DynamicSystem, traj: Trajectory) -> np.ndarray:
 
 def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
     """Drift of H along traj, compensating lam . f_t for driven systems."""
-    hs = _h_series(sys, traj)
+    hs = _h_series(traj, _rates(sys, traj)[0])
     dh = hs - hs[0]
     if not sys.autonomous:
-        dh = dh - _cumtrapz(traj.t, _lam_dot(sys.ft_at, traj))
+        ft = np.array([sys.ft_at(x, t) for x, t in zip(traj.x, traj.t.tolist())])
+        dh = dh - _cumtrapz(traj.t, _lam_dot(traj.lam, ft))
     return EnergyDriftReport(hs, float(np.max(np.abs(dh))), bool(sys.autonomous))
 
 

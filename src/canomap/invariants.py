@@ -18,7 +18,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                         _central_diff_x, _cumtrapz, _require_dim)
 # integrate is unused here but stays importable: perfbench/tracing.py
 # patches canomap.invariants.integrate.
-from .hamilton import _canonical_rhs_rows, _rk4_path, hamiltonian, integrate
+from .hamilton import _h_series, _lam_dot, _lift, _rates, _rk4_path, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 
 __all__ = [
@@ -118,12 +118,12 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     n = sys.dim
     t0 = loop0[0].t
     Z0 = np.array([v.z() for v in loop0[:-1]])
-    rhs = _canonical_rhs_rows(sys)
+    rhs = lambda Z, t: np.concatenate(_lift(sys, Z[:, :n], Z[:, n:], t), axis=1)
     flowed = []
     for t1 in t_targets:
         if t1 <= t0:
             raise ValueError("t1 must exceed the initial time")
-        ts, zs, diag = _rk4_path(rhs, Z0, t0, t1, step, path=False)
+        ts, zs, diag, _ = _rk4_path(rhs, Z0, t0, t1, step, path=False)
         if diag is not None:
             raise DomainError(f"loop flow truncated at t={diag['t_truncated']} "
                               f"({diag['reason']})")
@@ -186,17 +186,10 @@ def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
     value measures pure numerics.
     """
     ts, xs, lams = traj.t, traj.x, traj.lam
-    _require_dim(sys, traj[0])
-    L = np.empty(len(traj))
-    hs = np.empty(len(traj))
-    hj = 0.0
-    for i, (x, lam, t) in enumerate(zip(xs, lams, ts.tolist())):
-        f = sys.f_at(x, t)
-        hs[i] = float(np.dot(lam, f))
-        if not np.isfinite(hs[i]):
-            raise DomainError(f"non-finite Hamiltonian at x={x}, t={t}")
-        L[i] = float(np.dot(lam, f - f))
-        hj = max(hj, abs(-hs[i] + float(np.dot(lam, f))))
+    f = _rates(sys, traj)[0]
+    hs = _h_series(traj, f)
+    L = _lam_dot(lams, f - f)
+    hj = np.max(np.abs(-hs + _lam_dot(lams, f)))
     S = float(_trapz(L, ts))
     lam_mid = 0.5 * (lams[1:] + lams[:-1])
     h_mid = 0.5 * (hs[1:] + hs[:-1])
@@ -259,13 +252,6 @@ def controlling_potential(sys_old: DynamicSystem, sys_new: DynamicSystem,
         raise ValueError("mismatched grids: trajectories differ in length")
     if float(np.max(np.abs(traj_old.t - traj_new.t))) > 1e-9:
         raise ValueError("mismatched grids: sample times differ")
-    integrand = np.empty(len(traj_old))
-    old = zip(traj_old.x, traj_old.lam, traj_old.t.tolist())
-    new = zip(traj_new.x, traj_new.lam, traj_new.t.tolist())
-    for i, ((x, lam, t), (y, mu, tn)) in enumerate(zip(old, new)):
-        xdot = sys_old.f_at(x, t)
-        ydot = sys_new.f_at(y, tn)
-        H = float(np.dot(lam, xdot))
-        G = float(np.dot(mu, ydot))
-        integrand[i] = float(np.dot(lam, xdot) - np.dot(mu, ydot) + G - H)
-    return _cumtrapz(traj_old.t, integrand)
+    H = _lam_dot(traj_old.lam, _rates(sys_old, traj_old)[0])
+    G = _lam_dot(traj_new.lam, _rates(sys_new, traj_new)[0])
+    return _cumtrapz(traj_old.t, H - G + G - H)

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (_FD_STEP, ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t, _require_dim)
-from .hamilton import fundamental_matrix
+                        Trajectory, _central_diff_t, _dot, _mv, _require_dim)
+from .hamilton import _lift_at, _rates, fundamental_matrix
 
 __all__ = [
     "VARIANTS",
@@ -141,20 +141,14 @@ class CanonicityReport:
     times: np.ndarray
 
 
-# Row-wise A[i] @ v[i] and a[i] . b[i] by stacked matmul, bitwise equal to
-# the single-row products (einsum and norm(axis=1) are not).
-_mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
-_dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 _BLOCK = 1024   # samples per array pass of _canonicity_over: bounds its temporaries
 
 
-def _residuals(sys, spec, t, X, LAM):
+def _residuals(spec, t, X, LAM, xdot, lamdot):
     """The Std116/Cross220 equation of canonicity_residual at M samples (t
-    (M,), X and LAM (M, n)): raw residual r, its scale max(1, |lam||U_lam|)
-    and the rows of U behind them.  Blocks are called once per sample."""
-    ts = t.tolist()
-    xdot = np.array([sys.f_at(x, ti) for x, ti in zip(X, ts)])
-    lamdot = _mv(-np.swapaxes(np.array([sys.jac_at(x, ti) for x, ti in zip(X, ts)]), 1, 2), LAM)
+    (M,), X and LAM (M, n), and the lifted derivative xdot, lamdot (M, n)
+    there): raw residual r, its scale max(1, |lam||U_lam|) and the rows of
+    U behind them.  Blocks are called once per sample."""
     rows = _rows(spec.cf, t, X, LAM)
     ux, ulam = rows("ux"), rows("ulam")
     if spec.variant == "Std116":
@@ -168,29 +162,29 @@ def _residuals(sys, spec, t, X, LAM):
     return r, scale, rows
 
 
-def _require_cf_dim(sys, spec):
+def _require_criterion(sys, spec):
     if spec.cf.dim != sys.dim:
         raise ValueError(
             f"dimension mismatch: controlling function n={spec.cf.dim}, system n={sys.dim}")
-
-
-def _canonicity_over(sys, spec, t, X, LAM, tol, degenerate_tol):
-    _require_cf_dim(sys, spec)
     if spec.variant not in ("Std116", "Cross220"):
         raise ValueError(
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
-    cols = []
-    for i in range(0, t.size, _BLOCK):
-        r, scale, rows = _residuals(sys, spec, *(a[i:i + _BLOCK] for a in (t, X, LAM)))
-        cols.append((r, scale, *_dets(spec, rows)))
-    r, scale, dys, dmus = map(np.concatenate, zip(*cols))
+
+
+def _canonicity_over(spec, cols, tol, degenerate_tol):
+    """The report over the samples cols = (t, X, LAM, xdot, lamdot)."""
+    out = []
+    for i in range(0, cols[0].size, _BLOCK):
+        r, scale, rows = _residuals(spec, *(a[i:i + _BLOCK] for a in cols))
+        out.append((r, scale, *_dets(spec, rows)))
+    r, scale, dys, dmus = map(np.concatenate, zip(*out))
     max_residual = float(np.max(np.abs(r) / scale))
     jac_min = float(np.min(np.abs(np.concatenate([dys, dmus]))))
     verdict = ("degenerate" if jac_min < degenerate_tol
                else "canonical" if max_residual < tol else "violated")
     return CanonicityReport(max_residual=max_residual, residual_series=r,
                             jacobian_min_abs_det=jac_min, verdict=verdict,
-                            det_y_series=dys, det_mu_series=dmus, times=np.array(t))
+                            det_y_series=dys, det_mu_series=dmus, times=np.array(cols[0]))
 
 
 def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
@@ -203,7 +197,9 @@ def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
     residual is |r| / max(1, |lam||U_lam|) per sample.
     """
     _require_dim(sys, traj[0])
-    return _canonicity_over(sys, spec, traj.t, traj.x, traj.lam, tol, degenerate_tol)
+    _require_criterion(sys, spec)
+    return _canonicity_over(spec, (traj.t, traj.x, traj.lam, *_rates(sys, traj)),
+                            tol, degenerate_tol)
 
 
 def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
@@ -218,8 +214,9 @@ def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
         raise ValueError("points must be nonempty")
     for s in points:
         _require_dim(sys, s)
+    _require_criterion(sys, spec)
     t, X, LAM = (np.array([getattr(s, a) for s in points]) for a in ("t", "x", "lam"))
-    return _canonicity_over(sys, spec, t, X, LAM, tol, degenerate_tol)
+    return _canonicity_over(spec, (t, X, LAM, *_lift_at(sys, t, X, LAM)), tol, degenerate_tol)
 
 
 # ---------------------------------------------------------------------
@@ -334,7 +331,7 @@ def _newton(g, x, iters=60):
 
 
 def _synthesize(sys, spec, x0, lam0, k, t0):
-    _require_cf_dim(sys, spec)
+    _require_criterion(sys, spec)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     if x0.size != sys.dim or lam0.size != sys.dim:
@@ -344,7 +341,8 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
 
     def g(v):
         s = PhaseState(x0, _with_component(lam0, k, v), t0)
-        return float(_residuals(sys, spec, np.array([s.t]), s.x[None], s.lam[None])[0][0])
+        t, X, LAM = np.array([s.t]), s.x[None], s.lam[None]
+        return float(_residuals(spec, t, X, LAM, *_lift_at(sys, t, X, LAM))[0][0])
 
     value, status, g_res = _solve_scalar(g, float(lam0[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,

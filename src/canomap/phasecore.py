@@ -69,6 +69,12 @@ def _central_diff(fn, arg: int, x, lam, t, h_scale: float = 1e-6):
     return _central_diff_t(lambda v: fn(x, lam, v), t, h_scale)
 
 
+# Row-wise A[i] @ v[i] and a[i] . b[i] by stacked matmul, bitwise equal to
+# the single-row products (einsum and norm(axis=1) are not).
+_mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
+_dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Cumulative trapezoidal integral of samples a over ts, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (a[1:] + a[:-1]))])
@@ -141,7 +147,8 @@ class DynamicSystem:
 
     def jac_at(self, x: np.ndarray, t: float) -> np.ndarray:
         if self.jac is not None:
-            return np.asarray(self.jac(self._arg(x), t), dtype=float).reshape(self.dim, self.dim)
+            out = np.asarray(self.jac(self._arg(x), t), dtype=float)
+            return out if out.shape == (self.dim, self.dim) else out.reshape(self.dim, self.dim)
         x = np.asarray(x, dtype=float)
         return _central_diff_x(lambda xx: self.f_at(xx, t), x).reshape(self.dim, self.dim)
 
@@ -333,13 +340,18 @@ def zero_controlling_function(dim: int) -> ControllingFunction:
 class Trajectory:
     """Time-ordered samples of the extended phase space from a fixed-step
     integration, held as read-only float copies of the given arrays;
-    traj[i] and iteration build PhaseState samples on demand."""
+    traj[i] and iteration build PhaseState samples on demand.  integrate
+    adds xdot and lamdot (N, n), the lifted derivative that `system` gave at
+    every sample (stored, not validated)."""
 
     t: np.ndarray             # (N,) sample times, strictly increasing
     x: np.ndarray             # (N, n) phase coordinates
     lam: np.ndarray           # (N, n) multipliers
     step: float               # nominal step h (last interval may be shorter)
     meta: Mapping = field(default_factory=dict)
+    xdot: Optional[np.ndarray] = field(default=None, repr=False)
+    lamdot: Optional[np.ndarray] = field(default=None, repr=False)
+    system: Optional[DynamicSystem] = field(default=None, repr=False)
 
     def __post_init__(self):
         t, x, lam = (np.array(a, dtype=float) for a in (self.t, self.x, self.lam))

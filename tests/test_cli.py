@@ -1,12 +1,18 @@
 """Batch front end: configs, artifacts, sweeps, verification, exit codes."""
 import csv
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from canomap.cli import main
+from canomap.cli import _write_csv, main
+from canomap.hamilton import hamiltonian, integrate
+from canomap.phasecore import PhaseState
+from canomap.scenarios import ballistic_system
 
 
 @pytest.fixture(autouse=True)
@@ -202,6 +208,26 @@ def test_straightening_starts_at_t0(tmp_path, capsys):
     assert len(rows) == 1 + 51
 
 
+def test_truncated_orbit_keeps_its_exit_stderr_and_trajectory(tmp_path, capsys):
+    # radial infall: RK4's later stages fall inside the radius guard, so the
+    # last sample's derivative is the one evaluated after the march
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="ballistic", t1=2.0, step=0.01,
+                    x0=[0.0, 0.0, 1.0, 0.0], output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: trajectory truncated at t=1.1100000000000008 "
+        "(radius -0.06377078217562995 at or below the guard 1e-06)\n")
+    sysb = ballistic_system(1.0)
+    traj = integrate(sysb, PhaseState([0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0), 2.0, 0.01)
+    rows = [(s.t, *s.x, *s.lam, hamiltonian(sysb, s)) for s in traj]
+    assert len(rows) == 112
+    header = "t,x_1,x_2,x_3,x_4,lam_1,lam_2,lam_3,lam_4,H\n"
+    assert (out / "trajectory.csv").read_text() == header + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert not (out / "canonicity.csv").exists()
+
+
 def test_loop_vertex_blowup_is_a_numerical_failure(tmp_path, capsys):
     # the centre trajectory stays finite; vertices at radius 0.5 cross 1e12
     out = tmp_path / "out"
@@ -324,3 +350,43 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg]) == 0
     assert (actual / "invariants.json").exists()
     assert not configured.exists()
+
+
+# ---------------------------------------------------------------------
+# CSV formatting
+# ---------------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+
+
+def _csv_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        _write_csv(path, ["a"] * rows.shape[1], rows)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _assert_per_value_format(rows):
+    text = _csv_bytes(rows).decode()
+    want = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    assert text == ",".join(["a"] * rows.shape[1]) + "\n" + want
+    back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+    assert back.reshape(rows.shape).tobytes() == rows.tobytes()   # sign bits included
+
+
+@given(k=st.integers(1, 10), data=st.data())
+def test_block_formatting_is_the_per_value_format(k, data):
+    floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    n = data.draw(st.integers(1, 12))
+    _assert_per_value_format(np.array(data.draw(st.lists(floats, min_size=n * k,
+                                                         max_size=n * k))).reshape(n, k))
+
+
+def test_block_formatting_across_block_seams():
+    rng = np.random.default_rng(11)
+    for k in (1, 4, 10):
+        rows = rng.standard_normal((2500, k)) * 10.0 ** rng.integers(-320, 300, (2500, k))
+        rows[::97] = EDGE_FLOATS[rng.integers(len(EDGE_FLOATS))]
+        _assert_per_value_format(rows)

@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canomap.phasecore import DomainError, DynamicSystem, PhaseState, Trajectory
-from canomap.hamilton import (EnergyDriftReport, _rk4_path, canonical_rhs,
+from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
+                               zero_controlling_function)
+from canomap.hamilton import (EnergyDriftReport, _rates, _rk4_path, canonical_rhs,
                               energy_drift, fundamental_matrix, hamiltonian,
                               integrate, weierstrass_excess)
-from canomap.invariants import circle_loop, flow_loop
+from canomap.invariants import action_function, circle_loop, flow_loop
+from canomap.mapping import MappingSpec, canonicity_residual
 from canomap.scenarios import ballistic_system
 
 
@@ -138,6 +140,71 @@ def test_integrate_circular_orbit_radius():
     traj = integrate(sysb, s0, 10.0, 1e-3)
     rs = traj.x[:, 2]
     assert np.max(np.abs(rs - 1.0)) < 1e-9
+
+
+def test_integrate_keeps_each_first_stage():
+    sysb = ballistic_system(1.0)
+    traj = integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
+                     1.0, 1e-2)
+    assert traj.system is sysb
+    assert traj.xdot.shape == traj.lamdot.shape == (len(traj), 4)
+    assert not (traj.xdot.flags.writeable or traj.lamdot.flags.writeable)
+    # every row, the last one included, is the single-state lift bit for bit
+    want = [canonical_rhs(sysb, s) for s in traj]
+    xdot, lamdot = _rates(sysb, traj)
+    assert xdot is traj.xdot and lamdot is traj.lamdot
+    assert xdot.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert lamdot.tobytes() == np.array([w[1] for w in want]).tobytes()
+    # the Jacobian's last column is zero: (-A^T) lam sums +0, where -(A^T lam) gives -0
+    assert not np.signbit(lamdot[:, 3]).any()
+    assert Trajectory(traj.t, traj.x, traj.lam, traj.step).system is None
+
+
+def test_the_march_derivative_serves_every_diagnostic():
+    calls = {"f": 0, "jac": 0}
+
+    def f(x, t):
+        calls["f"] += 1
+        return np.array([x[1], -(1.0 + 0.1 * t) * x[0]])
+
+    def jac(x, t):
+        calls["jac"] += 1
+        return np.array([[0.0, 1.0], [-(1.0 + 0.1 * t), 0.0]])
+
+    def driven():
+        return DynamicSystem(dim=2, f=f, jac=jac, ft=lambda x, t: np.array([0.0, -0.1 * x[0]]))
+
+    sys_ = driven()
+    traj = integrate(sys_, PhaseState([1.0, 0.0], [0.3, -0.4], 0.0), 0.5, 1e-2)
+    k = len(traj) - 1
+    # four stages per step, plus the lift at the last sample
+    assert calls == {"f": 4 * k + 1, "jac": 4 * k + 1}
+    spec = MappingSpec("Std116", zero_controlling_function(2))
+    diagnostics = (lambda s: energy_drift(s, traj), lambda s: canonicity_residual(s, spec, traj),
+                   lambda s: action_function(s, traj))
+    for diagnostic in diagnostics:
+        diagnostic(sys_)
+    assert calls == {"f": 4 * k + 1, "jac": 4 * k + 1}
+    # an equal but distinct system is called at every sample by each of them
+    other = driven()
+    for diagnostic in diagnostics:
+        calls.update(f=0, jac=0)
+        diagnostic(other)
+        assert calls == {"f": k + 1, "jac": k + 1}
+
+
+def test_a_field_undefined_at_the_last_sample_leaves_no_columns():
+    # RK4's stages stay below the guard; only the final state crosses it
+    def f(x, t):
+        if t >= 0.1 and x[0] > 0.9048:
+            raise DomainError(f"outside at x={x[0]}")
+        return -x
+
+    sys_ = DynamicSystem(dim=1, f=f, jac=lambda x, t: -np.eye(1), autonomous=True)
+    traj = integrate(sys_, PhaseState([1.0], [1.0], 0.0), 0.1, 0.1)
+    assert len(traj) == 2 and not traj.meta and traj.system is None
+    with pytest.raises(DomainError, match="^outside at x=0.9048"):
+        energy_drift(sys_, traj)
 
 
 def test_integrate_blowup_truncates():
@@ -298,6 +365,17 @@ def test_energy_drift_reads_the_columns_bitwise():
     report = energy_drift(driven, traj)
     assert report.h_series.tobytes() == hs.tobytes()
     assert report.drift == float(np.max(np.abs(hs - hs[0] - trapz)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_h_series_keeps_the_sign_of_a_zero_hamiltonian(n):
+    # lam < 0 on a frozen field: np.dot of one pair is the bare product -0.0
+    frozen = DynamicSystem(dim=n, f=lambda x, t: np.zeros(n),
+                           jac=lambda x, t: np.zeros((n, n)), autonomous=True)
+    traj = integrate(frozen, PhaseState(np.ones(n), -2.0 * np.ones(n), 0.0), 0.1, 1e-2)
+    hs = np.array([hamiltonian(frozen, s) for s in traj])
+    assert energy_drift(frozen, traj).h_series.tobytes() == hs.tobytes()
+    assert np.signbit(hs).all() == (n == 1)
 
 
 def test_energy_drift_names_the_first_non_finite_sample():

@@ -309,8 +309,13 @@ def test_action_evaluates_the_field_once_per_sample():
     sys_ = DynamicSystem(dim=1, f=f, jac=jac, autonomous=True)
     traj = integrate(sys_, PhaseState([1.0], [2.0], 0.0), 0.5, 1e-2)
     calls.update(f=0, jac=0)
+    # integrate's own system: the trajectory's columns, no call at all
     action_function(sys_, traj)
-    assert calls == {"f": len(traj), "jac": 0}
+    assert calls == {"f": 0, "jac": 0}
+    # an equal but distinct system is called at every sample, once
+    calls.update(f=0, jac=0)
+    action_function(DynamicSystem(dim=1, f=f, jac=jac, autonomous=True), traj)
+    assert calls == {"f": len(traj), "jac": len(traj)}
 
 
 def test_action_rejects_non_finite_hamiltonian():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem, PhaseState,
                                Trajectory, _central_diff_x, zero_controlling_function)
-from canomap.hamilton import canonical_rhs, integrate
+from canomap.hamilton import canonical_rhs, energy_drift, integrate
+from canomap.invariants import action_function
 from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
                              MappingSpec, RootNotFoundError, _map_jacobian, apply_map,
                              canonicity_residual, canonicity_residual_points,
@@ -727,6 +728,13 @@ def test_residual_sees_a_wrong_jacobian_sign():
     moved = np.abs(canonicity_residual(wrong, spec, traj).residual_series
                    - canonicity_residual(sysb, spec, traj).residual_series)
     assert np.max(moved) > 0.5 * C_HALF_SQUARE
+    # energy_drift and action_function also evaluate the system they are given
+    doubled = DynamicSystem(dim=4, f=lambda x, t: 2.0 * sysb.f(x, t), jac=sysb.jac,
+                            autonomous=True)
+    h = energy_drift(sysb, traj).h_series
+    assert np.array_equal(energy_drift(doubled, traj).h_series, 2.0 * h)
+    dS = action_function(sysb, traj).dS_series
+    assert np.max(np.abs(action_function(doubled, traj).dS_series - dS)) > 0.1 * np.max(np.abs(dS))
 
 
 @pytest.mark.parametrize("k", [0, 17, 1023, 1024, 2000])

@@ -32,6 +32,10 @@ CASES = {
     "ballistic-fall": {"scenario": "ballistic", "t1": 2.0, "step": 0.01,
                        "x0": [0.0, 0.0, 1.0, 0.0]},
     "ballistic-n2": {"scenario": "ballistic", "n": 2},
+    # the benchmark's ballistic-long shape: 5,001 samples cross the 1,024-row
+    # blocks of the canonicity pass, and lam0 has both signs
+    "ballistic-long": {"scenario": "ballistic", "t1": 5.0, "step": 1e-3,
+                       "x0": [0.0, 1.1, 1.0, 0.0], "lam0": [0.3, -0.7, 0.5, -0.2]},
     "straightening": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
                       "x0": [0.3], "map_variant": "Cross220", "emit_gnuplot": True},
     "straightening-late": {"scenario": "straightening", "t0": 0.2, "t1": 0.7, "step": 0.01,
