@@ -74,12 +74,21 @@ def _rates(sys: DynamicSystem, traj: Trajectory):
     return _lift_at(sys, traj.t, traj.x, traj.lam)
 
 
+def _xdot(sys: DynamicSystem, traj: Trajectory) -> np.ndarray:
+    """f alone at every sample of traj, by _rates's identity rule: the xdot
+    column, else one f_at per row, never jac (H needs none)."""
+    _require_dim(sys, traj[0])
+    if traj.system is sys:
+        return traj.xdot
+    return np.array([sys.f_at(x, t) for x, t in zip(traj.x, traj.t.tolist())])
+
+
 # ---------------------------------------------------------------------
 # Fixed-step RK4 on a state array of any shape
 # ---------------------------------------------------------------------
 
 def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
-              path: bool = True):
+              path: str = "samples"):
     """March z' = rhs(z, t) from t0 to t1, landing exactly on t1.
 
     z may be one flat state or a stack of them; the arithmetic is
@@ -88,10 +97,11 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
     a dict describing the truncation point if the state blew up (any
     component beyond 1e12 in magnitude, a non-finite value, or a DomainError
-    from the field).  zs stacks the samples and ks each step's first stage
-    rhs(zs[i], ts[i]) as read-only arrays, gathered as raw bytes rather than
-    one array object per step.  With path=False, ts and zs hold only the
-    last finite sample and ks is empty.
+    from the field).  path says what is kept: "samples" stacks every sample
+    in zs, "stages" also each step's first stage rhs(zs[i], ts[i]) in ks
+    (None otherwise), and "last" keeps only the last finite sample in ts and
+    zs.  zs (read-only) and ks are gathered as raw bytes rather than one
+    array object per step.
     Raises ValueError when the step is below the float spacing of t, which
     would leave t where it is.
     """
@@ -119,15 +129,16 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
         if not np.abs(z).max() <= _BLOWUP_LIMIT:  # also catches NaN
             diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
             break
-        if path:
+        if path == "last":
+            ts, zs = [t], z.tobytes()
+        else:
             ts.append(t)
             zs += z.tobytes()
-            ks += k1.tobytes()
-        else:
-            ts, zs = [t], z.tobytes()
+            if path == "stages":
+                ks += k1.tobytes()
     zs, ks = (np.frombuffer(b).reshape((-1,) + z.shape) for b in (zs, ks))
-    zs.flags.writeable = ks.flags.writeable = False
-    return ts, zs, diag, ks
+    zs.flags.writeable = False
+    return ts, zs, diag, ks if path == "stages" else None
 
 
 def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Trajectory:
@@ -158,14 +169,16 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
         raise ValueError("t1 must exceed the initial time")
     n = sys.dim
     rhs = lambda z, t: np.concatenate(_lift(sys, z[:n], z[n:], t))
-    ts, Z, diag, K = _rk4_path(rhs, s0.z(), s0.t, t1, step)
-    meta = dict(diag) if diag else {}
+    ts, Z, diag, K = _rk4_path(rhs, s0.z(), s0.t, t1, step, path="stages")
+    traj = Trajectory(ts, Z[:, :n], Z[:, n:], step, dict(diag) if diag else {})
     try:   # the last sample starts no step
         K = np.vstack([K, rhs(Z[-1], ts[-1])])
     except DomainError:   # no columns: each diagnostic meets the error there
-        return Trajectory(ts, Z[:, :n], Z[:, n:], step, meta)
+        return traj
     K.flags.writeable = False
-    return Trajectory(ts, Z[:, :n], Z[:, n:], step, meta, K[:, :n], K[:, n:], sys)
+    for name, value in (("xdot", K[:, :n]), ("lamdot", K[:, n:]), ("system", sys)):
+        object.__setattr__(traj, name, value)
+    return traj
 
 
 # ---------------------------------------------------------------------
@@ -261,7 +274,7 @@ def _lam_dot(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _h_series(traj: Trajectory, xdot: np.ndarray) -> np.ndarray:
-    """H = lam . xdot (xdot from _rates) at every sample of traj, raising
+    """H = lam . xdot (xdot from _xdot) at every sample of traj, raising
     hamiltonian's error at the first non-finite one."""
     hs = _lam_dot(traj.lam, xdot)
     if not np.isfinite(hs).all():
@@ -272,7 +285,7 @@ def _h_series(traj: Trajectory, xdot: np.ndarray) -> np.ndarray:
 
 def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
     """Drift of H along traj, compensating lam . f_t for driven systems."""
-    hs = _h_series(traj, _rates(sys, traj)[0])
+    hs = _h_series(traj, _xdot(sys, traj))
     dh = hs - hs[0]
     if not sys.autonomous:
         ft = np.array([sys.ft_at(x, t) for x, t in zip(traj.x, traj.t.tolist())])

@@ -18,7 +18,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                         _central_diff_x, _cumtrapz, _require_dim)
 # integrate is unused here but stays importable: perfbench/tracing.py
 # patches canomap.invariants.integrate.
-from .hamilton import _h_series, _lam_dot, _lift, _rates, _rk4_path, hamiltonian, integrate
+from .hamilton import _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 
 __all__ = [
@@ -123,7 +123,7 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     for t1 in t_targets:
         if t1 <= t0:
             raise ValueError("t1 must exceed the initial time")
-        ts, zs, diag, _ = _rk4_path(rhs, Z0, t0, t1, step, path=False)
+        ts, zs, diag, _ = _rk4_path(rhs, Z0, t0, t1, step, path="last")
         if diag is not None:
             raise DomainError(f"loop flow truncated at t={diag['t_truncated']} "
                               f"({diag['reason']})")
@@ -186,7 +186,7 @@ def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
     value measures pure numerics.
     """
     ts, xs, lams = traj.t, traj.x, traj.lam
-    f = _rates(sys, traj)[0]
+    f = _xdot(sys, traj)
     hs = _h_series(traj, f)
     L = _lam_dot(lams, f - f)
     hj = np.max(np.abs(-hs + _lam_dot(lams, f)))
@@ -252,6 +252,6 @@ def controlling_potential(sys_old: DynamicSystem, sys_new: DynamicSystem,
         raise ValueError("mismatched grids: trajectories differ in length")
     if float(np.max(np.abs(traj_old.t - traj_new.t))) > 1e-9:
         raise ValueError("mismatched grids: sample times differ")
-    H = _lam_dot(traj_old.lam, _rates(sys_old, traj_old)[0])
-    G = _lam_dot(traj_new.lam, _rates(sys_new, traj_new)[0])
+    H = _lam_dot(traj_old.lam, _xdot(sys_old, traj_old))
+    G = _lam_dot(traj_new.lam, _xdot(sys_new, traj_new))
     return _cumtrapz(traj_old.t, H - G + G - H)

@@ -340,18 +340,19 @@ def zero_controlling_function(dim: int) -> ControllingFunction:
 class Trajectory:
     """Time-ordered samples of the extended phase space from a fixed-step
     integration, held as read-only float copies of the given arrays;
-    traj[i] and iteration build PhaseState samples on demand.  integrate
-    adds xdot and lamdot (N, n), the lifted derivative that `system` gave at
-    every sample (stored, not validated)."""
+    traj[i] and iteration build PhaseState samples on demand.  xdot, lamdot
+    and system are not constructor arguments: only integrate sets them, to
+    the lifted derivative (N, n) that `system` gave at every sample (stored,
+    not validated); otherwise they are None."""
 
     t: np.ndarray             # (N,) sample times, strictly increasing
     x: np.ndarray             # (N, n) phase coordinates
     lam: np.ndarray           # (N, n) multipliers
     step: float               # nominal step h (last interval may be shorter)
     meta: Mapping = field(default_factory=dict)
-    xdot: Optional[np.ndarray] = field(default=None, repr=False)
-    lamdot: Optional[np.ndarray] = field(default=None, repr=False)
-    system: Optional[DynamicSystem] = field(default=None, repr=False)
+    xdot: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    lamdot: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    system: Optional[DynamicSystem] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         t, x, lam = (np.array(a, dtype=float) for a in (self.t, self.x, self.lam))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz)
-from .hamilton import _h_series, _rates, hamiltonian, integrate
+from .hamilton import _h_series, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
 
@@ -368,7 +368,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     energy_mismatch = abs(hamiltonian(sys, s0) - prob.h)
 
     # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
-    f_line = _cumtrapz(ts, _h_series(traj, _rates(sys, traj)[0]))
+    f_line = _cumtrapz(ts, _h_series(traj, _xdot(sys, traj)))
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:

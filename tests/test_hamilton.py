@@ -185,12 +185,13 @@ def test_the_march_derivative_serves_every_diagnostic():
     for diagnostic in diagnostics:
         diagnostic(sys_)
     assert calls == {"f": 4 * k + 1, "jac": 4 * k + 1}
-    # an equal but distinct system is called at every sample by each of them
+    # an equal but distinct system is called at every sample by each of
+    # them; only canonicity_residual needs jac (energy_drift's f_t is ft)
     other = driven()
-    for diagnostic in diagnostics:
+    for diagnostic, jac_calls in zip(diagnostics, (0, k + 1, 0)):
         calls.update(f=0, jac=0)
         diagnostic(other)
-        assert calls == {"f": k + 1, "jac": k + 1}
+        assert calls == {"f": k + 1, "jac": jac_calls}
 
 
 def test_a_field_undefined_at_the_last_sample_leaves_no_columns():
@@ -205,6 +206,36 @@ def test_a_field_undefined_at_the_last_sample_leaves_no_columns():
     assert len(traj) == 2 and not traj.meta and traj.system is None
     with pytest.raises(DomainError, match="^outside at x=0.9048"):
         energy_drift(sys_, traj)
+
+
+def test_a_jacobian_undefined_at_the_last_sample_spares_the_h_diagnostics():
+    # only jac fails there (RK4's stages stay below the guard), so the
+    # trajectory keeps no columns; energy_drift and action_function need f
+    # alone and still run, canonicity_residual needs jac
+    def jac(x, t):
+        if t >= 0.1 and x[0] > 0.9048:
+            raise DomainError("no Jacobian at the end")
+        return -np.eye(1)
+
+    sys_ = DynamicSystem(dim=1, f=lambda x, t: -x, jac=jac, autonomous=True)
+    traj = integrate(sys_, PhaseState([1.0], [1.0], 0.0), 0.1, 0.1)
+    assert len(traj) == 2 and not traj.meta and traj.system is None
+    ref = integrate(linear_system(a=-1.0), PhaseState([1.0], [1.0], 0.0), 0.1, 0.1)
+    assert energy_drift(sys_, traj).h_series.tobytes() == \
+        energy_drift(linear_system(a=-1.0), ref).h_series.tobytes()
+    assert action_function(sys_, traj).hj_residual == 0.0
+    with pytest.raises(DomainError, match="no Jacobian at the end"):
+        canonicity_residual(sys_, MappingSpec("Std116", zero_controlling_function(1)), traj)
+
+
+def test_trajectory_takes_no_rate_columns():
+    # only integrate sets them, so they always belong to its own samples
+    with pytest.raises(TypeError):
+        Trajectory([0.0], [[1.0]], [[1.0]], 1.0, {}, [[1.0]])
+    with pytest.raises(TypeError):
+        Trajectory([0.0], [[1.0]], [[1.0]], 1.0, system=linear_system())
+    traj = Trajectory([0.0], [[1.0]], [[1.0]], 1.0)
+    assert traj.xdot is traj.lamdot is traj.system is None
 
 
 def test_integrate_blowup_truncates():
@@ -408,7 +439,7 @@ def test_weierstrass_excess_vanishes(x, lam, xdot, g):
 def test_rk4_endpoint_only_march_keeps_last_sample(t1):
     rhs = lambda z, t: z
     full = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1)
-    last = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1, path=False)
+    last = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1, path="last")
     assert len(last[0]) == len(last[1]) == 1
     assert last[0][0] == full[0][-1] and np.array_equal(last[1][0], full[1][-1])
     assert last[2] == full[2]
