@@ -102,6 +102,10 @@ class RunConfig:
         if self.map_variant not in _RUN_VARIANTS:
             raise ConfigError(
                 f"map_variant must be one of {_RUN_VARIANTS} for batch runs")
+        if not (isinstance(self.tolerances, dict)
+                and self.tolerances.keys() >= _DEFAULT_TOLERANCES.keys()):
+            raise ConfigError(
+                f"tolerances must be an object holding each of {list(_DEFAULT_TOLERANCES)}")
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
@@ -140,12 +144,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"unknown config field {key!r}")
     cfg = RunConfig()
     for key, value in raw.items():
-        if key == "tolerances":
-            if not isinstance(value, dict):
-                raise ConfigError("tolerances must be an object of named scalars")
-            merged = dict(_DEFAULT_TOLERANCES)
-            merged.update(value)
-            value = merged
+        if key == "tolerances" and isinstance(value, dict):   # validate rejects the rest
+            value = {**_DEFAULT_TOLERANCES, **value}
         setattr(cfg, key, value)
     if "n" not in raw:
         cfg.n = _scenario(cfg.scenario).n or cfg.n
@@ -430,7 +430,7 @@ def _resolve_out(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------
 
 def run(cfg: RunConfig) -> int:
-    out = _execute(cfg, _resolve_out(cfg))
+    out = _execute(cfg.validate(), _resolve_out(cfg))
     print(f"VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
     return out.exit_code
 
@@ -456,9 +456,8 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
             value = caster(token)
         except ValueError:
             raise ConfigError(f"cannot parse {token!r} as {caster.__name__} for {param!r}")
-        sub = replace(cfg, **{param: value})
+        sub = replace(cfg, **{param: value}).validate()
         sub.tolerances = dict(cfg.tolerances)
-        sub.validate()
         sub_dir = os.path.join(base, f"{param}={token}")
         out = _execute(sub, sub_dir)
         print(f"{param}={token}: VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
@@ -476,7 +475,7 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
 def verify(cfg: RunConfig) -> int:
     """Derivative cross-checks for the scenario's system and controlling
     function on a seeded point cloud; prints one line per block."""
-    scenario = SCENARIOS[cfg.scenario]
+    scenario = SCENARIOS[cfg.validate().scenario]
     rng = np.random.default_rng(cfg.seed)
     checks = [("sys", scenario.system(cfg))]
     if scenario.control is not None:

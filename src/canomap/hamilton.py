@@ -11,6 +11,7 @@ the energy diagnostics quantify how well dH/dt = lam . f_t holds discretely.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,29 @@ def _xdot(sys: DynamicSystem, traj: Trajectory) -> np.ndarray:
 # Fixed-step RK4 on a state array of any shape
 # ---------------------------------------------------------------------
 
-def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
-              path: str = "samples"):
-    """March z' = rhs(z, t) from t0 to t1, landing exactly on t1.
+def _grid(t0: float, t1: float, step: float):
+    """The march's times: t0, then each t + step, landing exactly on t1; a t
+    within slack of t1 counts as arrived, and the slack never spans a whole
+    step.  Raises ValueError unless step > 0 and t1 > t0 are both finite, and,
+    once reached, where the step is below the float spacing of t, which would
+    leave t where it is."""
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive")
+    if not t0 < t1 < math.inf:
+        raise ValueError("t1 must exceed the initial time")
+    slack = min(1e-12 * max(1.0, abs(t1)), 1e-6 * step)
+    t = t0
+    yield t
+    while t < t1 - slack:
+        t_next = t + step if t + step < t1 - slack else t1
+        if t_next == t:
+            raise ValueError(f"step {step} does not advance t={t} (below its float spacing)")
+        yield (t := t_next)
+
+
+def _rk4_path(rhs, z0: np.ndarray, times, path: str = "samples"):
+    """March z' = rhs(z, t) over times: z0 at the first one, then one step to
+    each next one (a _grid, or a trajectory's own times).
 
     z may be one flat state or a stack of them; the arithmetic is
     elementwise, so every row of a stack follows the flat march bitwise.
@@ -102,20 +123,15 @@ def _rk4_path(rhs, z0: np.ndarray, t0: float, t1: float, step: float,
     (None otherwise), and "last" keeps only the last finite sample in ts and
     zs.  zs (read-only) and ks are gathered as raw bytes rather than one
     array object per step.
-    Raises ValueError when the step is below the float spacing of t, which
-    would leave t where it is.
     """
-    slack = min(1e-12 * max(1.0, abs(t1)), 1e-6 * step)   # never a whole step
-    ts = [t0]
+    times = iter(times)
+    t = next(times)
+    ts = [t]
     z = np.array(z0, dtype=float)
     zs, ks = bytearray(z.tobytes()), bytearray()
-    t = t0
     diag = None
-    while t < t1 - slack:
-        t_next = t + step if t + step < t1 - slack else t1
+    for t_next in times:
         h = t_next - t          # the increment of the stored t, not the nominal step
-        if h == 0:
-            raise ValueError(f"step {step} does not advance t={t} (below its float spacing)")
         try:
             k1 = rhs(z, t)
             k2 = rhs(z + 0.5 * h * k1, t + 0.5 * h)
@@ -150,9 +166,10 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     s0 : PhaseState
         Initial condition (x0, lam0, t0).
     t1 : float
-        Final time, > s0.t.  The last step is shortened to land on t1.
+        Final time, finite and > s0.t.  The last step is shortened to land
+        on t1.
     step : float
-        Nominal step size, > 0.
+        Nominal step size, finite and > 0.
 
     Returns
     -------
@@ -163,14 +180,10 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     "t_truncated": ..., "reason"}.
     """
     _require_dim(sys, s0)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t1 <= s0.t:
-        raise ValueError("t1 must exceed the initial time")
     n = sys.dim
     rhs = lambda z, t: np.concatenate(_lift(sys, z[:n], z[n:], t))
-    ts, Z, diag, K = _rk4_path(rhs, s0.z(), s0.t, t1, step, path="stages")
-    traj = Trajectory(ts, Z[:, :n], Z[:, n:], step, dict(diag) if diag else {})
+    ts, Z, diag, K = _rk4_path(rhs, s0.z(), _grid(s0.t, t1, step), path="stages")
+    traj = Trajectory(ts, Z[:, :n], Z[:, n:], dict(diag) if diag else {})
     try:   # the last sample starts no step
         K = np.vstack([K, rhs(Z[-1], ts[-1])])
     except DomainError:   # no columns: each diagnostic meets the error there
@@ -206,8 +219,7 @@ class FundamentalMatrix:
 
     kind: str
     values: np.ndarray     # (N, n, n): the matrix at each sample time
-    t0: float
-    times: np.ndarray
+    times: np.ndarray      # (N,): the trajectory's own t
     min_abs_det: float
     singular: bool         # True when some |det| < 1e-12
 
@@ -215,7 +227,7 @@ class FundamentalMatrix:
         """Matrix at time t: exact at grid times, else linear interpolation."""
         ts = self.times
         i = int(np.searchsorted(ts, t))
-        for j in (i - 1, i, i + 1):
+        for j in (i, i - 1):   # ts[i - 1] < t <= ts[i], so a grid time t is ts[i]
             if 0 <= j < ts.size and abs(ts[j] - t) <= 1e-9 * max(1.0, abs(t)):
                 return self.values[j]
         if t < ts[0] or t > ts[-1]:
@@ -226,11 +238,12 @@ class FundamentalMatrix:
 
 
 def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") -> FundamentalMatrix:
-    """Integrate the matrix equation of `kind` along traj's own grid.
+    """Integrate the matrix equation of `kind` over traj's own times.
 
     The matrix rides along a re-integration of x from traj's initial sample
-    (same RK4 arithmetic, same grid), which avoids interpolating A(x, t)
-    between stored samples; lam never enters A, so it is not marched.
+    (same RK4 arithmetic, one step between each pair of stored times), which
+    avoids interpolating A(x, t) between stored samples; lam never enters A,
+    so it is not marched.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
@@ -245,13 +258,12 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
         return np.concatenate([sys.f_at(x, t), mdot(sys.jac_at(x, t), M).ravel()])
 
     z0 = np.concatenate([s0.x, np.eye(n).ravel()])
-    ts, zs, diag, _ = _rk4_path(rhs, z0, s0.t, traj.t[-1], traj.step)
+    _, zs, diag, _ = _rk4_path(rhs, z0, traj.t.tolist())
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
     values = np.array(zs)[:, n:].reshape(-1, n, n)
     min_abs_det = float(np.min(np.abs(np.linalg.det(values))))
-    return FundamentalMatrix(kind=kind, values=values, t0=s0.t,
-                             times=np.asarray(ts), min_abs_det=min_abs_det,
+    return FundamentalMatrix(kind=kind, values=values, times=traj.t, min_abs_det=min_abs_det,
                              singular=bool(min_abs_det < 1e-12))
 
 

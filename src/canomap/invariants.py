@@ -18,7 +18,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                         _central_diff_x, _cumtrapz, _require_dim)
 # integrate is unused here but stays importable: perfbench/tracing.py
 # patches canomap.invariants.integrate.
-from .hamilton import _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
+from .hamilton import _grid, _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 
 __all__ = [
@@ -113,17 +113,13 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     loop0 = LoopEnsemble(tuple(loop0), ()).loop0  # closed, one common time
     for v in loop0:
         _require_dim(sys, v)
-    if step <= 0:
-        raise ValueError("step must be positive")
     n = sys.dim
     t0 = loop0[0].t
     Z0 = np.array([v.z() for v in loop0[:-1]])
     rhs = lambda Z, t: np.concatenate(_lift(sys, Z[:, :n], Z[:, n:], t), axis=1)
     flowed = []
     for t1 in t_targets:
-        if t1 <= t0:
-            raise ValueError("t1 must exceed the initial time")
-        ts, zs, diag, _ = _rk4_path(rhs, Z0, t0, t1, step, path="last")
+        ts, zs, diag, _ = _rk4_path(rhs, Z0, _grid(t0, t1, step), path="last")
         if diag is not None:
             raise DomainError(f"loop flow truncated at t={diag['t_truncated']} "
                               f"({diag['reason']})")
@@ -220,7 +216,7 @@ def hj_residual_U(cf, G: Callable, spec: MappingSpec,
     vals = []
     for s in points:
         y, mu = apply_map(spec, s)
-        vals.append(abs(cf.ut_at(s) - float(G(y, mu, s.t))))
+        vals.append(abs(cf.ut(s.x, s.lam, s.t) - float(G(y, mu, s.t))))
     series = np.array(vals)
     return HJResult(float(np.max(series)), series)
 
@@ -229,7 +225,7 @@ def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJRes
     """Pointwise residual |U_t + lam·f(x, t)| (old-variable Hamiltonian)."""
     if not points:
         raise ValueError("points must be nonempty")
-    vals = [abs(cf.ut_at(s) + hamiltonian(sys, s)) for s in points]
+    vals = [abs(cf.ut(s.x, s.lam, s.t) + hamiltonian(sys, s)) for s in points]
     series = np.array(vals)
     return HJResult(float(np.max(series)), series)
 

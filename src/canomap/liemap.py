@@ -57,8 +57,9 @@ def poisson_bracket(psi: ControllingFunction, omega: ControllingFunction,
     """{psi, omega} = sum_i (psi_x_i omega_lam_i - psi_lam_i omega_x_i) at s."""
     if psi.dim != omega.dim or psi.dim != s.n:
         raise ValueError("dimension mismatch between fields and state")
-    return float(np.dot(psi.ux_at(s), omega.ulam_at(s))
-                 - np.dot(psi.ulam_at(s), omega.ux_at(s)))
+    args = (s.x, s.lam, s.t)
+    return float(np.dot(psi.ux(*args), omega.ulam(*args))
+                 - np.dot(psi.ulam(*args), omega.ux(*args)))
 
 
 def infinitesimal_step(gen: Generator, s: PhaseState):
@@ -68,7 +69,8 @@ def infinitesimal_step(gen: Generator, s: PhaseState):
     if cf.dim != s.n:
         raise ValueError("dimension mismatch between generator and state")
     a, gy, b, gmu = _FORM["Std116"](1, -1)
-    return s.x + a * gen.eps * gy(cf, s), s.lam + b * gen.eps * gmu(cf, s)
+    return (s.x + a * gen.eps * getattr(cf, gy)(s.x, s.lam, s.t),
+            s.lam + b * gen.eps * getattr(cf, gmu)(s.x, s.lam, s.t))
 
 
 def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -> PhaseState:

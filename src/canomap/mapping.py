@@ -38,15 +38,14 @@ __all__ = [
     "invert_map",
 ]
 
-# Each variant as y = x + a G_y, mu = lam + b G_mu with G_y, G_mu the
-# accessor of U_x or U_lam: variant -> (s1, s2) -> (a, G_y, b, G_mu).
-_UX, _ULAM = ControllingFunction.ux_at, ControllingFunction.ulam_at
+# Each variant as y = x + a G_y, mu = lam + b G_mu with G_y, G_mu the name
+# of U's block "ux" or "ulam": variant -> (s1, s2) -> (a, G_y, b, G_mu).
 _FORM = {
-    "Std116": lambda s1, s2: (1, _ULAM, -1, _UX),
-    "Symplectic119": lambda s1, s2: (0.5, _ULAM, 0.5, _UX),
-    "SignVariant218": lambda s1, s2: (s1, _ULAM, s2, _UX),
-    "SignVariant219": lambda s1, s2: (s1, _UX, s2, _ULAM),
-    "Cross220": lambda s1, s2: (1, _UX, -1, _ULAM),
+    "Std116": lambda s1, s2: (1, "ulam", -1, "ux"),
+    "Symplectic119": lambda s1, s2: (0.5, "ulam", 0.5, "ux"),
+    "SignVariant218": lambda s1, s2: (s1, "ulam", s2, "ux"),
+    "SignVariant219": lambda s1, s2: (s1, "ux", s2, "ulam"),
+    "Cross220": lambda s1, s2: (1, "ux", -1, "ulam"),
 }
 VARIANTS = tuple(_FORM)
 
@@ -89,10 +88,10 @@ class MappingSpec:
 def apply_map(spec: MappingSpec, s: PhaseState):
     """Forward image (y, mu) of the phase point under the chosen variant."""
     cf = spec.cf
-    if s.n != cf.dim:
-        raise ValueError(f"dimension mismatch: controlling function n={cf.dim}, state n={s.n}")
+    _require_dim(cf, s)
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    return s.x + a * gy(cf, s), s.lam + b * gmu(cf, s)
+    return (s.x + a * getattr(cf, gy)(s.x, s.lam, s.t),
+            s.lam + b * getattr(cf, gmu)(s.x, s.lam, s.t))
 
 
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
@@ -101,8 +100,9 @@ def jacobian_condition(spec: MappingSpec, s: PhaseState):
     Symplectic119 reports 1 + det(U_xlam)/4 for both entries — the shared
     closed form of its equal Jacobians.
     """
+    _require_dim(spec.cf, s)
     if spec.variant == "Symplectic119":
-        d = 1.0 + 0.25 * float(np.linalg.det(spec.cf.uxlam_at(s)))
+        d = 1.0 + 0.25 * float(np.linalg.det(spec.cf.uxlam(s.x, s.lam, s.t)))
         return d, d
     dy, dmu = _dets(spec, _rows(spec.cf, np.array([s.t]), s.x[None], s.lam[None]))
     return float(dy[0]), float(dmu[0])
@@ -120,7 +120,7 @@ def _dets(spec: MappingSpec, rows):
     """(det dy/dx, det dmu/dlam) at every sample of rows, one batched det each."""
     a, gy, b, _ = _FORM[spec.variant](*spec.signs)
     # G_y = U_lam and G_mu = U_x (both blocks U_xlam), or G_y = U_x and G_mu = U_lam
-    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy is _ULAM
+    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy == "ulam"
                else (rows("uxx"), rows("ulamlam")))
     E = np.eye(spec.cf.dim)
     return np.linalg.det(E + a * dy), np.linalg.det(E + b * dmu)
@@ -424,7 +424,7 @@ def _map_jacobian(spec: MappingSpec, s: PhaseState):
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
     cf, E, args = spec.cf, np.eye(spec.cf.dim), (s.x, s.lam, s.t)
     uxlam = cf.uxlam(*args)
-    d = {_UX: (cf.uxx(*args), uxlam), _ULAM: (uxlam.T, cf.ulamlam(*args))}  # dG/dx, dG/dlam
+    d = {"ux": (cf.uxx(*args), uxlam), "ulam": (uxlam.T, cf.ulamlam(*args))}  # dG/dx, dG/dlam
     return np.block([[E + a * d[gy][0], a * d[gy][1]], [b * d[gmu][0], E + b * d[gmu][1]]])
 
 
@@ -448,7 +448,8 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
             raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
     target = np.concatenate([y, mu])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(target))))
-    fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {"ux", "ulam"} & cf.fd_backed else 0.0
+    _, gy, _, gmu = _FORM[spec.variant](*spec.signs)
+    fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {gy, gmu} & cf.fd_backed else 0.0
 
     def residual(z):
         if not np.isfinite(z).all():
@@ -473,8 +474,8 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
             if np.max(np.abs(r_try)) < norm:
                 z, r, norm = z + alpha * delta, r_try, np.max(np.abs(r_try))
                 break
-            if alpha == 1.0 and (norm <= tol or fd_term > 0.0 and
-                                 norm <= tol + fd_term * max(1.0, abs(cf.u_at(s)))):
+            if alpha == 1.0 and (norm <= tol or fd_term > 0.0 and norm <= tol + fd_term
+                                 * max(1.0, abs(float(cf.u(s.x, s.lam, s.t))))):
                 return z[:n].copy(), z[n:].copy()   # a full step stalls at the floor
         else:
             raise ConvergenceError(

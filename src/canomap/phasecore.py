@@ -224,9 +224,11 @@ class PhaseState:
         return np.concatenate([self.x, self.lam])
 
 
-def _require_dim(sys: DynamicSystem, s: PhaseState):
-    if s.n != sys.dim:
-        raise ValueError(f"dimension mismatch: system n={sys.dim}, state n={s.n}")
+def _require_dim(obj, s: PhaseState):
+    """obj (a DynamicSystem or a ControllingFunction) and s share n."""
+    if s.n != obj.dim:
+        kind = "system" if isinstance(obj, DynamicSystem) else "controlling function"
+        raise ValueError(f"dimension mismatch: {kind} n={obj.dim}, state n={s.n}")
 
 
 # ---------------------------------------------------------------------
@@ -300,23 +302,6 @@ class ControllingFunction:
                 _central_diff(fn, arg, x, lam, t, h)))
         return backed
 
-    # --- evaluation ---------------------------------------------------------
-
-    def u_at(self, s: PhaseState) -> float:
-        return float(self.u(s.x, s.lam, s.t))
-
-    def ux_at(self, s: PhaseState) -> np.ndarray:
-        return self.ux(s.x, s.lam, s.t)
-
-    def ulam_at(self, s: PhaseState) -> np.ndarray:
-        return self.ulam(s.x, s.lam, s.t)
-
-    def ut_at(self, s: PhaseState) -> float:
-        return self.ut(s.x, s.lam, s.t)
-
-    def uxlam_at(self, s: PhaseState) -> np.ndarray:
-        return self.uxlam(s.x, s.lam, s.t)
-
 
 def zero_controlling_function(dim: int) -> ControllingFunction:
     """U identically zero, with exact (analytic) zero derivative blocks."""
@@ -338,9 +323,10 @@ def zero_controlling_function(dim: int) -> ControllingFunction:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered samples of the extended phase space from a fixed-step
-    integration, held as read-only float copies of the given arrays;
-    traj[i] and iteration build PhaseState samples on demand.  xdot, lamdot
+    """Time-ordered samples of the extended phase space, held as read-only
+    float copies of the given arrays, with a meta mapping (integrate's
+    truncation record); traj[i] and iteration build PhaseState samples on
+    demand.  xdot, lamdot
     and system are not constructor arguments: only integrate sets them, to
     the lifted derivative (N, n) that `system` gave at every sample (stored,
     not validated); otherwise they are None."""
@@ -348,13 +334,14 @@ class Trajectory:
     t: np.ndarray             # (N,) sample times, strictly increasing
     x: np.ndarray             # (N, n) phase coordinates
     lam: np.ndarray           # (N, n) multipliers
-    step: float               # nominal step h (last interval may be shorter)
     meta: Mapping = field(default_factory=dict)
     xdot: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     lamdot: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     system: Optional[DynamicSystem] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.meta, Mapping):
+            raise TypeError(f"meta must be a mapping, got {type(self.meta).__name__}")
         t, x, lam = (np.array(a, dtype=float) for a in (self.t, self.x, self.lam))
         if (t.ndim != 1 or not t.size or x.ndim != 2 or not x.shape[1]
                 or x.shape != lam.shape or x.shape[0] != t.size):
@@ -367,7 +354,6 @@ class Trajectory:
         for name, a in (("t", t), ("x", x), ("lam", lam)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "step", float(self.step))
 
     def __len__(self):
         return self.t.size
@@ -461,18 +447,16 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
         backed = tuple(sorted(obj.fd_backed))
     elif isinstance(obj, ControllingFunction):
         for s in points:
-            if s.n != obj.dim:
-                raise ValueError(f"dimension mismatch: controlling function n={obj.dim}, state n={s.n}")
-            _check_finite(obj.u_at(s), "u", s)
-            for block in ("ux", "ulam", "ut"):
-                ref = _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t)
-                value = _check_finite(getattr(obj, block)(s.x, s.lam, s.t), block, s)
-                errs[block] = max(errs.get(block, 0.0), _rel_err(value, ref))
+            _require_dim(obj, s)
+            _check_finite(float(obj.u(s.x, s.lam, s.t)), "u", s)
+            refs = {block: _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t)
+                    for block in ("ux", "ulam", "ut")}
             # uxlam[i, j] = d(ux_i)/dlam_j = d(ulam_j)/dx_i: the reference
             # differentiates ulam in x, not the ux of the FD rule in lam.
-            uxlam_fd = _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T
-            errs["uxlam"] = max(errs.get("uxlam", 0.0),
-                                _rel_err(_check_finite(obj.uxlam_at(s), "uxlam", s), uxlam_fd))
+            refs["uxlam"] = _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T
+            for block, ref in refs.items():
+                value = _check_finite(getattr(obj, block)(s.x, s.lam, s.t), block, s)
+                errs[block] = max(errs.get(block, 0.0), _rel_err(value, ref))
         tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": rtol2}
         backed = tuple(sorted(obj.fd_backed))
     else:

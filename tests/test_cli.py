@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canomap.cli import _write_csv, main
+from canomap.cli import ConfigError, RunConfig, _write_csv, main, run, sweep, verify
 from canomap.hamilton import hamiltonian, integrate
 from canomap.phasecore import PhaseState
 from canomap.scenarios import ballistic_system
@@ -121,6 +121,16 @@ def test_zero_step_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scenario="linear", step=0.0)
     assert main(["run", "--config", cfg]) == 2
     assert "config error: step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances", [{"canonicity": 1e-6}, None, [1e-6, 1e-6, 1e-12]])
+def test_library_run_requires_every_tolerance(tmp_path, tolerances):
+    out = tmp_path / "out"
+    want = "tolerances must be an object holding each of ['canonicity', 'symplectic', 'degenerate']"
+    for call in (run, verify, lambda cfg: sweep(cfg, "step", ["0.01"])):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            call(RunConfig(tolerances=tolerances, output_dir=str(out)))
+    assert not out.exists()
 
 
 def test_unknown_field_rejected(tmp_path, capsys):

@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                                zero_controlling_function)
-from canomap.hamilton import (EnergyDriftReport, _rates, _rk4_path, canonical_rhs,
+from canomap.hamilton import (EnergyDriftReport, _grid, _rates, _rk4_path, canonical_rhs,
                               energy_drift, fundamental_matrix, hamiltonian,
                               integrate, weierstrass_excess)
 from canomap.invariants import action_function, circle_loop, flow_loop
-from canomap.mapping import MappingSpec, canonicity_residual
+from canomap.mapping import MappingSpec, canonicity_residual, synthesize_ulam
 from canomap.scenarios import ballistic_system
 
 
@@ -157,7 +158,7 @@ def test_integrate_keeps_each_first_stage():
     assert lamdot.tobytes() == np.array([w[1] for w in want]).tobytes()
     # the Jacobian's last column is zero: (-A^T) lam sums +0, where -(A^T lam) gives -0
     assert not np.signbit(lamdot[:, 3]).any()
-    assert Trajectory(traj.t, traj.x, traj.lam, traj.step).system is None
+    assert Trajectory(traj.t, traj.x, traj.lam).system is None
 
 
 def test_the_march_derivative_serves_every_diagnostic():
@@ -231,10 +232,10 @@ def test_a_jacobian_undefined_at_the_last_sample_spares_the_h_diagnostics():
 def test_trajectory_takes_no_rate_columns():
     # only integrate sets them, so they always belong to its own samples
     with pytest.raises(TypeError):
-        Trajectory([0.0], [[1.0]], [[1.0]], 1.0, {}, [[1.0]])
+        Trajectory([0.0], [[1.0]], [[1.0]], {}, [[1.0]])
     with pytest.raises(TypeError):
-        Trajectory([0.0], [[1.0]], [[1.0]], 1.0, system=linear_system())
-    traj = Trajectory([0.0], [[1.0]], [[1.0]], 1.0)
+        Trajectory([0.0], [[1.0]], [[1.0]], system=linear_system())
+    traj = Trajectory([0.0], [[1.0]], [[1.0]])
     assert traj.xdot is traj.lamdot is traj.system is None
 
 
@@ -257,6 +258,22 @@ def test_integrate_validates_arguments():
         integrate(linear_system(), s0, 0.0, 1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_step_or_t1_is_rejected(bad):
+    # none of them gives a grid: a non-finite step would be one step of
+    # t1 - t0, a NaN t1 a single sample, and an infinite t1 a march to blow-up
+    s0 = PhaseState([1.0], [1.0], 0.0)
+    loop = circle_loop(s0, 0.1, 8)
+    with pytest.raises(ValueError, match="^step must be positive"):
+        integrate(linear_system(), s0, 1.0, bad)
+    with pytest.raises(ValueError, match="^step must be positive"):
+        flow_loop(linear_system(), loop, [1.0], bad)
+    with pytest.raises(ValueError, match="^t1 must exceed the initial time"):
+        integrate(linear_system(), s0, bad, 1e-2)
+    with pytest.raises(ValueError, match="^t1 must exceed the initial time"):
+        flow_loop(linear_system(), loop, [bad], 1e-2)
+
+
 def test_step_below_float_spacing_of_t_is_rejected():
     # at t = 1e9 the float spacing is 1.2e-7, so t + 5e-8 == t: the march
     # would never end, and every caller gets a ValueError instead
@@ -265,9 +282,6 @@ def test_step_below_float_spacing_of_t_is_rejected():
         integrate(linear_system(), late, 1e9 + 1, 5e-8)
     with pytest.raises(ValueError, match="does not advance t"):
         flow_loop(linear_system(), circle_loop(late, 0.1, 8), [1e9 + 1], 5e-8)
-    traj = Trajectory([1e9, 1e9 + 1], [[1.0], [1.0]], [[1.0], [1.0]], 5e-8)
-    with pytest.raises(ValueError, match="does not advance t"):
-        fundamental_matrix(linear_system(), traj)
 
 
 # ---------------------------------------------------------------------
@@ -332,6 +346,29 @@ def test_fundamental_matrix_paper_convention_differs():
     Bp = fundamental_matrix(sysr, traj, "B_paper")
     # antisymmetric A: the two conventions are rotations in opposite senses
     assert float(np.max(np.abs(B.values[-1] - Bp.values[-1]))) > 1.0
+
+
+@pytest.mark.parametrize("t", [[0.0, 0.3, 1.0],
+                               # closer than value_at's match window 1e-9 |t|
+                               [1e4, 1e4 + 5e-6, 1e4 + 1e-5]], ids=["uneven", "close"])
+def test_fundamental_matrix_follows_a_hand_built_trajectory(t):
+    # the matrices are marched over traj.t itself, so the i-th matrix (and
+    # the i-th U_lam of synthesize_ulam) belongs to sample i
+    A = 0.05 * np.array([[0.3, 1.0], [-1.0, 0.2]])
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    traj = Trajectory(t, [[1.0, 0.0], [0.9, 0.1], [0.8, 0.3]], np.ones((3, 2)))
+    B = fundamental_matrix(sys_, traj, "B")
+    D = fundamental_matrix(sys_, traj, "D")
+    assert B.times.tobytes() == D.times.tobytes() == traj.t.tobytes()
+    for i, ti in enumerate(traj.t):
+        assert np.max(np.abs(B.values[i] @ D.values[i].T - np.eye(2))) < 1e-10
+        assert np.array_equal(D.value_at(ti), D.values[i])
+        assert np.max(np.abs(D.values[i] - expm(A * (ti - t[0])))) < 1e-8
+    synth = synthesize_ulam(sys_, traj, [1.0, -0.5])
+    want = np.array([expm(A * (ti - t[0])) @ [1.0, -0.5] for ti in t])
+    assert np.max(np.abs(synth.ulam_series - want)) < 1e-8
+    for s, ulam in zip(traj, synth.ulam_series):   # U's U_lam at sample i is the i-th
+        assert np.allclose(synth.cf.ulam(s.x, s.lam, s.t), ulam, rtol=1e-14, atol=0.0)
 
 
 def test_fundamental_matrix_value_at():
@@ -413,7 +450,7 @@ def test_energy_drift_names_the_first_non_finite_sample():
     wall = DynamicSystem(dim=1, f=lambda x, t: np.where(x > 0.5, np.inf, x),
                          jac=lambda x, t: np.eye(1), autonomous=True)
     traj = Trajectory([0.0, 0.1, 0.2, 0.3], [[0.1], [0.6], [0.7], [0.2]],
-                      [[1.0], [1.0], [1.0], [1.0]], 0.1)
+                      [[1.0], [1.0], [1.0], [1.0]])
     with pytest.raises(DomainError) as want:
         hamiltonian(wall, traj[1])
     with pytest.raises(DomainError) as got:
@@ -438,8 +475,8 @@ def test_weierstrass_excess_vanishes(x, lam, xdot, g):
 @pytest.mark.parametrize("t1", [0.95, 40.0])   # the second march blows up
 def test_rk4_endpoint_only_march_keeps_last_sample(t1):
     rhs = lambda z, t: z
-    full = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1)
-    last = _rk4_path(rhs, np.ones((3, 2)), 0.0, t1, 0.1, path="last")
+    full = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1))
+    last = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1), path="last")
     assert len(last[0]) == len(last[1]) == 1
     assert last[0][0] == full[0][-1] and np.array_equal(last[1][0], full[1][-1])
     assert last[2] == full[2]

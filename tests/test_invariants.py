@@ -458,7 +458,7 @@ def test_potential_straightened_pair():
                             jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
     y0, c = 2.0, 0.5
     ts = traj_old.t
-    traj_new = Trajectory(ts, y0 + ts[:, None], np.full((ts.size, 1), c), traj_old.step)
+    traj_new = Trajectory(ts, y0 + ts[:, None], np.full((ts.size, 1), c))
     series = controlling_potential(sys_old, sys_new, traj_old, traj_new)
     assert np.max(np.abs(series)) < 1e-12
     # cross-check against the action gap computed the long way:
@@ -477,6 +477,6 @@ def test_potential_mismatched_grids():
     short = integrate(sysl, PhaseState([1.0], [1.0], 0.0), 0.5, 1e-2)
     with pytest.raises(ValueError, match="mismatched grids"):
         controlling_potential(sysl, sysl, traj, short)
-    shifted = Trajectory(traj.t + 1e-3, traj.x, traj.lam, traj.step)
+    shifted = Trajectory(traj.t + 1e-3, traj.x, traj.lam)
     with pytest.raises(ValueError, match="mismatched grids"):
         controlling_potential(sysl, sysl, traj, shifted)

@@ -87,7 +87,7 @@ def test_hamiltonian_field_reproduces_rhs():
                          jac=lambda x, t: np.eye(1), autonomous=True)
     H = hamiltonian_field(sysl)
     s = PhaseState([2.0], [3.0], 0.0)
-    assert H.u_at(s) == 6.0
+    assert float(H.u(s.x, s.lam, s.t)) == 6.0
     # {x, H} = f and {lam, H} = -A^T lam, the canonical equations
     assert poisson_bracket(coord_field(0), H, s) == 2.0
     assert poisson_bracket(momentum_field(0), H, s) == -3.0

@@ -129,6 +129,15 @@ def test_jacobian_condition_values():
     assert d1 == d2 == pytest.approx(1.1)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_jacobian_condition_checks_the_dimension(variant):
+    spec = MappingSpec(variant, zero_controlling_function(2))
+    for call in (apply_map, jacobian_condition):
+        with pytest.raises(ValueError,
+                           match="^dimension mismatch: controlling function n=2, state n=1$"):
+            call(spec, PhaseState([1.0], [1.0], 0.0))
+
+
 # ---------------------------------------------------------------------
 # canonicity along a flow
 # ---------------------------------------------------------------------
@@ -456,7 +465,8 @@ def test_variant_table_image_and_jacobian():
     z = np.array([0.7, -1.1, 0.4, 1.3])
     s = PhaseState(z[:2], z[2:], 0.2)
     for spec in _variant_specs(cf):
-        dy, dmu = OFFSETS[spec.variant](*spec.signs, cf.ux_at(s), cf.ulam_at(s))
+        dy, dmu = OFFSETS[spec.variant](*spec.signs, cf.ux(s.x, s.lam, s.t),
+                                        cf.ulam(s.x, s.lam, s.t))
         y, mu = apply_map(spec, s)
         assert np.array_equal(y, s.x + dy) and np.array_equal(mu, s.lam + dmu)
         ref = _central_diff_x(
@@ -518,20 +528,21 @@ def test_invert_map_fd_backed_out_of_iterations_reported():
 # accessors for them): the reference that core must match bit for bit.
 def _udot_lam(cf, s, xdot, lamdot):
     """Total time derivative of U_lam restricted to the flow."""
-    return (cf.uxlam_at(s).T @ xdot + cf.ulamlam(s.x, s.lam, s.t) @ lamdot
+    return (cf.uxlam(s.x, s.lam, s.t).T @ xdot + cf.ulamlam(s.x, s.lam, s.t) @ lamdot
             + cf.ulamt(s.x, s.lam, s.t))
 
 
 def _udot_x(cf, s, xdot, lamdot):
     """Total time derivative of U_x restricted to the flow."""
-    return cf.uxx(s.x, s.lam, s.t) @ xdot + cf.uxlam_at(s) @ lamdot + cf.uxt(s.x, s.lam, s.t)
+    return (cf.uxx(s.x, s.lam, s.t) @ xdot + cf.uxlam(s.x, s.lam, s.t) @ lamdot
+            + cf.uxt(s.x, s.lam, s.t))
 
 
 def _residual_at(sys, spec, s):
     cf = spec.cf
     xdot, lamdot = canonical_rhs(sys, s)
-    ux = cf.ux_at(s)
-    ulam = cf.ulam_at(s)
+    ux = cf.ux(s.x, s.lam, s.t)
+    ulam = cf.ulam(s.x, s.lam, s.t)
     if spec.variant == "Std116":
         r = float((ux - s.lam) @ _udot_lam(cf, s, xdot, lamdot) - ulam @ lamdot)
     else:  # Cross220
@@ -544,7 +555,7 @@ def _residual_at(sys, spec, s):
 def _jacobian_condition_at(spec, s):
     cf = spec.cf
     if spec.variant == "Std116":
-        M = cf.uxlam_at(s)
+        M = cf.uxlam(s.x, s.lam, s.t)
         dy, dmu = M.T, -M
     else:  # Cross220
         dy, dmu = cf.uxx(s.x, s.lam, s.t), -cf.ulamlam(s.x, s.lam, s.t)
@@ -656,14 +667,14 @@ def test_canonicity_errors_keep_their_types_and_messages():
     p3 = PhaseState([0.0, 1.0, 2.0], [0.5, 1.0, 1.5], 0.0)
     for call in (lambda spec: canonicity_residual_points(sys2, spec, [p2, p3]),
                  lambda spec: canonicity_residual(
-                     sys2, spec, Trajectory([0.0, 1.0], [p3.x, p3.x], [p3.lam, p3.lam], 1.0))):
+                     sys2, spec, Trajectory([0.0, 1.0], [p3.x, p3.x], [p3.lam, p3.lam]))):
         for variant in ("Std116", "Cross220"):
             with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=3$"):
                 call(MappingSpec(variant, cf2))
     sysb = ballistic_system(1.0)
     inside = PhaseState([0.0, 1.0, 1e-7, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0)
     outside = PhaseState([0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.0)
-    orbit = Trajectory([0.0, 1.0], [outside.x, inside.x], [outside.lam, inside.lam], 1.0)
+    orbit = Trajectory([0.0, 1.0], [outside.x, inside.x], [outside.lam, inside.lam])
     for variant in ("Std116", "Cross220"):
         spec = MappingSpec(variant, zero_controlling_function(4))
         with pytest.raises(DomainError, match="^radius 1e-07 at or below the guard 1e-06$"):
@@ -745,6 +756,6 @@ def test_residual_sees_a_perturbed_sample_there_only(k):
     base = canonicity_residual(sysb, spec, traj).residual_series
     x = traj.x.copy()
     x[k, 2] *= 1.01             # the radius of sample k
-    bent = Trajectory(traj.t, x, traj.lam, traj.step)
+    bent = Trajectory(traj.t, x, traj.lam)
     changed = np.flatnonzero(canonicity_residual(sysb, spec, bent).residual_series != base)
     assert changed.tolist() == [k]

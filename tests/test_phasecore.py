@@ -166,13 +166,13 @@ def test_phase_state_shape_and_finiteness():
 
 
 def test_trajectory_requires_increasing_times():
-    traj = Trajectory([0.0, 1.0], [[0.0], [1.0]], [[0.0], [0.0]], 1.0)
+    traj = Trajectory([0.0, 1.0], [[0.0], [1.0]], [[0.0], [0.0]])
     assert len(traj) == 2
     assert np.array_equal(traj.t, [0.0, 1.0])
     assert traj.x.shape == traj.lam.shape == (2, 1)
     for t in ([1.0, 0.0], [1.0, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(t, [[0.0], [1.0]], [[0.0], [0.0]], 1.0)
+            Trajectory(t, [[0.0], [1.0]], [[0.0], [0.0]])
 
 
 @pytest.mark.parametrize("t, x, lam", [
@@ -184,12 +184,18 @@ def test_trajectory_requires_increasing_times():
 ], ids=["t-2d", "x-1d", "lam-mismatch", "t-longer", "n-zero"])
 def test_trajectory_rejects_bad_shapes(t, x, lam):
     with pytest.raises(ValueError, match="expected t"):
-        Trajectory(t, x, lam, 1.0)
+        Trajectory(t, x, lam)
+
+
+def test_trajectory_meta_is_a_mapping():
+    # a number in meta's place is refused, not stored as the record
+    with pytest.raises(TypeError, match="^meta must be a mapping, got float$"):
+        Trajectory([0.0], [[1.0]], [[1.0]], 0.5)
 
 
 def test_trajectory_needs_a_sample():
     with pytest.raises(ValueError, match="at least one sample"):
-        Trajectory([], np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+        Trajectory([], np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("column", ["t", "x", "lam"])
@@ -198,12 +204,12 @@ def test_trajectory_rejects_non_finite_entries(column, bad):
     arrays = {"t": np.array([0.0, 1.0]), "x": np.zeros((2, 2)), "lam": np.ones((2, 2))}
     arrays[column][-1, ...] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        Trajectory(arrays["t"], arrays["x"], arrays["lam"], 1.0)
+        Trajectory(arrays["t"], arrays["x"], arrays["lam"])
 
 
 def test_trajectory_samples_on_demand_and_read_only():
     t, x, lam = np.array([0.0, 0.5, 1.0]), np.arange(6.0).reshape(3, 2), -np.ones((3, 2))
-    traj = Trajectory(t, x, lam, 0.5)
+    traj = Trajectory(t, x, lam)
     end = traj[-1]
     assert isinstance(end, PhaseState) and type(end.t) is float
     assert end.t == 1.0 and np.array_equal(end.x, [4.0, 5.0]) and end.lam.shape == (2,)
@@ -237,10 +243,10 @@ def test_fd_fallback_approximates_derivatives():
         1, u=lambda x, lam, t: x[0] * lam[0] ** 2 + t * x[0])
     s = PhaseState([0.7], [1.3], 0.4)
     assert {"ux", "ulam", "ut", "uxlam"} <= set(cf.fd_backed)
-    assert cf.ux_at(s)[0] == pytest.approx(1.3 ** 2 + 0.4, rel=1e-8)
-    assert cf.ulam_at(s)[0] == pytest.approx(2 * 0.7 * 1.3, rel=1e-8)
-    assert cf.ut_at(s) == pytest.approx(0.7, rel=1e-8)
-    assert cf.uxlam_at(s)[0, 0] == pytest.approx(2 * 1.3, rel=1e-4)
+    assert cf.ux(s.x, s.lam, s.t)[0] == pytest.approx(1.3 ** 2 + 0.4, rel=1e-8)
+    assert cf.ulam(s.x, s.lam, s.t)[0] == pytest.approx(2 * 0.7 * 1.3, rel=1e-8)
+    assert cf.ut(s.x, s.lam, s.t) == pytest.approx(0.7, rel=1e-8)
+    assert cf.uxlam(s.x, s.lam, s.t)[0, 0] == pytest.approx(2 * 1.3, rel=1e-4)
     report = verify_derivatives(cf, [s])
     assert report.ok
 
@@ -288,11 +294,11 @@ def test_fd_rule_pinned_bitwise(analytic_first):
 def test_zero_controlling_function_exact():
     cf = zero_controlling_function(2)
     s = PhaseState([1.0, -2.0], [0.5, 3.0], 0.2)
-    assert cf.u_at(s) == 0.0
-    assert np.array_equal(cf.ux_at(s), np.zeros(2))
-    assert np.array_equal(cf.ulam_at(s), np.zeros(2))
-    assert cf.ut_at(s) == 0.0
-    assert np.array_equal(cf.uxlam_at(s), np.zeros((2, 2)))
+    assert float(cf.u(s.x, s.lam, s.t)) == 0.0
+    assert np.array_equal(cf.ux(s.x, s.lam, s.t), np.zeros(2))
+    assert np.array_equal(cf.ulam(s.x, s.lam, s.t), np.zeros(2))
+    assert cf.ut(s.x, s.lam, s.t) == 0.0
+    assert np.array_equal(cf.uxlam(s.x, s.lam, s.t), np.zeros((2, 2)))
     assert cf.fd_backed == frozenset()
 
 

@@ -137,8 +137,8 @@ def test_time_part_never_touches_the_images():
     y, mu = apply_map(spec, PhaseState([2.0], [3.0], 1.7))
     assert (y[0], mu[0]) == (3.0, -2.0)
     s = PhaseState([1.0], [1.0], 1.5)
-    assert cf.ut_at(s) == pytest.approx(1.5, rel=1e-8)
-    assert cf.u_at(s) == pytest.approx(1.0 + 0.5 * 1.5 ** 2)
+    assert cf.ut(s.x, s.lam, s.t) == pytest.approx(1.5, rel=1e-8)
+    assert float(cf.u(s.x, s.lam, s.t)) == pytest.approx(1.0 + 0.5 * 1.5 ** 2)
 
 
 def test_quarter_turn_higher_dim():

@@ -57,11 +57,12 @@ def digest(root):
     src = os.path.join(os.path.abspath(root), "src")
     lines = []
 
-    def record(tag, argv, tmp, pythonpath):
-        """Run argv in tmp, then digest its exit code, streams and every
-        file it wrote under tmp/out."""
+    def record(tag, args, tmp, pythonpath):
+        """Run the interpreter on args in tmp, then digest its exit code,
+        streams and every file it wrote under tmp/out.  -B: no bytecode is
+        written into the tree's src/ or into perfbench/."""
         out = os.path.join(tmp, "out")
-        proc = subprocess.run(argv, capture_output=True, cwd=tmp,
+        proc = subprocess.run([sys.executable, "-B", *args], capture_output=True, cwd=tmp,
                               env=dict(env, PYTHONPATH=pythonpath))
         lines.extend([f"{tag} exit {proc.returncode}", f"{tag} stdout {sha(proc.stdout)}",
                       f"{tag} stderr {sha(proc.stderr)}"])
@@ -76,16 +77,15 @@ def digest(root):
             out, path = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(dict(cfg, output_dir=out), fh)
-            record(f"{case} {cmd}", [sys.executable, "-m", "canomap.cli", cmd, "--config", path,
-                                     *extra], tmp, src)
+            record(f"{case} {cmd}", ["-m", "canomap.cli", cmd, "--config", path, *extra],
+                   tmp, src)
     for seed in SESSION_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             os.mkdir(out)
-            # -B: no bytecode is written into perfbench/
             record(f"synthesis-seed{seed} session",
-                   [sys.executable, "-B", "-c", SESSION, str(seed), os.path.join(out, "session.json")],
-                   tmp, os.pathsep.join([src, os.path.abspath(PERFBENCH)]))
+                   ["-c", SESSION, str(seed), os.path.join(out, "session.json")], tmp,
+                   os.pathsep.join([src, os.path.abspath(PERFBENCH)]))
     return lines
 
 
