@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasecore import (DomainError, DynamicSystem, PhaseState,
+from .phasecore import (DomainError, DynamicSystem, PhaseState, _subsample,
                         zero_controlling_function, verify_derivatives)
 # hamiltonian is unused here but stays importable: perfbench/tracing.py
 # patches canomap.cli.hamiltonian.
@@ -244,10 +244,6 @@ def _ballistic_cloud(rng, cfg):
             for _i in range(20)]
 
 
-def _subsample(traj, count=9):
-    return np.unique(np.linspace(0, len(traj) - 1, count).astype(int))
-
-
 def _rotation_image_error(cfg, system, spec, traj):
     """Max distance of a seeded cloud's image from the exact quarter-turn."""
     n = cfg.n
@@ -266,7 +262,7 @@ def _ballistic_conservation(cfg, system, spec, traj):
     lam4 = traj.lam[:, 3]
     adj = make_ballistic_adjoint(cfg.sigma)
     lamdot = _rates(system, traj)[1]
-    agree = max(float(np.max(np.abs(adj(traj[i]) - lamdot[i]))) for i in _subsample(traj))
+    agree = max(float(np.max(np.abs(adj(traj[i]) - lamdot[i]))) for i in _subsample(traj, 9))
     return {"area_integral_drift_rel": float(np.max(np.abs(rv - rv[0])) / max(1.0, abs(rv[0]))),
             "lam4_drift": float(np.max(np.abs(lam4 - lam4[0]))),
             "adjoint_agreement": agree}
@@ -328,11 +324,8 @@ def _straighten(cfg, system, x0, lam0):
                           "(it doubles as the multiplier target c)")
     prob = StraighteningProblem(c=[lam0[0]], a=[0.0], h=0.0, y0=[x0[0] + 1.0],
                                 lam_b=lam0[0])
-    return constant_field_reduction(
-        prob, system, x0, lam0,
-        lam_grid=np.linspace(lam0[0], lam0[0] + 2.0, 101),
-        x_grid=np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101),
-        t0=cfg.t0, t1=cfg.t1, step=cfg.step)
+    return constant_field_reduction(prob, system, x0, lam0,
+                                    t0=cfg.t0, t1=cfg.t1, step=cfg.step)
 
 
 def _pde_verdict(cfg, red):
@@ -353,7 +346,7 @@ def _pde_verdict(cfg, red):
 
 
 def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
-    defect = max(symplectic_test(spec, traj[i]) for i in _subsample(traj))
+    defect = max(symplectic_test(spec, traj[i]) for i in _subsample(traj, 9))
     act = action_function(system, traj)
     inv = {
         "scenario": cfg.scenario,

@@ -203,31 +203,28 @@ class HJResult:
     series: np.ndarray
 
 
-def hj_residual_U(cf, G: Callable, spec: MappingSpec,
-                  points: Sequence[PhaseState]) -> HJResult:
-    """Pointwise residual |U_t − G(x + U_lam, lam − U_x, t)| (Std116 image).
+def _hj_residual(cf, K: Callable, points: Sequence[PhaseState]) -> HJResult:
+    """Pointwise |U_t + K(s)| over points, U_t from cf."""
+    if not points:
+        raise ValueError("points must be nonempty")
+    series = np.array([abs(cf.ut(s.x, s.lam, s.t) + K(s)) for s in points])
+    return HJResult(float(np.max(series)), series)
+
+
+def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) -> HJResult:
+    """Pointwise residual |U_t − G(x + U_lam, lam − U_x, t)| (Std116 image),
+    with U = spec.cf.
 
     G is the Hamiltonian in the new variables, called as G(y, mu, t).
     """
     if spec.variant != "Std116":
         raise ValueError("hj_residual_U is defined for the Std116 variant")
-    if not points:
-        raise ValueError("points must be nonempty")
-    vals = []
-    for s in points:
-        y, mu = apply_map(spec, s)
-        vals.append(abs(cf.ut(s.x, s.lam, s.t) - float(G(y, mu, s.t))))
-    series = np.array(vals)
-    return HJResult(float(np.max(series)), series)
+    return _hj_residual(spec.cf, lambda s: -float(G(*apply_map(spec, s), s.t)), points)
 
 
 def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJResult:
     """Pointwise residual |U_t + lam·f(x, t)| (old-variable Hamiltonian)."""
-    if not points:
-        raise ValueError("points must be nonempty")
-    vals = [abs(cf.ut(s.x, s.lam, s.t) + hamiltonian(sys, s)) for s in points]
-    series = np.array(vals)
-    return HJResult(float(np.max(series)), series)
+    return _hj_residual(cf, lambda s: hamiltonian(sys, s), points)
 
 
 # ---------------------------------------------------------------------

@@ -97,8 +97,9 @@ def apply_map(spec: MappingSpec, s: PhaseState):
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
     """(det dy/dx, det dmu/dlam) for the variant's defining blocks.
 
-    Symplectic119 reports 1 + det(U_xlam)/4 for both entries — the shared
-    closed form of its equal Jacobians.
+    Symplectic119 instead reports the closed form 1 + det(U_xlam)/4 for both
+    entries.  That is not det dy/dx of the map apply_map computes: for
+    U = 0.4 x lam at (0.7, 0.3), dy/dx is 1.2 and this reports 1.1.
     """
     _require_dim(spec.cf, s)
     if spec.variant == "Symplectic119":

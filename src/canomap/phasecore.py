@@ -33,7 +33,10 @@ class DomainError(ValueError):
 # Finite differences
 # =====================================================================
 
-def _central_diff_x(func, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
+_FD_STEP = 1e-6   # default step scale of every central difference
+
+
+def _central_diff_x(func, x: np.ndarray, h_scale: float = _FD_STEP) -> np.ndarray:
     """Jacobian of func: R^n -> R^m by central differences, columns stacked.
 
     Returns an (m, n) array (or (n,) when func is scalar-valued).  Column i
@@ -53,12 +56,12 @@ def _central_diff_x(func, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _central_diff_t(func, t: float, h_scale: float = 1e-6):
+def _central_diff_t(func, t: float, h_scale: float = _FD_STEP):
     """Derivative of func: R -> R^m (or R) by one central difference."""
     return _central_diff_x(lambda tt: func(tt[0]), np.array([t], dtype=float), h_scale)[..., 0]
 
 
-def _central_diff(fn, arg: int, x, lam, t, h_scale: float = 1e-6):
+def _central_diff(fn, arg: int, x, lam, t, h_scale: float = _FD_STEP):
     """Central difference of a block fn(x, lam, t) in one argument (0 x,
     1 lam, 2 t), the others held fixed: one more trailing axis of size n for
     x or lam, none for t."""
@@ -78,6 +81,11 @@ _dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Cumulative trapezoidal integral of samples a over ts, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (a[1:] + a[:-1]))])
+
+
+def _subsample(traj, count: int) -> np.ndarray:
+    """Indices of up to count samples of traj, evenly spread, first and last included."""
+    return np.unique(np.linspace(0, len(traj) - 1, count).astype(int))
 
 
 # =====================================================================
@@ -238,7 +246,6 @@ def _require_dim(obj, s: PhaseState):
 # The central-difference rule behind every missing block of U, in install
 # order (first blocks before the second blocks that differentiate them):
 # block -> (source block, argument differentiated: 0 x, 1 lam, 2 t, ndim).
-_FD_STEP = 1e-6   # step scale of the first blocks, which differentiate u
 _FD_RULE = {
     "ux": ("u", 0, 1),
     "ulam": ("u", 1, 1),
@@ -417,6 +424,10 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
         Tolerance for first-derivative blocks.  Mixed/second blocks use
         max(rtol, 1e-4) since double-FD references are less accurate.
 
+    A system's ft is compared with the central difference of f in t even
+    when the system is labelled autonomous, so a label that f contradicts
+    fails.
+
     Returns
     -------
     DerivativeReport with per-block max relative errors.
@@ -425,43 +436,37 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
         raise ValueError("points must be nonempty")
     if rtol <= 0:
         raise ValueError("rtol must be positive")
-    rtol2 = max(rtol, 1e-4)
 
-    errs: dict = {}
-    tols: dict = {}
-
+    # Per kind: each block's tolerance, and pairs(s) yielding
+    # (block, supplied value, central-difference reference) at one point.
     if isinstance(obj, DynamicSystem):
-        for s in points:
-            _require_dim(obj, s)
-            _check_finite(obj.f_at(s.x, s.t), "f", s)
-            jac_fd = _central_diff_x(lambda xx: obj.f_at(xx, s.t), s.x)
-            errs["jac"] = max(errs.get("jac", 0.0),
-                              _rel_err(_check_finite(obj.jac_at(s.x, s.t), "jac", s), jac_fd))
-            if obj.autonomous:
-                errs["ft"] = max(errs.get("ft", 0.0), float(np.max(np.abs(obj.ft_at(s.x, s.t)))))
-            else:
-                ft_fd = _central_diff_t(lambda tt: obj.f_at(s.x, tt), s.t)
-                errs["ft"] = max(errs.get("ft", 0.0),
-                                 _rel_err(_check_finite(obj.ft_at(s.x, s.t), "ft", s), ft_fd))
+        f = lambda x, lam, t: obj.f_at(x, t)
         tols = {"jac": rtol, "ft": rtol}
-        backed = tuple(sorted(obj.fd_backed))
+
+        def pairs(s):
+            _check_finite(f(s.x, s.lam, s.t), "f", s)
+            yield "jac", obj.jac_at(s.x, s.t), _central_diff(f, 0, s.x, s.lam, s.t)
+            yield "ft", obj.ft_at(s.x, s.t), _central_diff(f, 2, s.x, s.lam, s.t)
     elif isinstance(obj, ControllingFunction):
-        for s in points:
-            _require_dim(obj, s)
+        tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": max(rtol, 1e-4)}
+
+        def pairs(s):
             _check_finite(float(obj.u(s.x, s.lam, s.t)), "u", s)
-            refs = {block: _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t)
-                    for block in ("ux", "ulam", "ut")}
+            for block in ("ux", "ulam", "ut"):
+                yield (block, getattr(obj, block)(s.x, s.lam, s.t),
+                       _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t))
             # uxlam[i, j] = d(ux_i)/dlam_j = d(ulam_j)/dx_i: the reference
             # differentiates ulam in x, not the ux of the FD rule in lam.
-            refs["uxlam"] = _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T
-            for block, ref in refs.items():
-                value = _check_finite(getattr(obj, block)(s.x, s.lam, s.t), block, s)
-                errs[block] = max(errs.get(block, 0.0), _rel_err(value, ref))
-        tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": rtol2}
-        backed = tuple(sorted(obj.fd_backed))
+            yield ("uxlam", obj.uxlam(s.x, s.lam, s.t),
+                   _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T)
     else:
         raise TypeError("verify_derivatives expects a DynamicSystem or ControllingFunction")
 
+    errs = dict.fromkeys(tols, 0.0)
+    for s in points:
+        _require_dim(obj, s)
+        for block, value, ref in pairs(s):
+            errs[block] = max(errs[block], _rel_err(_check_finite(value, block, s), ref))
     failing = tuple(sorted(name for name, e in errs.items() if e > tols[name]))
     return DerivativeReport(blocks=dict(sorted(errs.items())), failing=failing,
-                            fd_backed=backed, rtol=rtol)
+                            fd_backed=tuple(sorted(obj.fd_backed)), rtol=rtol)

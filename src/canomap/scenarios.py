@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
-                        PhaseState, Trajectory, _central_diff_t, _cumtrapz)
+                        PhaseState, Trajectory, _central_diff_t, _cumtrapz,
+                        _subsample)
 from .hamilton import _h_series, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
@@ -388,7 +389,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         if x_grid is None:
             x_grid = np.linspace(xs_sorted[0], xs_sorted[-1], 101)
     if lam_grid is None:
-        lam_grid = prob.lam_b + np.linspace(0.0, 2.0, 101)
+        lam_grid = np.linspace(prob.lam_b, prob.lam_b + 2.0, 101)
 
     sol = straightening_solve(prob, sys, F, x_grid, lam_grid)
     pde_residual = sol.residual_check()
@@ -405,14 +406,14 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     spec = MappingSpec("Std116", cf)
 
     # mapped motion on a subsample of the extremal
-    idx = np.unique(np.linspace(0, len(traj) - 1, 41).astype(int))
+    idx = _subsample(traj, 41)
     ys, mus = np.array([apply_map(spec, traj[i]) for i in idx])[:, :, 0].T
     mu_defect = float(np.max(np.abs(mus - c)))
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))
 
     pts = [traj[i] for i in idx[:: max(1, len(idx) // 8)]]
-    hj = hj_residual_U(cf, lambda y, mu, t: a * float(mu[0]), spec, pts)
+    hj = hj_residual_U(lambda y, mu, t: a * float(mu[0]), spec, pts)
 
     note = (f"boundary U(x, lam_b)=0 imposed at lam_b={prob.lam_b} "
             "(reference multiplier; identity-map limit)")

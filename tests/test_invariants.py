@@ -358,7 +358,7 @@ def test_hj_image_side_matches_new_hamiltonian():
     spec = MappingSpec("Std116", cf)
     points = [PhaseState([x], [lam], t)
               for x, lam, t in [(1.0, 2.0, 0.0), (-0.5, 0.3, 0.7), (2.0, -1.0, 1.5)]]
-    res = hj_residual_U(cf, lambda y, mu, t: a * mu[0], spec, points)
+    res = hj_residual_U(lambda y, mu, t: a * mu[0], spec, points)
     assert res.max_residual == 0.0
 
 
@@ -375,19 +375,34 @@ def test_hj_image_side_constant_drive():
         uxt=lambda x, lam, t: np.zeros(1),
         ulamt=lambda x, lam, t: np.zeros(1),
     )
-    res = hj_residual_U(cf, lambda y, mu, t: 0.0,
-                        MappingSpec("Std116", cf),
+    res = hj_residual_U(lambda y, mu, t: 0.0, MappingSpec("Std116", cf),
                         [PhaseState([1.0], [1.0], 0.5)])
     assert res.max_residual == 1.0
+
+
+def test_hj_image_side_reads_U_t_from_the_spec():
+    # U = 2t + x lam: U_t = 2 comes from the spec's own U, the one that
+    # also maps the point, so there is no second U to disagree with it
+    cf = ControllingFunction(
+        dim=1,
+        u=lambda x, lam, t: 2.0 * t + float(x[0] * lam[0]),
+        ux=lambda x, lam, t: lam,
+        ulam=lambda x, lam, t: x,
+        ut=lambda x, lam, t: 2.0,
+        uxlam=lambda x, lam, t: np.eye(1),
+    )
+    res = hj_residual_U(lambda y, mu, t: 0.0, MappingSpec("Std116", cf),
+                        [PhaseState([0.3], [0.2], 0.5)])
+    assert res.max_residual == 2.0
 
 
 def test_hj_image_side_validated():
     cf = drive_cf(0.4)
     with pytest.raises(ValueError, match="Std116"):
-        hj_residual_U(cf, lambda y, mu, t: 0.0, MappingSpec("Cross220", cf),
+        hj_residual_U(lambda y, mu, t: 0.0, MappingSpec("Cross220", cf),
                       [PhaseState([1.0], [1.0], 0.0)])
     with pytest.raises(ValueError, match="nonempty"):
-        hj_residual_U(cf, lambda y, mu, t: 0.0, MappingSpec("Std116", cf), [])
+        hj_residual_U(lambda y, mu, t: 0.0, MappingSpec("Std116", cf), [])
 
 
 def test_hj_old_side_exact_solution():

@@ -54,6 +54,16 @@ def test_wrong_jacobian_is_flagged():
     assert not report.ok
 
 
+def test_autonomous_label_is_checked_against_f():
+    # f reads t, so labelling it autonomous (ft_at = 0) is wrong: the
+    # central difference of f in t is 1 and the ft block must fail
+    mislabelled = DynamicSystem(dim=1, f=lambda x, t: x + t,
+                                jac=lambda x, t: np.eye(1), autonomous=True)
+    report = verify_derivatives(mislabelled, [PhaseState([0.0], [1.0], 0.0)])
+    assert report.blocks["ft"] == 1.0
+    assert report.failing == ("ft",)
+
+
 def test_quadratic_field_fd_accuracy():
     # degree-2 components: FD truncation vanishes, only rounding remains
     def f(x, t):

@@ -368,6 +368,16 @@ def test_reduction_frozen_field_is_exact():
     assert "lam_b=0.7" in rep.boundary_note
 
 
+def test_reduction_default_grids_are_the_cli_grids():
+    # at lam0 = 1.3, lam0 + linspace(0, 2) and linspace(lam0, lam0 + 2)
+    # differ in the last bit; the straightening scenario uses the latter
+    x0, lam0 = 0.3, 1.3
+    prob = StraighteningProblem(c=[lam0], a=[0.0], h=0.0, y0=[x0 + 1.0], lam_b=lam0)
+    sol = constant_field_reduction(prob, scalar_system(), [x0], [lam0]).solution
+    assert np.array_equal(sol.lam_grid, np.linspace(lam0, lam0 + 2.0, 101))
+    assert np.array_equal(sol.x_grid, np.linspace(x0 - 1.0, x0 + 1.0, 101))
+
+
 def test_reduction_moving_extremal_diagnostics():
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)

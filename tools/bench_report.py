@@ -27,7 +27,8 @@ import sys
 import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# -B: the timed suite writes no bytecode into the source tree.
+TIER1 = [sys.executable, "-B", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def spread(values):
@@ -70,7 +71,7 @@ def tier1():
     wall = time.monotonic() - start
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|errors?|skipped)", tail)}
-    return {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+    return {"command": "PYTHONPATH=src python -B -m pytest -q --continue-on-collection-errors",
             "wall_s": wall, "exit_code": proc.returncode, "counts": counts, "summary": tail}
 
 
