@@ -28,7 +28,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, _subsample,
 # hamiltonian is unused here but stays importable: perfbench/tracing.py
 # patches canomap.cli.hamiltonian.
 from .hamilton import _rates, energy_drift, hamiltonian, integrate
-from .mapping import MappingSpec, apply_map, canonicity_residual
+from .mapping import _CRITERION_VARIANTS, MappingSpec, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
                          poincare_cartan_loop, symplectic_test)
 from .scenarios import (StraighteningProblem, ballistic_system,
@@ -43,7 +43,6 @@ class ConfigError(ValueError):
 
 
 _DEFAULT_TOLERANCES = {"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-12}
-_RUN_VARIANTS = ("Std116", "Cross220")
 
 
 def _is_real(v) -> bool:
@@ -99,9 +98,9 @@ class RunConfig:
         # rounds back to t somewhere in the run and the march would stall.
         if 2 * self.step <= np.spacing(max(abs(self.t0), abs(self.t1))):
             raise ConfigError(f"step {self.step} is below the float spacing of t")
-        if self.map_variant not in _RUN_VARIANTS:
+        if self.map_variant not in _CRITERION_VARIANTS:
             raise ConfigError(
-                f"map_variant must be one of {_RUN_VARIANTS} for batch runs")
+                f"map_variant must be one of {_CRITERION_VARIANTS} for batch runs")
         if not (isinstance(self.tolerances, dict)
                 and self.tolerances.keys() >= _DEFAULT_TOLERANCES.keys()):
             raise ConfigError(

@@ -207,6 +207,8 @@ def _hj_residual(cf, K: Callable, points: Sequence[PhaseState]) -> HJResult:
     """Pointwise |U_t + K(s)| over points, U_t from cf."""
     if not points:
         raise ValueError("points must be nonempty")
+    for s in points:
+        _require_dim(cf, s)
     series = np.array([abs(cf.ut(s.x, s.lam, s.t) + K(s)) for s in points])
     return HJResult(float(np.max(series)), series)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (_FD_STEP, ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t, _dot, _mv, _require_dim)
+                        Trajectory, _central_diff_t, _dot, _mv, _require_dim, _zero_blocks)
 from .hamilton import _lift_at, _rates, fundamental_matrix
 
 __all__ = [
@@ -48,6 +48,7 @@ _FORM = {
     "Cross220": lambda s1, s2: (1, "ux", -1, "ulam"),
 }
 VARIANTS = tuple(_FORM)
+_CRITERION_VARIANTS = ("Std116", "Cross220")   # the variants with a canonicity criterion
 
 
 class DegeneratePivotError(ValueError):
@@ -66,8 +67,8 @@ class ConvergenceError(RuntimeError):
 class MappingSpec:
     """Mapping variant + controlling function.
 
-    signs applies to the sign variants SignVariant218/219 only; every other
-    variant takes the default (+1, -1) (Std116 is SignVariant218 with it).
+    signs applies where it changes the _FORM row (SignVariant218/219); every
+    other variant takes the default (+1, -1) (Std116 is SignVariant218 with it).
     """
 
     variant: str
@@ -80,7 +81,7 @@ class MappingSpec:
         signs = tuple(int(s) for s in self.signs)
         if len(signs) != 2 or any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be a pair drawn from {+1, -1}")
-        if signs != (1, -1) and self.variant not in ("SignVariant218", "SignVariant219"):
+        if signs != (1, -1) and _FORM[self.variant](*signs) == _FORM[self.variant](1, -1):
             raise ValueError(f"{self.variant} has fixed signs (+1, -1); vary them in SignVariant218/219")
         object.__setattr__(self, "signs", signs)
 
@@ -95,18 +96,14 @@ def apply_map(spec: MappingSpec, s: PhaseState):
 
 
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
-    """(det dy/dx, det dmu/dlam) for the variant's defining blocks.
-
-    Symplectic119 instead reports the closed form 1 + det(U_xlam)/4 for both
-    entries.  That is not det dy/dx of the map apply_map computes: for
-    U = 0.4 x lam at (0.7, 0.3), dy/dx is 1.2 and this reports 1.1.
-    """
+    """(det dy/dx, det dmu/dlam) of the map apply_map computes at s."""
     _require_dim(spec.cf, s)
-    if spec.variant == "Symplectic119":
-        d = 1.0 + 0.25 * float(np.linalg.det(spec.cf.uxlam(s.x, s.lam, s.t)))
-        return d, d
-    dy, dmu = _dets(spec, _rows(spec.cf, np.array([s.t]), s.x[None], s.lam[None]))
-    return float(dy[0]), float(dmu[0])
+    return tuple(float(d) for d in _dets(spec, _at(spec.cf, s)))
+
+
+def _at(cf: ControllingFunction, s: PhaseState):
+    """at(block): U's block at s, called once however often it is asked for."""
+    return functools.cache(lambda block: getattr(cf, block)(s.x, s.lam, s.t))
 
 
 def _rows(cf: ControllingFunction, t, X, LAM):
@@ -117,14 +114,19 @@ def _rows(cf: ControllingFunction, t, X, LAM):
         lambda block: np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)]))
 
 
-def _dets(spec: MappingSpec, rows):
-    """(det dy/dx, det dmu/dlam) at every sample of rows, one batched det each."""
-    a, gy, b, _ = _FORM[spec.variant](*spec.signs)
-    # G_y = U_lam and G_mu = U_x (both blocks U_xlam), or G_y = U_x and G_mu = U_lam
-    dy, dmu = ((np.swapaxes(rows("uxlam"), 1, 2), rows("uxlam")) if gy == "ulam"
-               else (rows("uxx"), rows("ulamlam")))
+# G -> (dG/dx, dG/dlam) for G in {U_x, U_lam}, each read from fetch = _at or
+# _rows (samples stacked first); uxlam[i, j] = d(U_x)_i/dlam_j, so dU_lam/dx
+# is its transpose.
+_DG = {"ux": (lambda fetch: fetch("uxx"), lambda fetch: fetch("uxlam")),
+       "ulam": (lambda fetch: np.swapaxes(fetch("uxlam"), -1, -2),
+                lambda fetch: fetch("ulamlam"))}
+
+
+def _dets(spec: MappingSpec, fetch):
+    """(det dy/dx, det dmu/dlam) at the sample(s) of fetch, one (batched) det each."""
+    a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
     E = np.eye(spec.cf.dim)
-    return np.linalg.det(E + a * dy), np.linalg.det(E + b * dmu)
+    return np.linalg.det(E + a * _DG[gy][0](fetch)), np.linalg.det(E + b * _DG[gmu][1](fetch))
 
 
 # ---------------------------------------------------------------------
@@ -167,7 +169,7 @@ def _require_criterion(sys, spec):
     if spec.cf.dim != sys.dim:
         raise ValueError(
             f"dimension mismatch: controlling function n={spec.cf.dim}, system n={sys.dim}")
-    if spec.variant not in ("Std116", "Cross220"):
+    if spec.variant not in _CRITERION_VARIANTS:
         raise ValueError(
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
 
@@ -398,19 +400,13 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
     def dvec(t):
         return D.value_at(t) @ ulam0
 
-    zeros_n = np.zeros(n)
-    zeros_nn = np.zeros((n, n))
     cf = ControllingFunction(
         n,
         u=lambda x, lam, t: float(dvec(t) @ lam),
-        ux=lambda x, lam, t: zeros_n,
         ulam=lambda x, lam, t: dvec(t),
         ut=lambda x, lam, t: float((sys.jac_at(x, t) @ dvec(t)) @ lam),
-        uxlam=lambda x, lam, t: zeros_nn,
-        uxx=lambda x, lam, t: zeros_nn,
-        ulamlam=lambda x, lam, t: zeros_nn,
-        uxt=lambda x, lam, t: zeros_n,
         ulamt=lambda x, lam, t: sys.jac_at(x, t) @ dvec(t),
+        **_zero_blocks(n, ("ux", "uxlam", "uxx", "ulamlam", "uxt")),
     )
     ulam_series = D.values @ ulam0
     return UlamSynthesis(cf=cf, ulam_series=ulam_series, propagator=D)
@@ -423,10 +419,9 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 def _map_jacobian(spec: MappingSpec, s: PhaseState):
     """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    cf, E, args = spec.cf, np.eye(spec.cf.dim), (s.x, s.lam, s.t)
-    uxlam = cf.uxlam(*args)
-    d = {"ux": (cf.uxx(*args), uxlam), "ulam": (uxlam.T, cf.ulamlam(*args))}  # dG/dx, dG/dlam
-    return np.block([[E + a * d[gy][0], a * d[gy][1]], [b * d[gmu][0], E + b * d[gmu][1]]])
+    at, E = _at(spec.cf, s), np.eye(spec.cf.dim)
+    (yx, ylam), (mux, mulam) = ([d(at) for d in _DG[g]] for g in (gy, gmu))
+    return np.block([[E + a * yx, a * ylam], [b * mux, E + b * mulam]])
 
 
 def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):

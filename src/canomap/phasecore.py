@@ -310,22 +310,14 @@ class ControllingFunction:
         return backed
 
 
+def _zero_blocks(dim: int, blocks=tuple(_FD_RULE)) -> dict:
+    """Exact zero closures for the named blocks of U, shaped by _FD_RULE."""
+    return {b: (lambda x, lam, t, z=np.zeros((dim,) * _FD_RULE[b][2]): z) for b in blocks}
+
+
 def zero_controlling_function(dim: int) -> ControllingFunction:
     """U identically zero, with exact (analytic) zero derivative blocks."""
-    z = np.zeros(dim)
-    zz = np.zeros((dim, dim))
-    return ControllingFunction(
-        dim,
-        u=lambda x, lam, t: 0.0,
-        ux=lambda x, lam, t: z,
-        ulam=lambda x, lam, t: z,
-        ut=lambda x, lam, t: 0.0,
-        uxlam=lambda x, lam, t: zz,
-        uxx=lambda x, lam, t: zz,
-        ulamlam=lambda x, lam, t: zz,
-        uxt=lambda x, lam, t: z,
-        ulamt=lambda x, lam, t: z,
-    )
+    return ControllingFunction(dim, u=lambda x, lam, t: 0.0, **_zero_blocks(dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +426,7 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
     """
     if not points:
         raise ValueError("points must be nonempty")
-    if rtol <= 0:
+    if not 0 < rtol < np.inf:
         raise ValueError("rtol must be positive")
 
     # Per kind: each block's tolerance, and pairs(s) yielding

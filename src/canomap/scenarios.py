@@ -16,7 +16,7 @@ import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz,
-                        _subsample)
+                        _subsample, _zero_blocks)
 from .hamilton import _h_series, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, apply_map
 from .invariants import hj_residual_U
@@ -125,27 +125,18 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
     """
     n = int(dim)
     E = np.eye(n)
-    z = np.zeros(n)
-
-    if u_t is None:
-        u_val = lambda t: 0.0
-        ut_val = lambda t: 0.0
-    else:
-        u_val = lambda t: float(u_t(t))
-        ut_val = lambda t: float(_central_diff_t(u_t, t))
-
+    u_val = (lambda t: 0.0) if u_t is None else (lambda t: float(u_t(t)))
     cf = ControllingFunction(
         n,
         u=lambda x, lam, t: 0.5 * float(lam @ lam) - 0.5 * float(x @ x)
             + float(lam @ x) + u_val(t),
         ux=lambda x, lam, t: lam - x,
         ulam=lambda x, lam, t: lam + x,
-        ut=lambda x, lam, t: ut_val(t),
+        ut=lambda x, lam, t: float(_central_diff_t(u_val, t)),   # exactly 0.0 without u_t
         uxlam=lambda x, lam, t: E,
         uxx=lambda x, lam, t: -E,
         ulamlam=lambda x, lam, t: E,
-        uxt=lambda x, lam, t: z,
-        ulamt=lambda x, lam, t: z,
+        **_zero_blocks(n, ("uxt", "ulamt")),
     )
     return cf, MappingSpec("Cross220", cf)
 

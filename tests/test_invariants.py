@@ -433,6 +433,18 @@ def test_hj_residual_H_rejects_non_finite_hamiltonian():
         hj_residual_H(zero_controlling_function(1), blown, [PhaseState([1.0], [1.0], 0.0)])
 
 
+def test_hj_residuals_check_the_dimension_of_U():
+    # U has n = 2, the system and the point n = 1: both residuals refuse
+    # before U_t is read
+    cf = zero_controlling_function(2)
+    points = [PhaseState([1.0], [1.5], 0.0)]
+    match = "^dimension mismatch: controlling function n=2, state n=1$"
+    with pytest.raises(ValueError, match=match):
+        hj_residual_H(cf, linear_system(2.0), points)
+    with pytest.raises(ValueError, match=match):
+        hj_residual_U(lambda y, mu, t: 0.0, MappingSpec("Std116", cf), points)
+
+
 def test_hj_old_side_energy_form():
     # freezing U_t at -H(0) leaves exactly the energy drift as residual
     sysl = linear_system()

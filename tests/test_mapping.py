@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem, PhaseState,
-                               Trajectory, _central_diff_x, zero_controlling_function)
+from canomap.phasecore import (_FD_RULE, ControllingFunction, DomainError, DynamicSystem,
+                               PhaseState, Trajectory, _central_diff_x,
+                               zero_controlling_function)
 from canomap.hamilton import canonical_rhs, energy_drift, integrate
 from canomap.invariants import action_function
 from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
@@ -124,9 +125,9 @@ def test_jacobian_condition_values():
     assert d1 == pytest.approx(1.1) and d2 == pytest.approx(0.9)
     d1, d2 = jacobian_condition(MappingSpec("Std116", bilinear_cf(-1.0)), s)
     assert abs(d1) < 1e-12  # image branch collapses at c = -1
-    # the half-step variant reports one shared value, 1 + det(U_xlam)/4
+    # the half-step variant: det(E + U_xlam^T / 2) and det(E + U_xlam / 2)
     d1, d2 = jacobian_condition(MappingSpec("Symplectic119", bilinear_cf(0.4)), s)
-    assert d1 == d2 == pytest.approx(1.1)
+    assert d1 == d2 == pytest.approx(1.2)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -473,6 +474,42 @@ def test_variant_table_image_and_jacobian():
             lambda v: np.concatenate(apply_map(spec, PhaseState(v[:2], v[2:], 0.2))), z)
         err = np.max(np.abs(_map_jacobian(spec, s) - ref))
         assert err < 1e-8, (spec.variant, spec.signs, err)
+        # jacobian_condition: the determinants of the diagonal blocks dy/dx, dmu/dlam
+        dets = np.linalg.det(ref[:2, :2]), np.linalg.det(ref[2:, 2:])
+        err = np.max(np.abs(np.subtract(jacobian_condition(spec, s), dets)))
+        assert err < 1e-8, (spec.variant, spec.signs, err)
+
+
+def _counting_cf(cf):
+    """cf with every block wrapped in a counter: (counted cf, block -> calls)."""
+    calls = dict.fromkeys(("u", *_FD_RULE), 0)
+
+    def counted(block):
+        def f(x, lam, t):
+            calls[block] += 1
+            return getattr(cf, block)(x, lam, t)
+        return f
+    return ControllingFunction(cf.dim, **{b: counted(b) for b in calls}), calls
+
+
+@pytest.mark.parametrize("variant, never", [("Std116", {"uxx", "uxt"}),
+                                            ("Cross220", {"ulamt"})])
+def test_canonicity_calls_each_block_once_per_sample(variant, never):
+    B = np.array([[0.3, -0.7], [0.5, 0.2]])
+    cf, calls = _counting_cf(quadratic_cf2(B, np.eye(2), -np.eye(2)))
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: B @ x, jac=lambda x, t: B, autonomous=True)
+    traj = integrate(sys_, PhaseState([0.7, -1.1], [0.4, 1.3], 0.0), 0.1, 0.01)
+    canonicity_residual(sys_, MappingSpec(variant, cf), traj)
+    assert {b for b, k in calls.items() if k} & never == set()
+    assert {k for k in calls.values() if k} == {len(traj)}, calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_map_jacobian_calls_each_second_block_once(variant):
+    B = np.array([[0.3, -0.7], [0.5, 0.2]])
+    cf, calls = _counting_cf(quadratic_cf2(B, np.eye(2), -np.eye(2)))
+    _map_jacobian(MappingSpec(variant, cf), PhaseState([0.7, -1.1], [0.4, 1.3], 0.0))
+    assert {b: k for b, k in calls.items() if k} == {"uxx": 1, "uxlam": 1, "ulamlam": 1}
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
-from canomap.phasecore import (ControllingFunction, DynamicSystem, PhaseState,
+from canomap.phasecore import (_FD_RULE, ControllingFunction, DynamicSystem, PhaseState,
                                Trajectory, _central_diff_t, _central_diff_x,
                                verify_derivatives, zero_controlling_function)
+from canomap.hamilton import integrate
+from canomap.mapping import synthesize_ulam
+from canomap.scenarios import rotation_example
 
 
 def linear_system(n=1, a=1.0):
@@ -153,8 +156,9 @@ def test_row_loop_fallback_matches_single_calls():
 def test_rtol_and_points_validated():
     with pytest.raises(ValueError):
         verify_derivatives(linear_system(), [])
-    with pytest.raises(ValueError):
-        verify_derivatives(linear_system(), random_states(1, 1), rtol=0.0)
+    for rtol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            verify_derivatives(linear_system(), random_states(1, 1), rtol=rtol)
     with pytest.raises(TypeError):
         verify_derivatives(object(), random_states(1, 1))
 
@@ -302,14 +306,21 @@ def test_fd_rule_pinned_bitwise(analytic_first):
 
 
 def test_zero_controlling_function_exact():
-    cf = zero_controlling_function(2)
-    s = PhaseState([1.0, -2.0], [0.5, 3.0], 0.2)
-    assert float(cf.u(s.x, s.lam, s.t)) == 0.0
-    assert np.array_equal(cf.ux(s.x, s.lam, s.t), np.zeros(2))
-    assert np.array_equal(cf.ulam(s.x, s.lam, s.t), np.zeros(2))
-    assert cf.ut(s.x, s.lam, s.t) == 0.0
-    assert np.array_equal(cf.uxlam(s.x, s.lam, s.t), np.zeros((2, 2)))
-    assert cf.fd_backed == frozenset()
+    for n in (1, 2, 3):
+        cf = zero_controlling_function(n)
+        s = PhaseState(np.linspace(-2.0, 1.0, n), np.linspace(0.5, 3.0, n), 0.2)
+        assert cf.u(s.x, s.lam, s.t) == 0.0
+        assert type(cf.ut(s.x, s.lam, s.t)) is float
+        for block, (_, _, ndim) in _FD_RULE.items():
+            got = getattr(cf, block)(s.x, s.lam, s.t)
+            assert np.array_equal(got, np.zeros((n,) * ndim)), (n, block)
+            assert np.shape(got) == (n,) * ndim, (n, block)
+        assert cf.fd_backed == frozenset()
+    # the zero blocks of the synthesized and the quarter-turn U are supplied too
+    sys_ = linear_system(2)
+    traj = integrate(sys_, PhaseState([1.0, 0.5], [0.2, -0.3], 0.0), 0.1, 0.01)
+    assert synthesize_ulam(sys_, traj, [0.4, -0.2]).cf.fd_backed == frozenset()
+    assert rotation_example()[0].fd_backed == frozenset()
 
 
 def test_cf_dimension_mismatch():

@@ -14,8 +14,10 @@ result.json that each run leaves in perfbench/.work/ and keeps:
 - the traced per-layer metrics;
 - the verdict of the benchmark's gate (correct, attempted, failed).
 
-Last, it times the Tier-1 suite.  Standard library only; it measures
-nothing itself besides the Tier-1 wall time.
+Last, it times the Tier-1 suite and records the size of the package:
+`src_lines`, the `wc -l src/canomap/*.py` total, and `all_size`, the length
+of `canomap.__all__` as a fresh interpreter imports it.  Standard library
+only; it measures nothing itself besides the Tier-1 wall time.
 """
 import argparse
 import json
@@ -63,11 +65,34 @@ def end_to_end(result):
     return out
 
 
-def tier1():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+def src_lines():
+    """Newlines in src/canomap/*.py, the total that `wc -l` prints."""
+    pkg = os.path.join(ROOT, "src", "canomap")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
+def all_size():
+    """len(canomap.__all__), read in a child interpreter."""
+    code = "import canomap; print(len(canomap.__all__))"
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def tier1():
     start = time.monotonic()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall = time.monotonic() - start
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|errors?|skipped)", tail)}
@@ -106,6 +131,7 @@ def main(argv=None):
         report["workloads"][name] = entry
     print("bench_report: tier-1", file=sys.stderr, flush=True)
     report["tier1"] = tier1()
+    report["src_lines"], report["all_size"] = src_lines(), all_size()
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
