@@ -78,9 +78,9 @@ class MappingSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        signs = tuple(int(s) for s in self.signs)
-        if len(signs) != 2 or any(s not in (-1, 1) for s in signs):
+        if len(self.signs) != 2 or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be a pair drawn from {+1, -1}")
+        signs = tuple(int(s) for s in self.signs)
         if signs != (1, -1) and _FORM[self.variant](*signs) == _FORM[self.variant](1, -1):
             raise ValueError(f"{self.variant} has fixed signs (+1, -1); vary them in SignVariant218/219")
         object.__setattr__(self, "signs", signs)
@@ -108,10 +108,11 @@ def _at(cf: ControllingFunction, s: PhaseState):
 
 def _rows(cf: ControllingFunction, t, X, LAM):
     """rows(block): U's block at M samples (t (M,), X and LAM (M, n)) stacked
-    on a first axis, called once per sample however often it is asked for."""
-    ts = t.tolist()
-    return functools.cache(
-        lambda block: np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)]))
+    on a first axis, a held constant broadcast, else called once per sample."""
+    ts, held = t.tolist(), cf._constant
+    return functools.cache(lambda block: (
+        np.broadcast_to(held[block], (t.size,) + held[block].shape) if block in held
+        else np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)])))
 
 
 # G -> (dG/dx, dG/dlam) for G in {U_x, U_lam}, each read from fetch = _at or

@@ -113,7 +113,7 @@ class DynamicSystem:
     vectorized : bool
         Opt-in batch contract: f, jac and ft take a stack of states X of
         shape (M, n).  f and ft return (M, n); jac returns (M, n, n), or
-        one (n, n) array when it does not depend on x (it is broadcast).
+        one (n, n) array when it does not depend on x.
         Single-state calls pass a (1, n) stack.  Requires jac, since there
         are no batched finite differences.  Without the flag, the batched
         helpers loop over rows with the single-state calls.
@@ -180,14 +180,14 @@ class DynamicSystem:
         return out
 
     def jac_rows(self, X: np.ndarray, t: float) -> np.ndarray:
-        """Jacobian at every row of X, as an (M, n, n) array (a read-only
-        view when a vectorized jac returns one (n, n) array)."""
+        """Jacobian at every row of X, as an (M, n, n) array, or (1, n, n) for
+        one (n, n) array from a vectorized jac, which stacked matmuls broadcast."""
         if not self.vectorized:
             return np.array([self.jac_at(x, t) for x in X])
         m, n = X.shape
         out = np.asarray(self.jac(X, t), dtype=float)
         if out.shape == (n, n):
-            return np.broadcast_to(out, (m, n, n))
+            return out[None]
         if out.shape != (m, n, n):
             raise ValueError(f"vectorized jac returned shape {out.shape}, "
                              f"expected {(m, n, n)} or {(n, n)}")
@@ -269,7 +269,9 @@ class ControllingFunction:
     blocks of the first ones with step 1e-4 when ux or ulam is FD-backed,
     else 1e-6) and recorded in ``fd_backed``.
 
-    All closures take (x, lam, t) with x, lam in R^n.
+    All closures take (x, lam, t) with x, lam in R^n.  A block free of them
+    may be a number or an array instead, held read-only in the block's shape
+    (ValueError if it does not fit) and broadcast over each array pass.
     """
 
     def __init__(self, dim, u, ux=None, ulam=None, ut=None, uxlam=None,
@@ -278,6 +280,7 @@ class ControllingFunction:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
         self.u = u
+        self._constant = {}   # block -> its value, for a block given as a constant
         given = dict(ux=ux, ulam=ulam, ut=ut, uxlam=uxlam, uxx=uxx,
                      ulamlam=ulamlam, uxt=uxt, ulamt=ulamt)
         for block, f in given.items():
@@ -287,6 +290,10 @@ class ControllingFunction:
     def _shaped(self, block, f):
         """f's result as the block's type: a float, an (n,) or an (n, n) array."""
         shape = (self.dim,) * _FD_RULE[block][2]
+        if not callable(f):
+            c = self._constant[block] = np.array(f, dtype=float).reshape(shape)
+            c.setflags(write=False)
+            return (lambda x, lam, t: c) if shape else (lambda x, lam, t, v=float(c): v)
         if not shape:
             return lambda x, lam, t: float(f(x, lam, t))
         return lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(shape)
@@ -311,8 +318,8 @@ class ControllingFunction:
 
 
 def _zero_blocks(dim: int, blocks=tuple(_FD_RULE)) -> dict:
-    """Exact zero closures for the named blocks of U, shaped by _FD_RULE."""
-    return {b: (lambda x, lam, t, z=np.zeros((dim,) * _FD_RULE[b][2]): z) for b in blocks}
+    """Exact zero constants for the named blocks of U, shaped by _FD_RULE."""
+    return {b: np.zeros((dim,) * _FD_RULE[b][2]) for b in blocks}
 
 
 def zero_controlling_function(dim: int) -> ControllingFunction:

@@ -71,11 +71,11 @@ def ballistic_system(sigma: float) -> DynamicSystem:
         if r <= _R_MIN:
             raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
         return np.array([
-            [0.0, 2.0 * v_phi / r, -v_phi ** 2 / r ** 2 + 2.0 * sig2 / r ** 3, 0.0],
-            [-v_phi / r, -v_r / r, v_r * v_phi / r ** 2, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0 / r, -v_phi / r ** 2, 0.0],
-        ])
+            0.0, 2.0 * v_phi / r, -v_phi ** 2 / r ** 2 + 2.0 * sig2 / r ** 3, 0.0,
+            -v_phi / r, -v_r / r, v_r * v_phi / r ** 2, 0.0,
+            1.0, 0.0, 0.0, 0.0,
+            0.0, 1.0 / r, -v_phi / r ** 2, 0.0,
+        ]).reshape(4, 4)
 
     return DynamicSystem(dim=4, f=f, jac=jac, autonomous=True)
 
@@ -133,9 +133,7 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
         ux=lambda x, lam, t: lam - x,
         ulam=lambda x, lam, t: lam + x,
         ut=lambda x, lam, t: float(_central_diff_t(u_val, t)),   # exactly 0.0 without u_t
-        uxlam=lambda x, lam, t: E,
-        uxx=lambda x, lam, t: -E,
-        ulamlam=lambda x, lam, t: E,
+        uxlam=E, uxx=-E, ulamlam=E,
         **_zero_blocks(n, ("uxt", "ulamt")),
     )
     return cf, MappingSpec("Cross220", cf)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+from canomap import hamilton
 from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                                zero_controlling_function)
 from canomap.hamilton import (EnergyDriftReport, _grid, _rates, _rk4_path, canonical_rhs,
@@ -337,6 +338,21 @@ def test_fundamental_matrix_duality_over_linear_fields(a, z):
     assert len(B.values) == len(D.values) == 101
     worst = max(float(np.max(np.abs(Bm @ Dm.T - np.eye(2)))) for Bm, Dm in zip(B.values, D.values))
     assert worst < 1e-10
+
+
+def test_duality_check_sees_a_transport_without_the_transpose(monkeypatch):
+    # B must solve Bdot = -A^T B.  With -A B in its place, B D^T = E breaks on
+    # a non-normal field and criterion 06's bound (1e-8) must flag it.
+    A = np.array([[0.2, 1.0], [0.0, -0.3]])
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    traj = integrate(sys_, PhaseState([1.0, 0.5], [0.3, -0.8], 0.0), 1.0, 1e-3)
+
+    def worst():
+        B, D = (fundamental_matrix(sys_, traj, kind).values for kind in ("B", "D"))
+        return max(float(np.max(np.abs(Bm @ Dm.T - np.eye(2)))) for Bm, Dm in zip(B, D))
+    assert worst() < 1e-8
+    monkeypatch.setitem(hamilton._KINDS, "B", lambda A, M: -A @ M)
+    assert worst() > 1e-8
 
 
 def test_fundamental_matrix_paper_convention_differs():

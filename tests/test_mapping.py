@@ -102,8 +102,9 @@ def test_sign_variants_flip_offsets():
     assert mu[0] == pytest.approx(2.2)
     with pytest.raises(ValueError, match="Std116"):
         MappingSpec("Std116", bilinear_cf(0.1), signs=(-1, 1))
-    with pytest.raises(ValueError, match="sign"):
-        MappingSpec("SignVariant218", bilinear_cf(0.1), signs=(2, -1))
+    for signs in ((2, -1), (1.9, -1.2)):   # refused, not truncated to (1, -1)
+        with pytest.raises(ValueError, match="sign"):
+            MappingSpec("SignVariant218", bilinear_cf(0.1), signs=signs)
     with pytest.raises(ValueError, match="variant"):
         MappingSpec("Affine", bilinear_cf(0.1))
 
@@ -666,6 +667,29 @@ def test_array_core_is_the_per_sample_equation_on_a_ballistic_orbit(u, variant, 
     traj = integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
                      0.25, 1e-2)
     _assert_reference(canonicity_residual(sysb, spec, traj), sysb, spec, list(traj))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), u=QUADRATIC, variant=CANONICITY_VARIANTS,
+       a=st.lists(st.floats(-2, 2), min_size=9, max_size=9),
+       z=st.lists(st.floats(-2, 2), min_size=6, max_size=6))
+def test_constant_second_blocks_report_as_their_closures(n, u, variant, a, z):
+    # the second blocks of a quadratic U are constants; held, they are
+    # broadcast over each pass instead of called per sample, bitwise alike
+    A = np.array(a[:n * n]).reshape(n, n)
+    sys_ = DynamicSystem(dim=n, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    closures = random_quadratic_cf(u, n, analytic=True)
+    second = ("uxlam", "uxx", "ulamlam", "uxt", "ulamt")
+    held = ControllingFunction(n, u=closures.u, ux=closures.ux, ulam=closures.ulam,
+                               ut=closures.ut, **{b: getattr(closures, b)(0, 0, 0) for b in second})
+    assert set(held._constant) == set(second) and not closures._constant
+    traj = integrate(sys_, PhaseState(z[:n], z[3:3 + n], 0.3), 0.8, 0.05)
+    for report in (lambda cf: canonicity_residual(sys_, MappingSpec(variant, cf), traj),
+                   lambda cf: canonicity_residual_points(sys_, MappingSpec(variant, cf),
+                                                         list(traj)[::3])):
+        want, got = report(closures), report(held)
+        for name in ("residual_series", "det_y_series", "det_mu_series"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("variant", ["Std116", "Cross220"])

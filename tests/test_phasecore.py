@@ -130,7 +130,10 @@ def test_vectorized_single_state_calls():
     assert verify_derivatives(sysv, random_states(2, 5)).ok
     X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     assert np.array_equal(sysv.f_rows(X, 1.0), X[:, ::-1])
-    assert sysv.jac_rows(X, 1.0).shape == (3, 2, 2)  # (n, n) is broadcast
+    J = sysv.jac_rows(X, 1.0)
+    assert J.shape == (1, 2, 2)   # one (n, n) array, which stacked matmuls broadcast
+    for x, row in zip(X, np.broadcast_to(J, (3, 2, 2))):
+        assert np.array_equal(row, sysv.jac_at(x, 1.0))
 
 
 def test_vectorized_wrong_shapes_rejected():
@@ -321,6 +324,26 @@ def test_zero_controlling_function_exact():
     traj = integrate(sys_, PhaseState([1.0, 0.5], [0.2, -0.3], 0.0), 0.1, 0.01)
     assert synthesize_ulam(sys_, traj, [0.4, -0.2]).cf.fd_backed == frozenset()
     assert rotation_example()[0].fd_backed == frozenset()
+
+
+def test_constant_blocks_are_held_read_only():
+    cf = zero_controlling_function(1)
+    g = cf.ux(np.zeros(1), np.zeros(1), 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        g += 5.0
+    assert np.array_equal(cf.ux(np.zeros(1), np.zeros(1), 0.0), [0.0])
+    E = np.eye(2)
+    cf = ControllingFunction(2, u=lambda x, lam, t: 0.0, uxlam=E, ut=0.5)
+    E[0, 1] = 7.0   # the caller's array stays the caller's: the block holds a copy
+    assert np.array_equal(cf.uxlam(E[0], E[1], 0.0), np.eye(2))
+    assert cf.ut(E[0], E[1], 0.0) == 0.5 and type(cf.ut(E[0], E[1], 0.0)) is float
+
+
+@pytest.mark.parametrize("block, value", [("uxlam", np.eye(3)), ("ux", np.zeros(3)),
+                                          ("ut", [0.0, 1.0]), ("ulamt", np.eye(2))])
+def test_constant_block_of_the_wrong_shape_refused(block, value):
+    with pytest.raises(ValueError, match="cannot reshape"):
+        ControllingFunction(2, u=lambda x, lam, t: 0.0, **{block: value})
 
 
 def test_cf_dimension_mismatch():
