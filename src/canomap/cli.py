@@ -25,10 +25,10 @@ import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, _subsample,
                         zero_controlling_function, verify_derivatives)
-# hamiltonian is unused here but stays importable: perfbench/tracing.py
-# patches canomap.cli.hamiltonian.
+# hamiltonian and apply_map are unused here but stay importable:
+# perfbench/tracing.py patches canomap.cli.hamiltonian and .apply_map.
 from .hamilton import _rates, energy_drift, hamiltonian, integrate
-from .mapping import _CRITERION_VARIANTS, MappingSpec, apply_map, canonicity_residual
+from .mapping import _CRITERION_VARIANTS, MappingSpec, _images, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
                          poincare_cartan_loop, symplectic_test)
 from .scenarios import (StraighteningProblem, ballistic_system,
@@ -246,12 +246,10 @@ def _ballistic_cloud(rng, cfg):
 def _rotation_image_error(cfg, system, spec, traj):
     """Max distance of a seeded cloud's image from the exact quarter-turn."""
     n = cfg.n
-    err = 0.0
-    for p in np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(100, 2 * n)):
-        s = PhaseState(p[:n], p[n:], cfg.t0)
-        y, mu = apply_map(spec, s)
-        err = max(err, float(np.max(np.abs(y - s.lam))), float(np.max(np.abs(mu + s.x))))
-    return {"rotation_image_error": err}
+    P = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(100, 2 * n))
+    Y, MU = _images(spec, np.full(100, float(cfg.t0)), P[:, :n], P[:, n:])
+    return {"rotation_image_error": max(float(np.max(np.abs(Y - P[:, n:]))),
+                                        float(np.max(np.abs(MU + P[:, :n]))))}
 
 
 def _ballistic_conservation(cfg, system, spec, traj):

@@ -16,10 +16,10 @@ import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                         _central_diff_x, _cumtrapz, _require_dim)
-# integrate is unused here but stays importable: perfbench/tracing.py
-# patches canomap.invariants.integrate.
+# integrate and apply_map are unused here but stay importable:
+# perfbench/tracing.py patches canomap.invariants.integrate and .apply_map.
 from .hamilton import _grid, _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
-from .mapping import MappingSpec, apply_map
+from .mapping import MappingSpec, _images, apply_map
 
 __all__ = [
     "symplectic_test",
@@ -45,14 +45,10 @@ def symplectic_test(mapping, s: PhaseState) -> float:
     J is the 2n x 2n central-difference Jacobian of the stacked map (step
     1e-6 max(1, |z_i|)) and I the standard symplectic matrix [[0, E], [-E, 0]].
     """
-    n = s.n
+    n, fwd = s.n, mapping
     if isinstance(mapping, MappingSpec):
-        t = s.t
-
-        def fwd(x, lam):
-            return apply_map(mapping, PhaseState(x, lam, t))
-    else:
-        fwd = mapping
+        _require_dim(mapping.cf, s)
+        fwd = lambda x, lam: _images(mapping, s.t, x, lam)
 
     def stacked(z):
         y, mu = fwd(z[:n], z[n:])
@@ -221,7 +217,7 @@ def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) 
     """
     if spec.variant != "Std116":
         raise ValueError("hj_residual_U is defined for the Std116 variant")
-    return _hj_residual(spec.cf, lambda s: -float(G(*apply_map(spec, s), s.t)), points)
+    return _hj_residual(spec.cf, lambda s: -float(G(*_images(spec, s.t, s.x, s.lam), s.t)), points)
 
 
 def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJResult:

@@ -9,7 +9,6 @@ whole U_lam profile) can be synthesized so the residual vanishes.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,34 +87,39 @@ class MappingSpec:
 
 def apply_map(spec: MappingSpec, s: PhaseState):
     """Forward image (y, mu) of the phase point under the chosen variant."""
-    cf = spec.cf
-    _require_dim(cf, s)
-    a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    return (s.x + a * getattr(cf, gy)(s.x, s.lam, s.t),
-            s.lam + b * getattr(cf, gmu)(s.x, s.lam, s.t))
+    _require_dim(spec.cf, s)
+    return _images(spec, s.t, s.x, s.lam)
 
 
 def jacobian_condition(spec: MappingSpec, s: PhaseState):
     """(det dy/dx, det dmu/dlam) of the map apply_map computes at s."""
     _require_dim(spec.cf, s)
-    return tuple(float(d) for d in _dets(spec, _at(spec.cf, s)))
-
-
-def _at(cf: ControllingFunction, s: PhaseState):
-    """at(block): U's block at s, called once however often it is asked for."""
-    return functools.cache(lambda block: getattr(cf, block)(s.x, s.lam, s.t))
+    return tuple(float(d) for d in _dets(spec, _rows(spec.cf, s.t, s.x, s.lam)))
 
 
 def _rows(cf: ControllingFunction, t, X, LAM):
-    """rows(block): U's block at M samples (t (M,), X and LAM (M, n)) stacked
-    on a first axis, a held constant broadcast, else called once per sample."""
-    ts, held = t.tolist(), cf._constant
-    return functools.cache(lambda block: (
-        np.broadcast_to(held[block], (t.size,) + held[block].shape) if block in held
-        else np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)])))
+    """rows(block): U's block, fetched at most once, at one state (t a float,
+    X and LAM (n,)) or stacked over M samples (t (M,), X and LAM (M, n)): a
+    held constant broadcast, any other block called once per sample."""
+    if X.ndim == 1:
+        fetch = lambda block: getattr(cf, block)(X, LAM, t)
+    else:
+        ts, held = t.tolist(), cf._constant
+        fetch = lambda block: (
+            np.broadcast_to(held[block], (t.size,) + held[block].shape) if block in held
+            else np.array([getattr(cf, block)(*a) for a in zip(X, LAM, ts)]))
+    got = {}   # not functools.cache, whose wrapper costs more to build than one image
+    return lambda block: got[block] if block in got else got.setdefault(block, fetch(block))
 
 
-# G -> (dG/dx, dG/dlam) for G in {U_x, U_lam}, each read from fetch = _at or
+def _images(spec: MappingSpec, t, X, LAM):
+    """(y, mu) = (x + a G_y, lam + b G_mu) at one state or a stack, as _rows."""
+    a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
+    rows = _rows(spec.cf, t, X, LAM)
+    return X + a * rows(gy), LAM + b * rows(gmu)
+
+
+# G -> (dG/dx, dG/dlam) for G in {U_x, U_lam}, each read from the fetch of
 # _rows (samples stacked first); uxlam[i, j] = d(U_x)_i/dlam_j, so dU_lam/dx
 # is its transpose.
 _DG = {"ux": (lambda fetch: fetch("uxx"), lambda fetch: fetch("uxlam")),
@@ -420,8 +424,8 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 def _map_jacobian(spec: MappingSpec, s: PhaseState):
     """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    at, E = _at(spec.cf, s), np.eye(spec.cf.dim)
-    (yx, ylam), (mux, mulam) = ([d(at) for d in _DG[g]] for g in (gy, gmu))
+    rows, E = _rows(spec.cf, s.t, s.x, s.lam), np.eye(spec.cf.dim)
+    (yx, ylam), (mux, mulam) = ([d(rows) for d in _DG[g]] for g in (gy, gmu))
     return np.block([[E + a * yx, a * ylam], [b * mux, E + b * mulam]])
 
 
@@ -443,7 +447,7 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     for name, v in zip(("y", "mu", "x_init", "lam_init"), (y, mu, x0, lam0)):
         if v.shape != (n,):
             raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
-    target = np.concatenate([y, mu])
+    target, t = np.concatenate([y, mu]), float(t)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(target))))
     _, gy, _, gmu = _FORM[spec.variant](*spec.signs)
     fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {gy, gmu} & cf.fd_backed else 0.0
@@ -451,7 +455,7 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     def residual(z):
         if not np.isfinite(z).all():
             return np.full(2 * n, np.nan)
-        return np.concatenate(apply_map(spec, PhaseState(z[:n], z[n:], t))) - target
+        return np.concatenate(_images(spec, t, z[:n], z[n:])) - target
 
     z = np.concatenate([x0, lam0])
     r = residual(z)

@@ -18,7 +18,7 @@ from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz,
                         _subsample, _zero_blocks)
 from .hamilton import _h_series, _xdot, hamiltonian, integrate
-from .mapping import MappingSpec, apply_map
+from .mapping import MappingSpec, _images
 from .invariants import hj_residual_U
 
 __all__ = [
@@ -396,7 +396,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
 
     # mapped motion on a subsample of the extremal
     idx = _subsample(traj, 41)
-    ys, mus = np.array([apply_map(spec, traj[i]) for i in idx])[:, :, 0].T
+    ys, mus = (v[:, 0] for v in _images(spec, ts[idx], traj.x[idx], traj.lam[idx]))
     mu_defect = float(np.max(np.abs(mus - c)))
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))

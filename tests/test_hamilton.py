@@ -429,6 +429,24 @@ def test_energy_drift_driven_field_compensated():
     # H(t) - H0 = lam0 * t, matched by the trapezoidal int of lam * f_t
     assert report.drift < 1e-8
     assert report.h_series[-1] == pytest.approx(3.0, rel=1e-10)
+    # a wrong ft = 2 overshoots by lam0 (t1 - t0) = 3, where the right one
+    # reads 7.4e-14, against criterion 09's 1e-6
+    wrong = DynamicSystem(dim=1, f=driven.f, jac=driven.jac, ft=lambda x, t: 2.0 * np.ones(1))
+    assert energy_drift(wrong, traj).drift == pytest.approx(3.0, rel=1e-12)
+
+
+def test_fd_backed_ft_compensates_as_the_analytic_one():
+    # f = sin(t) x: the central difference of f in t stands in for the
+    # omitted ft, and the drift (about 2.8e-6) moves by about 1.6e-12
+    def driven(**ft):
+        return DynamicSystem(dim=1, f=lambda x, t: np.sin(t) * x,
+                             jac=lambda x, t: np.sin(t) * np.eye(1), **ft)
+    fd, exact = driven(), driven(ft=lambda x, t: np.cos(t) * x)
+    assert fd.fd_backed == {"ft"} and exact.fd_backed == set()
+    drifts = [energy_drift(s, integrate(s, PhaseState([0.4], [1.3], 0.2), 1.0, 1e-2)).drift
+              for s in (fd, exact)]
+    assert drifts[1] == pytest.approx(2.785478e-6, rel=1e-6)
+    assert 0.0 < abs(drifts[0] - drifts[1]) < 1e-11
 
 
 def test_energy_drift_reads_the_columns_bitwise():

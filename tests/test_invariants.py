@@ -6,7 +6,7 @@ from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
                                PhaseState, Trajectory, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.mapping import MappingSpec, canonicity_residual_points
-from canomap.invariants import (action_function, circle_loop,
+from canomap.invariants import (LoopEnsemble, action_function, circle_loop,
                                 controlling_potential, flow_loop,
                                 hj_residual_H, hj_residual_U,
                                 poincare_cartan_loop, symplectic_test)
@@ -46,6 +46,9 @@ def test_symplectic_identity_and_rotation_exact():
     s = PhaseState([0.7], [-1.3], 0.0)
     assert symplectic_test(lambda x, lam: (x, lam), s) == 0.0
     assert symplectic_test(lambda x, lam: (lam, -x), s) == 0.0
+    # y = 1.0001 lam misses the quarter-turn's area by 1e-4, a hundred times
+    # the CLI's 1e-6 tolerance
+    assert symplectic_test(lambda x, lam: (1.0001 * lam, -x), s) == pytest.approx(1e-4, rel=1e-6)
 
 
 def test_symplectic_pure_stretch():
@@ -124,6 +127,17 @@ def test_loop_drift_linear_field():
     ens = flow_loop(sysl, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 256),
                     [1.0], 1e-2)
     assert poincare_cartan_loop(ens) < 1e-5
+
+
+def test_loop_drift_sees_one_moved_vertex():
+    # xdot = x preserves the area; one flowed vertex moved by 1e-3 in x adds
+    # 1e-3 (lam_11 - lam_9) / 2, about 1.0e-5, above criterion 05's 1e-5
+    ens = flow_loop(linear_system(), circle_loop(PhaseState([1.0], [1.0], 0.0), 0.5, 64),
+                    [1.0], 1e-3)
+    assert poincare_cartan_loop(ens) < 1e-14
+    loop = list(ens.flowed[0])
+    loop[10] = PhaseState(loop[10].x + 1e-3, loop[10].lam, loop[10].t)
+    assert 1e-5 < poincare_cartan_loop(LoopEnsemble(ens.loop0, (tuple(loop),))) < 1.1e-5
 
 
 def test_loop_vertex_count_gate():

@@ -9,9 +9,9 @@ from canomap.phasecore import (_FD_RULE, ControllingFunction, DomainError, Dynam
                                PhaseState, Trajectory, _central_diff_x,
                                zero_controlling_function)
 from canomap.hamilton import canonical_rhs, energy_drift, integrate
-from canomap.invariants import action_function
+from canomap.invariants import action_function, symplectic_test
 from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
-                             MappingSpec, RootNotFoundError, _map_jacobian, apply_map,
+                             MappingSpec, RootNotFoundError, _images, _map_jacobian, apply_map,
                              canonicity_residual, canonicity_residual_points,
                              invert_map, jacobian_condition, synthesize_lambda0,
                              synthesize_lambda0_cross, synthesize_ulam)
@@ -134,7 +134,7 @@ def test_jacobian_condition_values():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_jacobian_condition_checks_the_dimension(variant):
     spec = MappingSpec(variant, zero_controlling_function(2))
-    for call in (apply_map, jacobian_condition):
+    for call in (apply_map, jacobian_condition, symplectic_test):
         with pytest.raises(ValueError,
                            match="^dimension mismatch: controlling function n=2, state n=1$"):
             call(spec, PhaseState([1.0], [1.0], 0.0))
@@ -456,6 +456,35 @@ OFFSETS = {
     "SignVariant219": lambda s1, s2, ux, ulam: (s1 * ux, s2 * ulam),
     "Cross220": lambda s1, s2, ux, ulam: (ux, -ulam),
 }
+
+
+def _image_cf(held):
+    """n = 2 U whose first blocks are closures in x, lam and t, or, held,
+    constant arrays (the other blocks FD-backed, which no image reads)."""
+    if held:
+        c, d = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+        return ControllingFunction(2, lambda x, lam, t: float(c @ x + d @ lam), ux=c, ulam=d)
+    return ControllingFunction(
+        2, lambda x, lam, t: float(np.sin(x) @ lam + 0.5 * t * x @ x),
+        ux=lambda x, lam, t: np.cos(x) * lam + t * x, ulam=lambda x, lam, t: np.sin(x))
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("variant, signs", [(v, s) for v in VARIANTS for s in _signs_of(v)])
+def test_images_of_a_stack_a_state_and_apply_map_agree(variant, signs, held):
+    spec = MappingSpec(variant, _image_cf(held), signs=signs)
+    rng = np.random.default_rng(5)
+    t, X, LAM = rng.uniform(0.0, 1.0, 6), rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 2))
+    Y, MU = _images(spec, t, X, LAM)
+    I = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    for i, ti in enumerate(t.tolist()):
+        s = PhaseState(X[i], LAM[i], ti)
+        for y, mu in (_images(spec, ti, X[i], LAM[i]), apply_map(spec, s)):
+            assert y.tobytes() == Y[i].tobytes() and mu.tobytes() == MU[i].tobytes()
+        # reference defect: apply_map on a PhaseState built at each stencil point
+        J = _central_diff_x(
+            lambda z: np.concatenate(apply_map(spec, PhaseState(z[:2], z[2:], ti))), s.z())
+        assert symplectic_test(spec, s) == float(np.max(np.abs(J.T @ I @ J - I)))
 
 
 def test_variant_table_image_and_jacobian():

@@ -249,10 +249,16 @@ def test_trajectory_samples_on_demand_and_read_only():
 # ---------------------------------------------------------------------
 
 def test_quadratic_cf_passes_verification():
-    report = verify_derivatives(quadratic_cf(), random_states(1, 10, seed=1),
-                                rtol=1e-5)
+    cf, pts = quadratic_cf(), random_states(1, 10, seed=1)
+    report = verify_derivatives(cf, pts, rtol=1e-5)
     assert report.ok
     assert set(report.blocks) == {"ux", "ulam", "ut", "uxlam"}
+    # uxlam = 2E where the true block is E: relative error 0.5 against the
+    # mixed blocks' 1e-4 tolerance, where the right block reads 1.1e-11
+    bad = ControllingFunction(1, cf.u, ux=cf.ux, ulam=cf.ulam, ut=cf.ut,
+                              uxlam=lambda x, lam, t: 2.0 * np.eye(1))
+    report = verify_derivatives(bad, pts, rtol=1e-5)
+    assert report.blocks["uxlam"] == pytest.approx(0.5) and report.failing == ("uxlam",)
 
 
 def test_fd_fallback_approximates_derivatives():

@@ -16,10 +16,15 @@ result.json that each run leaves in perfbench/.work/ and keeps:
 
 Last, it times the Tier-1 suite and records the size of the package:
 `src_lines`, the `wc -l src/canomap/*.py` total, and `all_size`, the length
-of `canomap.__all__` as a fresh interpreter imports it.  Standard library
-only; it measures nothing itself besides the Tier-1 wall time.
+of `canomap.__all__` as a fresh interpreter imports it.  Next to the commit
+that perfbench names, `src_sha256` (a sha256 over the sorted names and bytes
+of src/canomap/*.py) and `src_dirty` (whether `git status --porcelain -- src`
+prints anything; null outside git) say which source was measured, also when
+it was not committed.  Standard library only; it measures nothing itself
+besides the Tier-1 wall time.
 """
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -71,15 +76,38 @@ def src_env():
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
 
 
-def src_lines():
-    """Newlines in src/canomap/*.py, the total that `wc -l` prints."""
+def src_files():
+    """(name, bytes) of every src/canomap/*.py, sorted by name."""
     pkg = os.path.join(ROOT, "src", "canomap")
-    total = 0
-    for name in os.listdir(pkg):
+    out = []
+    for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                out.append((name, fh.read()))
+    return out
+
+
+def src_lines(files):
+    """Newlines in the files, the total that `wc -l` prints."""
+    return sum(data.count(b"\n") for _name, data in files)
+
+
+def src_sha256(files):
+    """sha256 over each file's name, a NUL, and its bytes, in name order."""
+    digest = hashlib.sha256()
+    for name, data in files:
+        digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+def src_dirty():
+    """Whether `git status --porcelain -- src` prints anything; None outside git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def all_size():
@@ -109,8 +137,11 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
+    files = src_files()   # read before the runs: the source they measure
     report = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
-              "perfbench": " ".join(bench["command"]), "workloads": {}}
+              "perfbench": " ".join(bench["command"]), "workloads": {},
+              "src_lines": src_lines(files), "src_sha256": src_sha256(files),
+              "src_dirty": src_dirty()}
     for w in bench["workloads"]:
         name = w["name"]
         entry = {}
@@ -131,7 +162,7 @@ def main(argv=None):
         report["workloads"][name] = entry
     print("bench_report: tier-1", file=sys.stderr, flush=True)
     report["tier1"] = tier1()
-    report["src_lines"], report["all_size"] = src_lines(), all_size()
+    report["all_size"] = all_size()
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
