@@ -21,9 +21,8 @@ from .mapping import (CanonicityReport, ConvergenceError, DegeneratePivotError,
                       jacobian_condition, synthesize_lambda0,
                       synthesize_lambda0_cross, synthesize_ulam)
 from .invariants import (ActionRecord, HJResult, LoopEnsemble, action_function,
-                         circle_loop, controlling_potential, flow_loop,
-                         hj_residual_H, hj_residual_U, poincare_cartan_loop,
-                         symplectic_test)
+                         circle_loop, flow_loop, hj_residual_H,
+                         hj_residual_U, poincare_cartan_loop, symplectic_test)
 from .liemap import (Generator, compose_flow, hamiltonian_field,
                      infinitesimal_step, poisson_bracket)
 from .scenarios import (ConstantFieldReport, StraighteningProblem,
@@ -45,8 +44,8 @@ __all__ = [
     "canonicity_residual_points", "invert_map", "jacobian_condition",
     "synthesize_lambda0", "synthesize_lambda0_cross", "synthesize_ulam",
     "ActionRecord", "HJResult", "LoopEnsemble", "action_function",
-    "circle_loop", "controlling_potential", "flow_loop", "hj_residual_H",
-    "hj_residual_U", "poincare_cartan_loop", "symplectic_test",
+    "circle_loop", "flow_loop", "hj_residual_H", "hj_residual_U",
+    "poincare_cartan_loop", "symplectic_test",
     "Generator", "compose_flow", "hamiltonian_field",
     "infinitesimal_step", "poisson_bracket",
     "ConstantFieldReport", "StraighteningProblem", "StraighteningSolution",

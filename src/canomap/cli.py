@@ -4,7 +4,8 @@ Artifacts per run (all deterministic for a fixed config):
 
     trajectory.csv   t, x_1..x_n, lam_1..lam_n, H
     canonicity.csv   t, residual, det_y, det_mu
-    invariants.json  loop drift, symplectic defects, HJ residuals, actions
+    invariants.json  verdict, canonicity and symplectic defects, energy drift,
+                     action, loop drift (straightening: PDE, ydot, mu defects)
     plot.gp          optional gnuplot script referencing the CSVs
 
 Exit codes: 0 ok, 1 verdict=violated, 2 usage/config error, 3 numerical
@@ -334,7 +335,6 @@ def _pde_verdict(cfg, red):
         "pde_residual_max": red.pde_residual_max,
         "ydot_max_err": red.ydot_max_err,
         "mu_defect": red.mu_defect,
-        "hj_residual": red.hj_residual,
         "energy_mismatch": red.energy_mismatch,
         "boundary": red.boundary_note,
         "loop_drift": None,
@@ -353,7 +353,6 @@ def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
         "symplectic_defect_max": defect,
         "energy_drift": drift.drift,
         "action_S": act.S,
-        "hj_residual": act.hj_residual,
         "loop_drift": None,
     }
     if cfg.n == 1:

@@ -227,10 +227,12 @@ class FundamentalMatrix:
         """Matrix at time t: exact at grid times, else linear interpolation."""
         ts = self.times
         i = int(np.searchsorted(ts, t))
-        for j in (i, i - 1):   # ts[i - 1] < t <= ts[i], so a grid time t is ts[i]
+        # ts[i - 1] < t <= ts[i], so a grid time t is ts[i]; a non-finite t
+        # matches no sample (its window would be infinite) and is out of range
+        for j in (i, i - 1) if math.isfinite(t) else ():
             if 0 <= j < ts.size and abs(ts[j] - t) <= 1e-9 * max(1.0, abs(t)):
                 return self.values[j]
-        if t < ts[0] or t > ts[-1]:
+        if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"t={t} outside the stored range [{ts[0]}, {ts[-1]}]")
         j = min(max(i, 1), ts.size - 1)
         w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])

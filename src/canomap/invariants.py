@@ -2,11 +2,11 @@
 
 None of these reuse the differential canonicity criterion from `mapping`;
 they check the same claims through different mathematics — the symplectic
-2-form, fixed-time loop integrals of lam dx, the action function, pointwise
-Hamilton-Jacobi residuals, and the potential that separates two action
-integrals.  The routes certify different properties and can disagree: for
-xdot = a x the shear y = x + r lam, mu = lam passes symplectic_test but
-fails the Std116 residual (tests/test_invariants.py pins such cases)."""
+2-form, fixed-time loop integrals of lam dx, the action function and
+pointwise Hamilton-Jacobi residuals.  The routes certify different
+properties and can disagree: for xdot = a x the shear y = x + r lam,
+mu = lam passes symplectic_test but fails the Std116 residual
+(tests/test_invariants.py pins such cases)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _central_diff_x, _cumtrapz, _require_dim)
+                        _central_diff_x, _require_dim)
 # integrate and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.invariants.integrate and .apply_map.
 from .hamilton import _grid, _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
@@ -32,7 +32,6 @@ __all__ = [
     "HJResult",
     "hj_residual_U",
     "hj_residual_H",
-    "controlling_potential",
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -89,6 +88,8 @@ def circle_loop(center: PhaseState, radius: float, M: int) -> tuple:
         raise ValueError("circle_loop is defined for n=1")
     if M < 3:
         raise ValueError("need at least 3 vertices")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     theta = 2.0 * np.pi * np.arange(M) / M
     verts = [PhaseState([center.x[0] + radius * np.cos(a)],
                         [center.lam[0] + radius * np.sin(a)], center.t)
@@ -148,14 +149,17 @@ def poincare_cartan_loop(ens: LoopEnsemble, richardson: bool = False) -> float:
     Each loop lies at one time (dt = 0 on every edge), so this is the
     Poincaré–Cartan integral ∮ lam·dx − H·dt on a constant-time loop: the
     oriented phase-plane area enclosed.  Loops with fewer than 8 distinct
-    vertices are rejected as too coarse to quadrature.
+    vertices are rejected as too coarse to quadrature, and an ensemble with
+    no flowed loop as having nothing to compare.
     """
+    if not ens.flowed:
+        raise ValueError("the ensemble holds no flowed loop")
     for loop in (ens.loop0, *ens.flowed):
         if len(loop) - 1 < 8:
             raise ValueError("loop with <8 vertices: quadrature too coarse")
     base = _loop_integral(ens.loop0, richardson)
     drifts = [abs(_loop_integral(loop, richardson) - base) for loop in ens.flowed]
-    return float(max(drifts)) if drifts else 0.0
+    return float(max(drifts))
 
 
 # ---------------------------------------------------------------------
@@ -166,27 +170,22 @@ def poincare_cartan_loop(ens: LoopEnsemble, richardson: bool = False) -> float:
 class ActionRecord:
     S: float                   # ∫ L dt along the trajectory
     dS_series: np.ndarray      # per-interval lam·dx − H·dt increments
-    hj_residual: float         # max |−H + lam·f| at samples
 
 
 def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
     """Action along an extremal: S = ∫ lam·(xdot − f) dt (≈ 0 on extremals).
 
-    dS_series carries the trapezoidal increments of lam·dx − H·dt, and the
-    Hamilton-Jacobi residual substitutes S_x = lam, S_t = −H at the samples,
-    collapsing to |−H + lam·f| — zero in exact arithmetic, so the returned
-    value measures pure numerics.
+    dS_series carries the trapezoidal increments of lam·dx − H·dt.
     """
     ts, xs, lams = traj.t, traj.x, traj.lam
     f = _xdot(sys, traj)
     hs = _h_series(traj, f)
     L = _lam_dot(lams, f - f)
-    hj = np.max(np.abs(-hs + _lam_dot(lams, f)))
     S = float(_trapz(L, ts))
     lam_mid = 0.5 * (lams[1:] + lams[:-1])
     h_mid = 0.5 * (hs[1:] + hs[:-1])
     dS = np.sum(lam_mid * np.diff(xs, axis=0), axis=1) - h_mid * np.diff(ts)
-    return ActionRecord(S=S, dS_series=dS, hj_residual=float(hj))
+    return ActionRecord(S=S, dS_series=dS)
 
 
 # ---------------------------------------------------------------------
@@ -223,26 +222,3 @@ def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) 
 def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJResult:
     """Pointwise residual |U_t + lam·f(x, t)| (old-variable Hamiltonian)."""
     return _hj_residual(cf, lambda s: hamiltonian(sys, s), points)
-
-
-# ---------------------------------------------------------------------
-# Controlling potential
-# ---------------------------------------------------------------------
-
-def controlling_potential(sys_old: DynamicSystem, sys_new: DynamicSystem,
-                          traj_old: Trajectory, traj_new: Trajectory) -> np.ndarray:
-    """Cumulative ∫ (lam·xdot − mu·ydot + G − H) dt on the shared grid.
-
-    traj_new must sample the image motion on exactly traj_old's time grid;
-    G and H are the respective lifted Hamiltonians.  For a true canonical
-    pair the integrand vanishes identically and the series stays at rounding
-    level; any systematic growth is the potential separating the two action
-    integrals.
-    """
-    if len(traj_old) != len(traj_new):
-        raise ValueError("mismatched grids: trajectories differ in length")
-    if float(np.max(np.abs(traj_old.t - traj_new.t))) > 1e-9:
-        raise ValueError("mismatched grids: sample times differ")
-    H = _lam_dot(traj_old.lam, _xdot(sys_old, traj_old))
-    G = _lam_dot(traj_new.lam, _xdot(sys_new, traj_new))
-    return _cumtrapz(traj_old.t, H - G + G - H)

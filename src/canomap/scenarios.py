@@ -19,7 +19,6 @@ from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         _subsample, _zero_blocks)
 from .hamilton import _h_series, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, _images
-from .invariants import hj_residual_U
 
 __all__ = [
     "ballistic_system",
@@ -320,13 +319,16 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
 
 @dataclass(frozen=True, eq=False)
 class ConstantFieldReport:
+    """How well the solved U straightens the extremal.  No Hamilton-Jacobi
+    residual with G = a.mu is kept: a.c = h makes |h - a.mu| = |a| |c - mu|,
+    a scaled mu_defect."""
+
     solution: StraighteningSolution
     traj: Trajectory
     f_line: np.ndarray          # cumulative ∫ lam dx along the extremal
     pde_residual_max: float
     ydot_max_err: float         # max |ydot - a| on the mapped motion
     mu_defect: float            # max |lam - U_x - c| (compatibility diagnostic)
-    hj_residual: float          # HJ residual with G(y, mu) = a.mu
     energy_mismatch: float      # |lam0.f(x0) - h|
     boundary_note: str
 
@@ -341,7 +343,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     along the system's own extremal from (x0, lam0, t0) to t1 (for a frozen
     field every grid x is its own extremal and the integral vanishes), solves
     the straightening PDE, and reports how well the mapped motion achieves
-    ydot = a, mu = c, and the Hamilton-Jacobi equation with G = a.mu.
+    ydot = a and mu = c.
     """
     if not sys.autonomous:
         raise ValueError("constant_field_reduction requires an autonomous system")
@@ -401,15 +403,11 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))
 
-    pts = [traj[i] for i in idx[:: max(1, len(idx) // 8)]]
-    hj = hj_residual_U(lambda y, mu, t: a * float(mu[0]), spec, pts)
-
     note = (f"boundary U(x, lam_b)=0 imposed at lam_b={prob.lam_b} "
             "(reference multiplier; identity-map limit)")
     return ConstantFieldReport(solution=sol, traj=traj, f_line=f_line,
                                pde_residual_max=pde_residual,
                                ydot_max_err=ydot_max_err,
                                mu_defect=mu_defect,
-                               hj_residual=hj.max_residual,
                                energy_mismatch=energy_mismatch,
                                boundary_note=note)

@@ -46,6 +46,9 @@ def test_rotation_run_is_canonical(tmp_path, capsys):
     inv = json.loads((out / "invariants.json").read_text())
     assert inv["verdict"] == "canonical"
     assert inv["verdict_basis"] == "symplectic"
+    assert set(inv) == set("action_S canonicity_max_residual energy_drift "
+                           "jacobian_min_abs_det loop_drift rotation_image_error "
+                           "scenario symplectic_defect_max verdict verdict_basis".split())
     # y = lam alone, so the differential criterion's block determinants vanish
     assert inv["jacobian_min_abs_det"] == 0
     assert inv["rotation_image_error"] < 1e-12
@@ -83,6 +86,10 @@ def test_ballistic_run_conserves_everything(tmp_path):
     assert main(["run", "--config", cfg]) == 0
     inv = json.loads((out / "invariants.json").read_text())
     assert inv["scenario"] == "ballistic"
+    assert set(inv) == set("action_S adjoint_agreement area_integral_drift_rel "
+                           "canonicity_max_residual energy_drift jacobian_min_abs_det "
+                           "lam4_drift loop_drift scenario symplectic_defect_max "
+                           "verdict".split())
     assert inv["area_integral_drift_rel"] < 1e-9
     assert inv["lam4_drift"] == 0.0
     assert inv["adjoint_agreement"] < 1e-12
@@ -98,6 +105,8 @@ def test_straightening_run(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 0
     assert "VERDICT=canonical" in capsys.readouterr().out
     inv = json.loads((out / "invariants.json").read_text())
+    assert set(inv) == set("boundary energy_mismatch loop_drift mu_defect "
+                           "pde_residual_max scenario verdict ydot_max_err".split())
     assert inv["pde_residual_max"] < 1e-8
     assert inv["ydot_max_err"] < 1e-6
     assert inv["mu_defect"] < 1e-6

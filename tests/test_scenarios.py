@@ -362,7 +362,6 @@ def test_reduction_frozen_field_is_exact():
     assert rep.pde_residual_max < 1e-8
     assert rep.ydot_max_err < 1e-6
     assert rep.mu_defect < 1e-6
-    assert rep.hj_residual == 0.0
     assert rep.energy_mismatch == 0.0
     assert np.all(rep.f_line == 0.0)
     assert "lam_b=0.7" in rep.boundary_note

@@ -10,7 +10,10 @@ CLI case does: fundamental_matrix, synthesize_lambda0, FD-backed invert_map,
 verify_derivatives and compose_flow.  The session code is read from this
 checkout's perfbench/ for every tree, and nothing is written there.  With
 two or more roots, exits 1 unless every tree matches the first byte for byte,
-and names each tag (case, command, artifact) whose digest differs.
+and names each tag (case, command, artifact) whose digest differs.  Under a
+differing `.json` artifact it lists the top-level keys the tree lost and
+gained, and each key whose value changed as `old -> new` (a nested value by
+its key alone), so a declared re-baseline can be audited key by key.
 """
 import hashlib
 import json
@@ -55,7 +58,7 @@ def digest(root):
     sha = lambda data: hashlib.sha256(data).hexdigest()
     env = {k: v for k, v in os.environ.items() if k != "CANOMAP_OUT"}
     src = os.path.join(os.path.abspath(root), "src")
-    lines = []
+    lines, docs = [], {}   # docs: tag -> parsed content of each .json artifact
 
     def record(tag, args, tmp, pythonpath):
         """Run the interpreter on args in tmp, then digest its exit code,
@@ -69,8 +72,10 @@ def digest(root):
         for dirpath, _dirs, files in sorted(os.walk(out)):
             for name in sorted(files):
                 with open(os.path.join(dirpath, name), "rb") as fh:
-                    rel = os.path.relpath(os.path.join(dirpath, name), out)
-                    lines.append(f"{tag} {rel} {sha(fh.read())}")
+                    rel, data = os.path.relpath(os.path.join(dirpath, name), out), fh.read()
+                    lines.append(f"{tag} {rel} {sha(data)}")
+                    if name.endswith(".json"):
+                        docs[f"{tag} {rel}"] = json.loads(data)
 
     for (case, cfg), (cmd, extra) in ((c, m) for c in CASES.items() for m in COMMANDS.items()):
         with tempfile.TemporaryDirectory() as tmp:
@@ -86,7 +91,23 @@ def digest(root):
             record(f"synthesis-seed{seed} session",
                    ["-c", SESSION, str(seed), os.path.join(out, "session.json")], tmp,
                    os.pathsep.join([src, os.path.abspath(PERFBENCH)]))
-    return lines
+    return lines, docs
+
+
+def key_changes(old, new):
+    """Lines naming the top-level keys lost, gained and changed from the
+    JSON document old to new; a scalar shows its value, a nested value
+    (list or object) only its key."""
+    old, new = (d if isinstance(d, dict) else {} for d in (old, new))
+    scalar = lambda v: not isinstance(v, (dict, list))
+    show = lambda k, d: f"{k}: {json.dumps(d[k])}" if scalar(d[k]) else k
+    out = [f"lost {show(k, old)}" for k in sorted(old.keys() - new.keys())]
+    out += [f"gained {show(k, new)}" for k in sorted(new.keys() - old.keys())]
+    for k in sorted(k for k in old.keys() & new.keys() if old[k] != new[k]):
+        both = scalar(old[k]) and scalar(new[k])
+        out.append(f"changed {k}: {json.dumps(old[k])} -> {json.dumps(new[k])}" if both
+                   else f"changed {k}")
+    return out
 
 
 if __name__ == "__main__":
@@ -94,17 +115,22 @@ if __name__ == "__main__":
     if not roots:
         sys.exit(__doc__)
     results = [digest(root) for root in roots]
-    for root, lines in zip(roots, results):
+    for root, (lines, _docs) in zip(roots, results):
         print(f"# {root}", *lines, sep="\n")
-    bad = [root for root, lines in zip(roots, results) if lines != results[0]]
-    for root, lines in zip(roots, results):
+    lines0, docs0 = results[0]
+    bad = [root for root, (lines, _docs) in zip(roots, results) if lines != lines0]
+    for root, (lines, docs) in zip(roots, results):
         if root in bad:
-            # one line per tag (case, command, artifact) whose digest differs
-            first, this = (dict(line.rsplit(" ", 1) for line in ls) for ls in (results[0], lines))
+            # one line per tag (case, command, artifact) whose digest differs,
+            # and under a JSON artifact one line per key that differs
+            first, this = (dict(line.rsplit(" ", 1) for line in ls) for ls in (lines0, lines))
             for tag in sorted(set(first) | set(this)):
                 if first.get(tag) != this.get(tag):
                     print(f"  differs: {tag}")
+                    if tag.endswith(".json"):
+                        for line in key_changes(docs0.get(tag), docs.get(tag)):
+                            print(f"    {line}")
             print(f"DIFFERS from {roots[0]}: {root}")
     if len(roots) > 1 and not bad:
-        print(f"IDENTICAL: {len(results[0])} digests in each of {len(roots)} trees")
+        print(f"IDENTICAL: {len(lines0)} digests in each of {len(roots)} trees")
     sys.exit(1 if bad else 0)
