@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _cumtrapz, _dot, _mv, _require_dim)
+                        _central_diff_x, _cumtrapz, _dot, _mv, _require_dim, _shaped)
 
 __all__ = [
     "hamiltonian",
@@ -42,27 +42,42 @@ def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
     return h
 
 
-def _lift(sys: DynamicSystem, x: np.ndarray, lam: np.ndarray, t: float):
-    """The lifted right-hand side (xdot, lamdot) = (f, (-A^T) lam) at one
-    state (x, lam of shape (n,)), or at a stack (M, n) sharing t, each row
-    bitwise its single state.  Not -(A^T lam): that flips signed zeros."""
-    if x.ndim == 1:
-        return sys.f_at(x, t), (-sys.jac_at(x, t).T) @ lam
-    return sys.f_rows(x, t), _mv(-np.swapaxes(sys.jac_rows(x, t), 1, 2), lam)
+def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
+    """The right-hand side of every march on sys, decided once per march:
+    the lift (f, (-A^T) lam) at z = (x, lam), or (f, mdot(A, M)) at
+    z = (x, M.ravel()), from one call each of sys.f and sys.jac (else central
+    differences of f), shaped by _shaped.  With stack, the lift at a stack
+    (M, 2n) sharing t from f_rows/jac_rows, each row bitwise its single state.
+    Not -(A^T lam): that flips signed zeros."""
+    n, f, vec, mat = sys.dim, sys.f, (sys.dim,), (sys.dim, sys.dim)
+    if stack:
+        return lambda Z, t: np.concatenate((sys.f_rows(Z[:, :n], t), _mv(
+            -np.swapaxes(sys.jac_rows(Z[:, :n], t), 1, 2), Z[:, n:])), axis=1)
+    jac = sys.jac if sys.jac is not None else (
+        lambda x, t: _central_diff_x(lambda v: _shaped(f(v, t), vec), x))
+    one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
+    tail = (lambda A, lam: (-A.T) @ lam) if mdot is None else (
+        lambda A, m: mdot(A, m.reshape(mat)).ravel())
+
+    def rhs(z, t):
+        x = z[one]
+        return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
+    return rhs
 
 
 def canonical_rhs(sys: DynamicSystem, s: PhaseState):
     """Right-hand side (xdot, lamdot) of the lifted canonical system at one
     state: the single-state form of the lift that integrate marches."""
     _require_dim(sys, s)
-    return _lift(sys, s.x, s.lam, s.t)
+    k = _stage(sys)(s.z(), s.t)
+    return k[:s.n], k[s.n:]
 
 
 def _lift_at(sys: DynamicSystem, t: np.ndarray, X: np.ndarray, LAM: np.ndarray):
     """(xdot, lamdot) at M samples, each at its own time (t (M,), X and LAM
     (M, n)): one single-state lift per row, stacked."""
-    xdot, lamdot = zip(*(_lift(sys, *a) for a in zip(X, LAM, t.tolist())))
-    return np.array(xdot), np.array(lamdot)
+    K = np.array(list(map(_stage(sys), np.hstack((X, LAM)), t.tolist())))
+    return K[:, :sys.dim], K[:, sys.dim:]
 
 
 def _rates(sys: DynamicSystem, traj: Trajectory):
@@ -132,17 +147,18 @@ def _rk4_path(rhs, z0: np.ndarray, times, path: str = "samples"):
     diag = None
     for t_next in times:
         h = t_next - t          # the increment of the stored t, not the nominal step
+        hh = 0.5 * h            # 0.5 * h * k is (0.5 * h) * k: the same bits
         try:
             k1 = rhs(z, t)
-            k2 = rhs(z + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rhs(z + 0.5 * h * k2, t + 0.5 * h)
+            k2 = rhs(z + hh * k1, t + hh)
+            k3 = rhs(z + hh * k2, t + hh)
             k4 = rhs(z + h * k3, t_next)
         except DomainError as exc:
             diag = {"truncated": True, "t_truncated": t, "reason": str(exc)}
             break
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
-        if not np.abs(z).max() <= _BLOWUP_LIMIT:  # also catches NaN
+        if not np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT:  # NaN too
             diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
             break
         if path == "last":
@@ -181,7 +197,7 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     """
     _require_dim(sys, s0)
     n = sys.dim
-    rhs = lambda z, t: np.concatenate(_lift(sys, z[:n], z[n:], t))
+    rhs = _stage(sys)
     ts, Z, diag, K = _rk4_path(rhs, s0.z(), _grid(s0.t, t1, step), path="stages")
     traj = Trajectory(ts, Z[:, :n], Z[:, n:], dict(diag) if diag else {})
     try:   # the last sample starts no step
@@ -249,18 +265,11 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
-    mdot = _KINDS[kind]
     n = sys.dim
     s0 = traj[0]
     _require_dim(sys, s0)
-
-    def rhs(z, t):
-        x = z[:n]
-        M = z[n:].reshape(n, n)
-        return np.concatenate([sys.f_at(x, t), mdot(sys.jac_at(x, t), M).ravel()])
-
     z0 = np.concatenate([s0.x, np.eye(n).ravel()])
-    _, zs, diag, _ = _rk4_path(rhs, z0, traj.t.tolist())
+    _, zs, diag, _ = _rk4_path(_stage(sys, mdot=_KINDS[kind]), z0, traj.t.tolist())
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
     values = np.array(zs)[:, n:].reshape(-1, n, n)

@@ -18,7 +18,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
                         _central_diff_x, _require_dim)
 # integrate and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.invariants.integrate and .apply_map.
-from .hamilton import _grid, _h_series, _lam_dot, _lift, _rk4_path, _xdot, hamiltonian, integrate
+from .hamilton import _grid, _h_series, _lam_dot, _rk4_path, _stage, _xdot, hamiltonian, integrate
 from .mapping import MappingSpec, _images, apply_map
 
 __all__ = [
@@ -113,7 +113,7 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     n = sys.dim
     t0 = loop0[0].t
     Z0 = np.array([v.z() for v in loop0[:-1]])
-    rhs = lambda Z, t: np.concatenate(_lift(sys, Z[:, :n], Z[:, n:], t), axis=1)
+    rhs = _stage(sys, stack=True)
     flowed = []
     for t1 in t_targets:
         ts, zs, diag, _ = _rk4_path(rhs, Z0, _grid(t0, t1, step), path="last")

@@ -78,6 +78,13 @@ _mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
 _dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _shaped(out, shape: tuple) -> np.ndarray:
+    """A callback's result as a float array of the expected shape: a list or
+    an (n, 1) array is reshaped, a wrong size raises numpy's ValueError."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else out.reshape(shape)
+
+
 def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Cumulative trapezoidal integral of samples a over ts, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (a[1:] + a[:-1]))])
@@ -148,25 +155,19 @@ class DynamicSystem:
         return x[None] if self.vectorized else x
 
     def f_at(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.asarray(self.f(self._arg(x), t), dtype=float)
-        if out.shape != (self.dim,):
-            out = out.reshape(self.dim)
-        return out
+        return _shaped(self.f(self._arg(x), t), (self.dim,))
 
     def jac_at(self, x: np.ndarray, t: float) -> np.ndarray:
         if self.jac is not None:
-            out = np.asarray(self.jac(self._arg(x), t), dtype=float)
-            return out if out.shape == (self.dim, self.dim) else out.reshape(self.dim, self.dim)
-        x = np.asarray(x, dtype=float)
-        return _central_diff_x(lambda xx: self.f_at(xx, t), x).reshape(self.dim, self.dim)
+            return _shaped(self.jac(self._arg(x), t), (self.dim, self.dim))
+        return _central_diff_x(lambda xx: self.f_at(xx, t), x)   # (n, n): f_at is (n,)
 
     def ft_at(self, x: np.ndarray, t: float) -> np.ndarray:
         if self.autonomous:
             return np.zeros(self.dim)
         if self.ft is not None:
-            return np.asarray(self.ft(self._arg(x), t), dtype=float).reshape(self.dim)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(_central_diff_t(lambda tt: self.f_at(x, tt), t)).reshape(self.dim)
+            return _shaped(self.ft(self._arg(x), t), (self.dim,))
+        return _central_diff_t(lambda tt: self.f_at(x, tt), t)   # (n,): f_at is (n,)
 
     # --- batched evaluation on a stack X of shape (M, n) --------------------
 

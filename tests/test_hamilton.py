@@ -1,4 +1,6 @@
 """Hamiltonian lift, canonical flow, fundamental matrices, energy checks."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +63,7 @@ def test_canonical_rhs():
                             PhaseState([0.3, 1.2, 0.9, 0.1],
                                        [0.5, -0.4, 0.7, 2.0], 0.0))
     assert dlam[3] == 0.0  # last column of the Jacobian is zero
+    assert math.copysign(1, dlam[3]) == 1.0   # a sum of +0 terms; -(A^T lam) reads -0.0
 
 
 # ---------------------------------------------------------------------
