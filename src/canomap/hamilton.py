@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _central_diff_x, _cumtrapz, _dot, _mv, _require_dim, _shaped)
+                        _cumtrapz, _dot, _mv, _require_dim, _shaped)
 
 __all__ = [
     "hamiltonian",
@@ -45,24 +45,43 @@ def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
 def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
     """The right-hand side of every march on sys, decided once per march:
     the lift (f, (-A^T) lam) at z = (x, lam), or (f, mdot(A, M)) at
-    z = (x, M.ravel()), from one call each of sys.f and sys.jac (else central
-    differences of f), shaped by _shaped.  With stack, the lift at a stack
-    (M, 2n) sharing t from f_rows/jac_rows, each row bitwise its single state.
-    Not -(A^T lam): that flips signed zeros."""
+    z = (x, M.ravel()), from one call each of sys.f and sys.jac (else
+    sys.jac_at, central differences of f), shaped by _shaped.  With stack,
+    the lift at a stack Z (M, 2n) sharing t, each row bitwise its single
+    state: a vectorized sys is called once on the (M, n) stack (a constant
+    (n, n) jac goes on as (1, n, n), which _mv broadcasts), any other once
+    per row.  Not -(A^T lam): that flips signed zeros."""
     n, f, vec, mat = sys.dim, sys.f, (sys.dim,), (sys.dim, sys.dim)
-    if stack:
-        return lambda Z, t: np.concatenate((sys.f_rows(Z[:, :n], t), _mv(
-            -np.swapaxes(sys.jac_rows(Z[:, :n], t), 1, 2), Z[:, n:])), axis=1)
-    jac = sys.jac if sys.jac is not None else (
-        lambda x, t: _central_diff_x(lambda v: _shaped(f(v, t), vec), x))
-    one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
-    tail = (lambda A, lam: (-A.T) @ lam) if mdot is None else (
-        lambda A, m: mdot(A, m.reshape(mat)).ravel())
+    jac = sys.jac if sys.jac is not None else sys.jac_at
+    if not stack:
+        one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
+        tail = (lambda A, lam: (-A.T) @ lam) if mdot is None else (
+            lambda A, m: mdot(A, m.reshape(mat)).ravel())
 
-    def rhs(z, t):
-        x = z[one]
-        return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
-    return rhs
+        def rhs(z, t):
+            x = z[one]
+            return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
+        return rhs
+    if sys.vectorized:
+        def rows(X, t):
+            F = np.asarray(f(X, t), dtype=float)
+            if F.shape != X.shape:
+                raise ValueError(f"vectorized f returned shape {F.shape}, expected {X.shape}")
+            A = np.asarray(jac(X, t), dtype=float)
+            if A.shape == mat:
+                return F, A[None]
+            if A.shape != (len(X),) + mat:
+                raise ValueError(f"vectorized jac returned shape {A.shape}, "
+                                 f"expected {(len(X),) + mat} or {mat}")
+            return F, A
+    else:
+        rows = lambda X, t: (np.array([_shaped(f(x, t), vec) for x in X]),
+                             np.array([_shaped(jac(x, t), mat) for x in X]))
+
+    def lift(Z, t):
+        F, A = rows(Z[:, :n], t)
+        return np.concatenate((F, _mv(-np.swapaxes(A, 1, 2), Z[:, n:])), axis=1)
+    return lift
 
 
 def canonical_rhs(sys: DynamicSystem, s: PhaseState):

@@ -86,8 +86,8 @@ def circle_loop(center: PhaseState, radius: float, M: int) -> tuple:
     """Closed M-gon inscribed in the (x, lam) circle around `center` (n=1)."""
     if center.n != 1:
         raise ValueError("circle_loop is defined for n=1")
-    if M < 3:
-        raise ValueError("need at least 3 vertices")
+    if not (isinstance(M, (int, np.integer)) and M >= 3):
+        raise ValueError(f"need an integer M of at least 3 vertices, got {M}")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     theta = 2.0 * np.pi * np.arange(M) / M

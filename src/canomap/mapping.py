@@ -181,6 +181,9 @@ def _require_criterion(sys, spec):
 
 def _canonicity_over(spec, cols, tol, degenerate_tol):
     """The report over the samples cols = (t, X, LAM, xdot, lamdot)."""
+    for name, v in (("tol", tol), ("degenerate_tol", degenerate_tol)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     out = []
     for i in range(0, cols[0].size, _BLOCK):
         r, scale, rows = _residuals(spec, *(a[i:i + _BLOCK] for a in cols))

@@ -122,8 +122,8 @@ class DynamicSystem:
         shape (M, n).  f and ft return (M, n); jac returns (M, n, n), or
         one (n, n) array when it does not depend on x.
         Single-state calls pass a (1, n) stack.  Requires jac, since there
-        are no batched finite differences.  Without the flag, the batched
-        helpers loop over rows with the single-state calls.
+        are no batched finite differences.  Without the flag, a march over
+        a stack (hamilton._stage) calls f and jac once per row.
     """
 
     dim: int
@@ -168,31 +168,6 @@ class DynamicSystem:
         if self.ft is not None:
             return _shaped(self.ft(self._arg(x), t), (self.dim,))
         return _central_diff_t(lambda tt: self.f_at(x, tt), t)   # (n,): f_at is (n,)
-
-    # --- batched evaluation on a stack X of shape (M, n) --------------------
-
-    def f_rows(self, X: np.ndarray, t: float) -> np.ndarray:
-        """f at every row of X, as an (M, n) array."""
-        if not self.vectorized:
-            return np.array([self.f_at(x, t) for x in X])
-        out = np.asarray(self.f(X, t), dtype=float)
-        if out.shape != X.shape:
-            raise ValueError(f"vectorized f returned shape {out.shape}, expected {X.shape}")
-        return out
-
-    def jac_rows(self, X: np.ndarray, t: float) -> np.ndarray:
-        """Jacobian at every row of X, as an (M, n, n) array, or (1, n, n) for
-        one (n, n) array from a vectorized jac, which stacked matmuls broadcast."""
-        if not self.vectorized:
-            return np.array([self.jac_at(x, t) for x in X])
-        m, n = X.shape
-        out = np.asarray(self.jac(X, t), dtype=float)
-        if out.shape == (n, n):
-            return out[None]
-        if out.shape != (m, n, n):
-            raise ValueError(f"vectorized jac returned shape {out.shape}, "
-                             f"expected {(m, n, n)} or {(n, n)}")
-        return out
 
 
 @dataclass(frozen=True, eq=False)

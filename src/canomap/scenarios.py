@@ -162,14 +162,16 @@ class StraighteningProblem:
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if not (c.shape == a.shape == y0.shape):
             raise ValueError("c, a, y0 must share one dimension")
-        h = float(self.h)
+        h, lam_b = float(self.h), float(self.lam_b)
+        if not np.isfinite(np.concatenate([c, a, y0, [h, lam_b]])).all():
+            raise ValueError("c, a, h, y0 and lam_b must be finite")
         if abs(float(np.dot(a, c)) - h) > 1e-12 * max(1.0, abs(h)):
             raise ValueError(f"inconsistent targets: a.c = {float(np.dot(a, c))} != h = {h}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam_b", float(self.lam_b))
+        object.__setattr__(self, "lam_b", lam_b)
 
 
 def _simpson(g, a, b, tol, depth=48):
@@ -334,16 +336,16 @@ class ConstantFieldReport:
 
 
 def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
-                             x0, lam0, lam_grid=None, x_grid=None,
-                             t1: float = 1.0, step: float = 1e-3,
+                             x0, lam0, t1: float = 1.0, step: float = 1e-3,
                              t0: float = 0.0) -> ConstantFieldReport:
     """Synthesize U that straightens an autonomous scalar system.
 
     Builds F(x, lam) = ∫ lam dx + c (y0 - x) with the line integral taken
     along the system's own extremal from (x0, lam0, t0) to t1 (for a frozen
     field every grid x is its own extremal and the integral vanishes), solves
-    the straightening PDE, and reports how well the mapped motion achieves
-    ydot = a and mu = c.
+    the straightening PDE on a fixed 101 x 101 grid (x over the extremal's
+    range, or x0 +- 1 when frozen; lam over [lam_b, lam_b + 2]), and
+    reports how well the mapped motion achieves ydot = a and mu = c.
     """
     if not sys.autonomous:
         raise ValueError("constant_field_reduction requires an autonomous system")
@@ -366,8 +368,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     if frozen:
         # every x sits on its own frozen extremal; the line integral is zero
         F = lambda x, lam: c * (y0 - x)
-        if x_grid is None:
-            x_grid = np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101)
+        x_grid = np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101)
     else:
         d = np.diff(xs)
         if not (np.all(d > 0) or np.all(d < 0)):
@@ -377,12 +378,9 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         xs_sorted = xs[order]
         line_sorted = f_line[order]
         F = lambda x, lam: np.interp(x, xs_sorted, line_sorted) + c * (y0 - x)
-        if x_grid is None:
-            x_grid = np.linspace(xs_sorted[0], xs_sorted[-1], 101)
-    if lam_grid is None:
-        lam_grid = np.linspace(prob.lam_b, prob.lam_b + 2.0, 101)
+        x_grid = np.linspace(xs_sorted[0], xs_sorted[-1], 101)
 
-    sol = straightening_solve(prob, sys, F, x_grid, lam_grid)
+    sol = straightening_solve(prob, sys, F, x_grid, np.linspace(prob.lam_b, prob.lam_b + 2.0, 101))
     pde_residual = sol.residual_check()
 
     # controlling-function view of the solved U (time part h t restores the

@@ -256,10 +256,14 @@ def test_vectorized_flow_loop_calls_f_once_per_stage():
 
 
 def test_flow_loop_wrong_vectorized_shape_raises():
-    sysv = DynamicSystem(dim=1, f=lambda X, t: X[:1], jac=lambda X, t: np.eye(1),
-                         autonomous=True, vectorized=True)
-    with pytest.raises(ValueError, match="vectorized f returned shape"):
-        flow_loop(sysv, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 8), [0.5], 0.1)
+    for f, jac, message in (
+            (lambda X, t: X[:1], lambda X, t: np.eye(1),
+             r"^vectorized f returned shape \(1, 1\), expected \(8, 1\)$"),
+            (lambda X, t: X, lambda X, t: np.zeros((3, 4)),
+             r"^vectorized jac returned shape \(3, 4\), expected \(8, 1, 1\) or \(1, 1\)$")):
+        sysv = DynamicSystem(dim=1, f=f, jac=jac, autonomous=True, vectorized=True)
+        with pytest.raises(ValueError, match=message):
+            flow_loop(sysv, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 8), [0.5], 0.1)
 
 
 def test_flow_loop_vertex_blowup_is_a_domain_error():
@@ -288,8 +292,10 @@ def test_flow_loop_validates_loop_step_and_targets():
 def test_circle_loop_validated():
     with pytest.raises(ValueError, match="n=1"):
         circle_loop(PhaseState([0.0, 0.0], [0.0, 0.0], 0.0), 1.0, 16)
-    with pytest.raises(ValueError, match="3 vertices"):
-        circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, 2)
+    for M in (2, 8.5):
+        with pytest.raises(ValueError, match="3 vertices"):
+            circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, M)
+    assert len(circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, np.int64(8))) == 9
     for radius in (0.0, -0.5, np.inf, np.nan):   # radius 0 flows to zero drift
         with pytest.raises(ValueError, match="positive and finite"):
             circle_loop(PhaseState([0.0], [0.0], 0.0), radius, 16)

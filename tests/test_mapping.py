@@ -184,6 +184,19 @@ def test_residual_points_requires_states():
                                    MappingSpec("Std116", bilinear_cf()), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["tol", "degenerate_tol"])
+def test_canonicity_tolerances_validated(name, bad):
+    s0 = PhaseState([1.0], [1.0], 0.0)
+    spec = MappingSpec("Std116", zero_controlling_function(1))
+    traj = integrate(linear_system(), s0, 1.0, 1e-2)
+    for check in (lambda **kw: canonicity_residual(linear_system(), spec, traj, **kw),
+                  lambda **kw: canonicity_residual_points(linear_system(), spec, [s0], **kw)):
+        assert check().verdict == "canonical"
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            check(**{name: bad})
+
+
 # ---------------------------------------------------------------------
 # initial-multiplier synthesis
 # ---------------------------------------------------------------------

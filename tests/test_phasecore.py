@@ -128,32 +128,6 @@ def test_vectorized_single_state_calls():
     assert np.array_equal(sysv.jac_at([1.0, 2.0], 3.0), [[0.0, 3.0], [3.0, 0.0]])
     assert np.array_equal(sysv.ft_at([1.0, 2.0], 3.0), [2.0, 1.0])
     assert verify_derivatives(sysv, random_states(2, 5)).ok
-    X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(sysv.f_rows(X, 1.0), X[:, ::-1])
-    J = sysv.jac_rows(X, 1.0)
-    assert J.shape == (1, 2, 2)   # one (n, n) array, which stacked matmuls broadcast
-    for x, row in zip(X, np.broadcast_to(J, (3, 2, 2))):
-        assert np.array_equal(row, sysv.jac_at(x, 1.0))
-
-
-def test_vectorized_wrong_shapes_rejected():
-    X = np.zeros((3, 2))
-    bad_f = DynamicSystem(dim=2, f=lambda X, t: X.sum(axis=1),
-                          jac=lambda X, t: np.zeros((2, 2)), vectorized=True)
-    with pytest.raises(ValueError, match=r"vectorized f returned shape \(3,\)"):
-        bad_f.f_rows(X, 0.0)
-    bad_jac = DynamicSystem(dim=2, f=lambda X, t: X,
-                            jac=lambda X, t: np.zeros((3, 4)), vectorized=True)
-    with pytest.raises(ValueError, match=r"vectorized jac returned shape \(3, 4\)"):
-        bad_jac.jac_rows(X, 0.0)
-
-
-def test_row_loop_fallback_matches_single_calls():
-    sysn = DynamicSystem(dim=2, f=lambda x, t: np.array([x[0] * x[1], -t * x[0]]),
-                         jac=lambda x, t: np.array([[x[1], x[0]], [-t, 0.0]]))
-    X = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    assert np.array_equal(sysn.f_rows(X, 2.0), [sysn.f_at(x, 2.0) for x in X])
-    assert np.array_equal(sysn.jac_rows(X, 2.0), [sysn.jac_at(x, 2.0) for x in X])
 
 
 def test_rtol_and_points_validated():

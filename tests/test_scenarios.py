@@ -213,6 +213,10 @@ def test_problem_and_grid_validation():
         StraighteningProblem(c=[1.0], a=[2.0], h=1.0, y0=[0.0], lam_b=0.0)
     with pytest.raises(ValueError, match="share one dimension"):
         StraighteningProblem(c=[1.0, 2.0], a=[2.0], h=2.0, y0=[0.0], lam_b=0.0)
+    good = dict(c=[1.0], a=[1.0], h=1.0, y0=[0.0], lam_b=0.0)
+    for bad in (dict(h=np.nan), dict(lam_b=np.inf), dict(c=[np.nan]), dict(y0=[np.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            StraighteningProblem(**{**good, **bad})
     prob = unit_problem()
     with pytest.raises(ValueError, match="strictly increasing"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,

@@ -191,3 +191,14 @@ def test_each_march_calls_f_and_jac_once_per_stage():
     linear, calls = _counted(linear)
     flow_loop(linear, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 8), [1.0], 0.1)
     assert calls == {"f": 4 * 10 * 8, "jac": 4 * 10 * 8}    # 10 steps of 8 vertices
+
+
+def test_no_march_goes_through_the_single_state_calls(monkeypatch):
+    def refuse(self, x, t):
+        raise AssertionError("a march called f_at or jac_at")
+    monkeypatch.setattr(DynamicSystem, "f_at", refuse)
+    monkeypatch.setattr(DynamicSystem, "jac_at", refuse)
+    traj = integrate(SYSTEMS["list"](), S0, T1, STEP)
+    fundamental_matrix(SYSTEMS["list"](), traj, "D")
+    for name in ("list", "vectorized-constant-jac"):
+        flow_loop(SYSTEMS[name](), _loop(), [T1], STEP)
