@@ -5,7 +5,9 @@ Artifacts per run (all deterministic for a fixed config):
     trajectory.csv   t, x_1..x_n, lam_1..lam_n, H
     canonicity.csv   t, residual, det_y, det_mu
     invariants.json  verdict, canonicity and symplectic defects, energy drift,
-                     action, loop drift (straightening: PDE, ydot, mu defects)
+                     action, loop drift (straightening: PDE, ydot, mu defects):
+                     one flat object of floats (17 significant digits),
+                     strings and null
     plot.gp          optional gnuplot script referencing the CSVs
 
 Exit codes: 0 ok, 1 verdict=violated, 2 usage/config error, 3 numerical
@@ -60,6 +62,12 @@ def _scenario(name) -> "Scenario":
     return SCENARIOS[name]
 
 
+# RunConfig's scalar fields and their types: validate checks each value,
+# and sweep casts each --values token with the type.
+_SWEEP_PARAMS = {"n": int, "t0": float, "t1": float, "step": float, "sigma": float,
+                 "seed": int, "loop_vertices": int}
+
+
 @dataclass
 class RunConfig:
     scenario: str = "linear"
@@ -81,12 +89,10 @@ class RunConfig:
         scenario = _scenario(self.scenario)
         if not (_is_int(self.n) and self.n >= 1):
             raise ConfigError("n must be a positive integer")
-        for name in ("t0", "t1", "step", "sigma"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
-        for name in ("seed", "loop_vertices"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
+        for name, kind in _SWEEP_PARAMS.items():
+            ok, what = (_is_real, "a finite number") if kind is float else (_is_int, "an integer")
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {what}")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if not isinstance(self.emit_gnuplot, bool):
@@ -171,36 +177,18 @@ def _write_csv(path, header, rows):
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _json_text(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  {json.dumps(str(key))}: {_json_text(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_json(path, obj):
+def _write_json(path, flat: dict):
+    """Write one flat object, keys sorted, one per line: a float at 17
+    significant digits (NaN as nan), a string as JSON, None as null."""
+    def text(v):
+        if isinstance(v, (float, np.floating)):
+            return _fmt(v)
+        if isinstance(v, str) or v is None:   # None is null
+            return json.dumps(v)
+        raise TypeError(f"cannot serialize {type(v)!r}")
+    body = ",\n".join(f"  {json.dumps(key)}: {text(flat[key])}" for key in sorted(flat))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(obj) + "\n")
+        fh.write("{\n" + body + "\n}\n")
 
 
 def _write_gnuplot(path, n):
@@ -422,12 +410,6 @@ def run(cfg: RunConfig) -> int:
     out = _execute(cfg.validate(), _resolve_out(cfg))
     print(f"VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
     return out.exit_code
-
-
-_SWEEP_PARAMS = {
-    "step": float, "t0": float, "t1": float, "sigma": float,
-    "seed": int, "n": int, "loop_vertices": int,
-}
 
 
 def sweep(cfg: RunConfig, param: str, values: list) -> int:

@@ -350,10 +350,13 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     if not 0 <= k < sys.dim:
         raise ValueError(f"pivot index k={k} out of range for n={sys.dim}")
 
-    def g(v):
-        s = PhaseState(x0, _with_component(lam0, k, v), t0)
-        t, X, LAM = np.array([s.t]), s.x[None], s.lam[None]
-        return float(_residuals(spec, t, X, LAM, *_lift_at(sys, t, X, LAM))[0][0])
+    s = PhaseState(x0, lam0, t0)   # x0 and t0 are fixed: one f and one A per solve
+    t, X, xdot, minus_at = (np.array([s.t]), s.x[None], sys.f_at(s.x, s.t)[None],
+                            -sys.jac_at(s.x, s.t).T)
+
+    def g(v):   # lamdot as the stage kernel forms it, (-A^T) lam
+        lam = _with_component(s.lam, k, v)
+        return float(_residuals(spec, t, X, lam[None], xdot, (minus_at @ lam)[None])[0][0])
 
     value, status, g_res = _solve_scalar(g, float(lam0[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,

@@ -260,10 +260,10 @@ class ControllingFunction:
         given = dict(ux=ux, ulam=ulam, ut=ut, uxlam=uxlam, uxx=uxx,
                      ulamlam=ulamlam, uxt=uxt, ulamt=ulamt)
         for block, f in given.items():
-            setattr(self, block, None if f is None else self._shaped(block, f))
+            setattr(self, block, None if f is None else self._block(block, f))
         self.fd_backed = frozenset(self._install_fd())
 
-    def _shaped(self, block, f):
+    def _block(self, block, f):
         """f's result as the block's type: a float, an (n,) or an (n, n) array."""
         shape = (self.dim,) * _FD_RULE[block][2]
         if not callable(f):
@@ -272,7 +272,7 @@ class ControllingFunction:
             return (lambda x, lam, t: c) if shape else (lambda x, lam, t, v=float(c): v)
         if not shape:
             return lambda x, lam, t: float(f(x, lam, t))
-        return lambda x, lam, t: np.asarray(f(x, lam, t), dtype=float).reshape(shape)
+        return lambda x, lam, t: _shaped(f(x, lam, t), shape)
 
     # --- FD substitution ----------------------------------------------------
 
@@ -287,7 +287,7 @@ class ControllingFunction:
             src, arg, _ = _FD_RULE[block]
             fn = getattr(self, src)
             h = _FD_STEP if src == "u" else h2
-            setattr(self, block, self._shaped(
+            setattr(self, block, self._block(
                 block, lambda x, lam, t, fn=fn, arg=arg, h=h:
                 _central_diff(fn, arg, x, lam, t, h)))
         return backed

@@ -17,7 +17,7 @@ import numpy as np
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz,
                         _subsample, _zero_blocks)
-from .hamilton import _h_series, _xdot, hamiltonian, integrate
+from .hamilton import _h_series, _xdot, integrate
 from .mapping import MappingSpec, _images
 
 __all__ = [
@@ -353,16 +353,16 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         raise ValueError("constant_field_reduction handles n=1 only")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
-    s0 = PhaseState(x0, lam0, t0)
-    traj = integrate(sys, s0, t1, step)
+    traj = integrate(sys, PhaseState(x0, lam0, t0), t1, step)
     ts, xs = traj.t, traj.x[:, 0]
     c = float(prob.c[0])
     a = float(prob.a[0])
     y0 = float(prob.y0[0])
-    energy_mismatch = abs(hamiltonian(sys, s0) - prob.h)
 
     # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
-    f_line = _cumtrapz(ts, _h_series(traj, _xdot(sys, traj)))
+    hs = _h_series(traj, _xdot(sys, traj))
+    f_line = _cumtrapz(ts, hs)
+    energy_mismatch = float(abs(hs[0] - prob.h))
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canomap.cli import ConfigError, RunConfig, _write_csv, main, run, sweep, verify
+from canomap.cli import (ConfigError, RunConfig, _write_csv, _write_json, main, run,
+                         sweep, verify)
 from canomap.hamilton import hamiltonian, integrate
 from canomap.phasecore import PhaseState
 from canomap.scenarios import ballistic_system
@@ -170,6 +171,10 @@ def test_custom_scenario_has_no_batch_path(tmp_path, capsys):
     ({"tolerances": {"canonicity": True}}, "canonicity"),
     ({"output_dir": 5}, "output_dir"),
     ({"emit_gnuplot": "no"}, "emit_gnuplot"),
+    ({"t1": 0.0}, "t1 must exceed t0"),
+    ({"map_variant": "Symplectic119"}, "map_variant must be one of"),
+    ({"tolerances": {"energy": 1.0}}, "unknown tolerance 'energy'"),
+    ({"scenario": "ballistic", "sigma": -1.0}, "sigma must be positive"),   # from the factory
 ])
 def test_wrongly_typed_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, **{"output_dir": str(tmp_path / "out"), **fields})
@@ -193,6 +198,16 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
     bad.write_text("{", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    bad.write_text("[1.0]", encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["walk", "--config", "cfg.json"],
+                                  ["sweep", "--config", "cfg.json", "--param", "step"]])
+def test_bad_arguments_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: canomap")
 
 
 def test_loop_vertices_floor(tmp_path, capsys):
@@ -372,8 +387,25 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# CSV formatting
+# invariants.json and CSV formatting
 # ---------------------------------------------------------------------
+
+def test_invariants_writer_bytes(tmp_path):
+    path = tmp_path / "invariants.json"
+    _write_json(path, {"b": 0.1, "a": None, "c": "x"})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": 0.10000000000000001,\n  "c": "x"\n}\n'
+    _write_json(path, {"nan": float("nan"), "np": np.float64(-2.5), "s": 'say "hi"'})
+    assert path.read_bytes() == b'{\n  "nan": nan,\n  "np": -2.5,\n  "s": "say \\"hi\\""\n}\n'
+
+
+@pytest.mark.parametrize("value", [True, 1, [1.0], {"a": 1.0}],
+                         ids=["bool", "int", "list", "dict"])
+def test_invariants_writer_refuses_what_no_producer_emits(tmp_path, value):
+    path = tmp_path / "invariants.json"
+    with pytest.raises(TypeError, match="^cannot serialize"):
+        _write_json(path, {"a": 0.5, "b": value})
+    assert not path.exists()
+
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 123456789.0]

@@ -280,6 +280,8 @@ def test_flow_loop_validates_loop_step_and_targets():
     loop = circle_loop(PhaseState([1.0], [1.0], 0.5), 1.0, 8)
     with pytest.raises(ValueError, match="not closed"):
         flow_loop(linear_system(), loop[:-1], [1.0], 0.1)
+    with pytest.raises(ValueError, match="^a loop needs at least a closing edge$"):
+        flow_loop(linear_system(), loop[:1], [1.0], 0.1)
     late = PhaseState(loop[3].x, loop[3].lam, 0.6)
     with pytest.raises(ValueError, match="common time"):
         flow_loop(linear_system(), loop[:3] + (late,) + loop[4:], [1.0], 0.1)

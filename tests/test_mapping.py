@@ -282,6 +282,31 @@ def test_lambda0_k_validated():
                            x0=[0.0, 1.0], lam0=[0.0, 1.0], k=2)
 
 
+@pytest.mark.parametrize("synth", [synthesize_lambda0, synthesize_lambda0_cross])
+def test_lambda0_state_validated(synth):
+    sysr, cf = rotation_system(), small_bilinear_cf2()
+    for x0, lam0 in (([0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="^x0 and lam0 must have the system dimension$"):
+            synth(sysr, cf, x0=x0, lam0=lam0, k=0)
+    with pytest.raises(ValueError, match=r"^non-finite phase state: x=\[ 0. nan\]"):
+        synth(sysr, cf, x0=[0.0, np.nan], lam0=[0.0, 1.0], k=0)
+
+
+@pytest.mark.parametrize("synth, cf, x0", [(synthesize_lambda0, bilinear_cf(), [1.0]),
+                                           (synthesize_lambda0_cross, quarter_turn_cf(), [0.0])],
+                         ids=["Std116", "Cross220"])
+def test_lambda0_takes_the_lift_once_per_solve(synth, cf, x0):
+    # x0 and t0 stay fixed while the root solve varies lam0_k, so f and A
+    # are taken once however many residuals the solve evaluates
+    calls = []
+    counted = DynamicSystem(dim=1, f=lambda x, t: calls.append("f") or x,
+                            jac=lambda x, t: calls.append("jac") or np.eye(1), autonomous=True)
+    res = synth(counted, cf, x0=x0, lam0=[0.5], k=0)
+    ref = synth(linear_system(), cf, x0=x0, lam0=[0.5], k=0)
+    assert (res.value, res.status, res.g_residual) == (ref.value, ref.status, ref.g_residual)
+    assert sorted(calls) == ["f", "jac"]
+
+
 def test_lambda0_cross_quarter_turn_double_root():
     # g(lam0) = -(lam0^2 + x0^2): at x0 = 0 the root at zero is a double
     # root with no sign change, reachable only through the damped polish.
@@ -364,6 +389,15 @@ def test_ulam_zero_jacobian_is_frozen():
     ulam0 = np.array([0.4, -0.2])
     synth = synthesize_ulam(const, traj, ulam0)
     assert np.max(np.abs(synth.ulam_series - ulam0)) == 0.0
+
+
+def test_ulam0_validated():
+    traj = integrate(linear_system(), PhaseState([1.0], [1.0], 0.0), 0.1, 0.05)
+    with pytest.raises(ValueError, match="^ulam0 must have the system dimension$"):
+        synthesize_ulam(linear_system(), traj, [1.0, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^ulam0 must be finite$"):
+            synthesize_ulam(linear_system(), traj, [bad])
 
 
 def test_ulam_scalar_growth():

@@ -113,6 +113,8 @@ def test_dimension_mismatch_rejected_early():
 def test_dim_must_be_positive():
     with pytest.raises(ValueError):
         DynamicSystem(dim=0, f=lambda x, t: x)
+    with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+        ControllingFunction(dim=0, u=lambda x, lam, t: 0.0)
 
 
 def test_vectorized_system_needs_analytic_jacobian():
@@ -324,6 +326,23 @@ def test_constant_blocks_are_held_read_only():
 def test_constant_block_of_the_wrong_shape_refused(block, value):
     with pytest.raises(ValueError, match="cannot reshape"):
         ControllingFunction(2, u=lambda x, lam, t: 0.0, **{block: value})
+
+
+def test_closure_results_follow_the_one_shape_rule():
+    # phasecore._shaped: a list or an (n, 1) array is reshaped, a float
+    # array already in shape is returned as it is, a wrong size raises
+    held = np.array([1.0, 2.0])
+    cf = ControllingFunction(2, u=lambda x, lam, t: 0.0,
+                             ux=lambda x, lam, t: [3.0, 4.0],
+                             ulam=lambda x, lam, t: held,
+                             uxlam=lambda x, lam, t: np.arange(4.0).reshape(4, 1),
+                             ulamt=lambda x, lam, t: np.zeros(3))
+    x = lam = np.zeros(2)
+    assert cf.ux(x, lam, 0.0).tolist() == [3.0, 4.0]
+    assert cf.ulam(x, lam, 0.0) is held
+    assert cf.uxlam(x, lam, 0.0).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match="cannot reshape"):
+        cf.ulamt(x, lam, 0.0)
 
 
 def test_cf_dimension_mismatch():

@@ -104,6 +104,8 @@ def test_ballistic_field_guards_the_centre(r):
     for fn in (sysb.f, sysb.jac):
         with pytest.raises(DomainError, match="at or below the guard 1e-06$"):
             fn(s, 0.0)
+    with pytest.raises(DomainError, match="at or below the guard 1e-06$"):
+        make_ballistic_adjoint(1.0)(PhaseState(s, np.ones(4), 0.0))
 
 
 # ---------------------------------------------------------------------
@@ -159,6 +161,11 @@ def scalar_system(f=None):
         f = lambda x, t: np.zeros(1)
     return DynamicSystem(dim=1, f=f, jac=lambda x, t: np.zeros((1, 1)),
                          autonomous=True)
+
+
+def null_system2():
+    return DynamicSystem(dim=2, f=lambda x, t: np.zeros(2),
+                         jac=lambda x, t: np.zeros((2, 2)), autonomous=True)
 
 
 def unit_problem():
@@ -230,6 +237,11 @@ def test_problem_and_grid_validation():
     with pytest.raises(ValueError, match=">= 2 nodes"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.0]))
+    prob2 = StraighteningProblem(c=[1.0, 1.0], a=[0.5, 0.5], h=1.0, y0=[0.0, 0.0], lam_b=0.0)
+    for p, sys_ in ((prob2, scalar_system()), (prob, null_system2())):
+        with pytest.raises(ValueError, match="^straightening_solve handles n=1 only"):
+            straightening_solve(p, sys_, lambda x, lam: 1.0, np.array([0.0]),
+                                np.array([0.0, 0.5]))
 
 
 # ---------------------------------------------------------------------
@@ -412,3 +424,5 @@ def test_reduction_rejects_bad_inputs():
                            jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
     with pytest.raises(ValueError, match="not monotone"):
         constant_field_reduction(prob, wobble, [1.0], [0.5])
+    with pytest.raises(ValueError, match="^constant_field_reduction handles n=1 only$"):
+        constant_field_reduction(prob, null_system2(), [1.0, 1.0], [0.5, 0.5])
