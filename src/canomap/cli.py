@@ -30,7 +30,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, _subsample,
                         zero_controlling_function, verify_derivatives)
 # hamiltonian and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.cli.hamiltonian and .apply_map.
-from .hamilton import _rates, energy_drift, hamiltonian, integrate
+from .hamilton import canonical_rhs, energy_drift, hamiltonian, integrate
 from .mapping import _CRITERION_VARIANTS, MappingSpec, _images, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
                          poincare_cartan_loop, symplectic_test)
@@ -243,12 +243,14 @@ def _rotation_image_error(cfg, system, spec, traj):
 
 def _ballistic_conservation(cfg, system, spec, traj):
     """Drift of the area integral r v_phi and of the cyclic multiplier lam_4,
-    and the generic adjoint -A^T lam against the hand-written one."""
+    and the generic adjoint -A^T lam (canonical_rhs, from jac: the lamdot
+    column is the system's lift, the hand-written adjoint itself) against
+    the hand-written one."""
     rv = traj.x[:, 2] * traj.x[:, 1]
     lam4 = traj.lam[:, 3]
     adj = make_ballistic_adjoint(cfg.sigma)
-    lamdot = _rates(system, traj)[1]
-    agree = max(float(np.max(np.abs(adj(traj[i]) - lamdot[i]))) for i in _subsample(traj, 9))
+    agree = max(float(np.max(np.abs(adj(s) - canonical_rhs(system, s)[1])))
+                for s in (traj[i] for i in _subsample(traj, 9)))
     return {"area_integral_drift_rel": float(np.max(np.abs(rv - rv[0])) / max(1.0, abs(rv[0]))),
             "lam4_drift": float(np.max(np.abs(lam4 - lam4[0]))),
             "adjoint_agreement": agree}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _cumtrapz, _dot, _mv, _require_dim, _shaped)
+                        _cumtrapz, _dot, _jac_form, _mv, _require_dim, _shaped)
 
 __all__ = [
     "hamiltonian",
@@ -50,8 +50,13 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
     the lift at a stack Z (M, 2n) sharing t, each row bitwise its single
     state: a vectorized sys is called once on the (M, n) stack (a constant
     (n, n) jac goes on as (1, n, n), which _mv broadcasts), any other once
-    per row.  Not -(A^T lam): that flips signed zeros."""
+    per row.  Not -(A^T lam): that flips signed zeros.  A system's lift
+    replaces f and jac in the lift: one call per state (per row of a stack)."""
     n, f, vec, mat = sys.dim, sys.f, (sys.dim,), (sys.dim, sys.dim)
+    if mdot is None and sys.lift is not None:
+        fused, two = sys.lift, (2 * n,)
+        one = lambda z, t: _shaped(fused(z[:n], z[n:], t), two)
+        return (lambda Z, t: np.array([one(z, t) for z in Z])) if stack else one
     jac = sys.jac if sys.jac is not None else sys.jac_at
     if not stack:
         one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
@@ -86,10 +91,10 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
 
 def canonical_rhs(sys: DynamicSystem, s: PhaseState):
     """Right-hand side (xdot, lamdot) of the lifted canonical system at one
-    state: the single-state form of the lift that integrate marches."""
+    state: (f, (-A^T) lam) from f_at and jac_at, the lift by its definition,
+    never the system's lift callback (verify_derivatives checks that one)."""
     _require_dim(sys, s)
-    k = _stage(sys)(s.z(), s.t)
-    return k[:s.n], k[s.n:]
+    return _jac_form(sys, s.x, s.lam, s.t)
 
 
 def _lift_at(sys: DynamicSystem, t: np.ndarray, X: np.ndarray, LAM: np.ndarray):

@@ -354,7 +354,7 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     t, X, xdot, minus_at = (np.array([s.t]), s.x[None], sys.f_at(s.x, s.t)[None],
                             -sys.jac_at(s.x, s.t).T)
 
-    def g(v):   # lamdot as the stage kernel forms it, (-A^T) lam
+    def g(v):   # lamdot in the jac form (-A^T) lam, as canonical_rhs
         lam = _with_component(s.lam, k, v)
         return float(_residuals(spec, t, X, lam[None], xdot, (minus_at @ lam)[None])[0][0])
 

@@ -124,6 +124,10 @@ class DynamicSystem:
         Single-state calls pass a (1, n) stack.  Requires jac, since there
         are no batched finite differences.  Without the flag, a march over
         a stack (hamilton._stage) calls f and jac once per row.
+    lift : callable, optional
+        (x, lam, t) -> the 2n values (f, -A^T lam), one array or list, which
+        integrate and flow_loop march in place of f and jac; jac still serves
+        fundamental_matrix and jac_at.  Not with vectorized.
     """
 
     dim: int
@@ -132,6 +136,7 @@ class DynamicSystem:
     ft: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     autonomous: bool = False
     vectorized: bool = False
+    lift: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     fd_backed: frozenset = field(default=frozenset(), init=False)
 
     def __post_init__(self):
@@ -140,6 +145,8 @@ class DynamicSystem:
         if self.vectorized and self.jac is None:
             raise ValueError("a vectorized system must supply jac "
                              "(there are no batched finite differences)")
+        if self.vectorized and self.lift is not None:
+            raise ValueError("a vectorized system takes no lift (there is no batched lift)")
         backed = set()
         if self.jac is None:
             backed.add("jac")
@@ -206,6 +213,12 @@ class PhaseState:
     def z(self) -> np.ndarray:
         """Stacked (x, lam) in R^2n."""
         return np.concatenate([self.x, self.lam])
+
+
+def _jac_form(sys: DynamicSystem, x: np.ndarray, lam: np.ndarray, t: float):
+    """(f, (-A^T) lam) at one state from f_at and jac_at: the canonical pair
+    by its definition, which a system's lift callback must reproduce."""
+    return sys.f_at(x, t), (-sys.jac_at(x, t).T) @ lam
 
 
 def _require_dim(obj, s: PhaseState):
@@ -401,7 +414,8 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
 
     A system's ft is compared with the central difference of f in t even
     when the system is labelled autonomous, so a label that f contradicts
-    fails.
+    fails.  A system's lift, when it has one, is compared (block "lift")
+    with (f, (-A^T) lam) from f_at and jac_at.
 
     Returns
     -------
@@ -416,12 +430,15 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
     # (block, supplied value, central-difference reference) at one point.
     if isinstance(obj, DynamicSystem):
         f = lambda x, lam, t: obj.f_at(x, t)
-        tols = {"jac": rtol, "ft": rtol}
+        tols = {"jac": rtol, "ft": rtol, **({"lift": rtol} if obj.lift is not None else {})}
 
         def pairs(s):
             _check_finite(f(s.x, s.lam, s.t), "f", s)
             yield "jac", obj.jac_at(s.x, s.t), _central_diff(f, 0, s.x, s.lam, s.t)
             yield "ft", obj.ft_at(s.x, s.t), _central_diff(f, 2, s.x, s.lam, s.t)
+            if obj.lift is not None:
+                yield ("lift", _shaped(obj.lift(s.x, s.lam, s.t), (2 * obj.dim,)),
+                       np.concatenate(_jac_form(obj, s.x, s.lam, s.t)))
     elif isinstance(obj, ControllingFunction):
         tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": max(rtol, 1e-4)}
 

@@ -50,7 +50,9 @@ def ballistic_system(sigma: float) -> DynamicSystem:
 
     sigma^2 is the gravitational parameter.  r is guarded away from the
     singularity: r <= 1e-6 raises DomainError so integrations truncate
-    with a diagnostic instead of blowing through the center.
+    with a diagnostic instead of blowing through the center.  The system
+    supplies its lift, the field followed by make_ballistic_adjoint's
+    multiplier equations.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -76,7 +78,19 @@ def ballistic_system(sigma: float) -> DynamicSystem:
             0.0, 1.0 / r, -v_phi / r ** 2, 0.0,
         ]).reshape(4, 4)
 
-    return DynamicSystem(dim=4, f=f, jac=jac, autonomous=True)
+    def lift(s, lam, t):   # f's expressions, then the multiplier equations
+        v_r, v_phi, r, _phi = s.tolist()
+        l1, l2, l3, l4 = lam.tolist()
+        if r <= _R_MIN:
+            raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
+        return [v_phi ** 2 / r - sig2 / r ** 2, -v_r * v_phi / r, v_r, v_phi / r,
+                l2 * v_phi / r - l3,
+                -2.0 * l1 * v_phi / r + l2 * v_r / r - l4 / r,
+                l1 * v_phi ** 2 / r ** 2 - 2.0 * l1 * sig2 / r ** 3
+                - l2 * v_r * v_phi / r ** 2 + l4 * v_phi / r ** 2,
+                0.0]
+
+    return DynamicSystem(dim=4, f=f, jac=jac, autonomous=True, lift=lift)
 
 
 def make_ballistic_adjoint(sigma: float) -> Callable[[PhaseState], np.ndarray]:
@@ -88,26 +102,12 @@ def make_ballistic_adjoint(sigma: float) -> Callable[[PhaseState], np.ndarray]:
                 - lam2 v_r v_phi / r^2 + lam4 v_phi / r^2
         lam4' = 0
 
-    Kept separate from the generic adjoint -A^T lam so the written-out
-    system can be tested against the machinery that is supposed to
-    reproduce it.
+    They are the multiplier half of the system's lift, written out apart
+    from the generic adjoint -A^T lam of its jac, so the printed system can
+    be tested against the machinery that is supposed to reproduce it.
     """
-    sig2 = float(sigma) ** 2
-
-    def rhs(s: PhaseState) -> np.ndarray:
-        v_r, v_phi, r, _phi = s.x
-        l1, l2, l3, l4 = s.lam
-        if r <= _R_MIN:
-            raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
-        return np.array([
-            l2 * v_phi / r - l3,
-            -2.0 * l1 * v_phi / r + l2 * v_r / r - l4 / r,
-            l1 * v_phi ** 2 / r ** 2 - 2.0 * l1 * sig2 / r ** 3
-            - l2 * v_r * v_phi / r ** 2 + l4 * v_phi / r ** 2,
-            0.0,
-        ])
-
-    return rhs
+    lift = ballistic_system(sigma).lift
+    return lambda s: np.array(lift(s.x, s.lam, s.t)[4:])
 
 
 # ---------------------------------------------------------------------

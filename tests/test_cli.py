@@ -1,14 +1,18 @@
 """Batch front end: configs, artifacts, sweeps, verification, exit codes."""
 import csv
+import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from canomap import cli, scenarios
 from canomap.cli import (ConfigError, RunConfig, _write_csv, _write_json, main, run,
                          sweep, verify)
 from canomap.hamilton import hamiltonian, integrate
@@ -262,6 +266,38 @@ def test_truncated_orbit_keeps_its_exit_stderr_and_trajectory(tmp_path, capsys):
     assert not (out / "canonicity.csv").exists()
 
 
+def test_adjoint_agreement_sees_a_wrong_sign_in_the_lift(tmp_path, monkeypatch):
+    # the march and the hand-written adjoint both come from the ballistic
+    # lift, so adjoint_agreement can fail only because it reads the jac form
+    real = scenarios.ballistic_system
+
+    def mutant(sigma):
+        sysb = real(sigma)
+
+        def lift(x, lam, t):   # lam_2' with its sign flipped
+            k = np.array(sysb.lift(x, lam, t))
+            k[5] = -k[5]
+            return k
+        return dataclasses.replace(sysb, lift=lift)
+    monkeypatch.setattr(scenarios, "ballistic_system", mutant)
+    monkeypatch.setattr(cli, "ballistic_system", mutant)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="ballistic", t1=0.5, step=0.01,
+                    x0=[0.0, 1.1, 1.0, 0.0], output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads((out / "invariants.json").read_text())["adjoint_agreement"] > 1e-12
+
+
+def test_python_dash_m_exits_with_the_status_of_main(tmp_path):
+    # the module's __main__ guard, which only a child interpreter reaches
+    cfg = write_cfg(tmp_path, scenario="nope")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-m", "canomap.cli", "run", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+
+
 def test_loop_vertex_blowup_is_a_numerical_failure(tmp_path, capsys):
     # the centre trajectory stays finite; vertices at radius 0.5 cross 1e12
     out = tmp_path / "out"
@@ -354,7 +390,9 @@ def test_verify_system_only_scenarios(tmp_path, capsys, scenario):
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     pat = re.compile(r"^sys\.\w+: max rel err \d\.\d{3}e[+-]\d{2} OK$")
-    assert [ln.split(":")[0] for ln in lines] == ["sys.ft", "sys.jac"]
+    # the ballistic system supplies a lift, checked against f and jac
+    lifted = ["sys.lift"] if scenario == "ballistic" else []
+    assert [ln.split(":")[0] for ln in lines] == ["sys.ft", "sys.jac"] + lifted
     assert all(pat.fullmatch(ln) for ln in lines)
 
 

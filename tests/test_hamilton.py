@@ -154,13 +154,17 @@ def test_integrate_keeps_each_first_stage():
     assert traj.system is sysb
     assert traj.xdot.shape == traj.lamdot.shape == (len(traj), 4)
     assert not (traj.xdot.flags.writeable or traj.lamdot.flags.writeable)
-    # every row, the last one included, is the single-state lift bit for bit
-    want = [canonical_rhs(sysb, s) for s in traj]
+    # every row, the last one included, is the system's lift bit for bit,
+    # and the jac form (f, (-A^T) lam) to rounding
+    want = np.array([sysb.lift(s.x, s.lam, s.t) for s in traj])
     xdot, lamdot = _rates(sysb, traj)
     assert xdot is traj.xdot and lamdot is traj.lamdot
-    assert xdot.tobytes() == np.array([w[0] for w in want]).tobytes()
-    assert lamdot.tobytes() == np.array([w[1] for w in want]).tobytes()
-    # the Jacobian's last column is zero: (-A^T) lam sums +0, where -(A^T lam) gives -0
+    assert xdot.tobytes() == want[:, :4].tobytes()
+    assert lamdot.tobytes() == want[:, 4:].tobytes()
+    jac_form = np.array([np.concatenate(canonical_rhs(sysb, s)) for s in traj])
+    assert xdot.tobytes() == jac_form[:, :4].tobytes()
+    assert np.max(np.abs(lamdot - jac_form[:, 4:])) <= 1e-14 * np.max(np.abs(jac_form[:, 4:]))
+    # lam4' = 0 is written +0.0 (as (-A^T) lam sums +0, where -(A^T lam) gives -0)
     assert not np.signbit(lamdot[:, 3]).any()
     assert Trajectory(traj.t, traj.x, traj.lam).system is None
 

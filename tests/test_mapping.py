@@ -1,4 +1,5 @@
 """Mapping variants, canonicity checks, and the two synthesis routes."""
+import math
 import random
 
 import numpy as np
@@ -321,6 +322,65 @@ def test_lambda0_cross_no_root():
     with pytest.raises(RootNotFoundError, match="sign change"):
         synthesize_lambda0_cross(linear_system(), quarter_turn_cf(),
                                  x0=[1.0], lam0=[0.5], k=0)
+
+
+def _pivot_equation(G):
+    """synthesize_lambda0 from the guess lam0 = (guess, 0) on a system and U
+    whose Std116 equation in lam0_0 = v is g(v) = G(v) exactly: f = 0 leaves
+    (U_x - lam) . U_lamt - U_lam . lamdot = (-v, 1) . (0, G(v)) - 0.  Every
+    block is given, so u itself is never evaluated."""
+    z1, z2 = np.zeros(2), np.zeros((2, 2))
+    sys0 = DynamicSystem(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: np.zeros((2, 2)),
+                         autonomous=True)
+    cf = ControllingFunction(2, u=lambda x, lam, t: 0.0, ux=[0.0, 1.0], ulam=z1, ut=0.0,
+                             uxlam=z2, uxx=z2, ulamlam=z2, uxt=z1,
+                             ulamt=lambda x, lam, t: [0.0, G(lam[0])])
+    return lambda guess: synthesize_lambda0(sys0, cf, x0=[0.0, 0.0], lam0=[guess, 0.0], k=0)
+
+
+@pytest.mark.parametrize("root", [2.0, -2.0], ids=["upper-end", "lower-end"])
+def test_lambda0_takes_a_bracket_end_that_is_a_root(root):
+    # g = (v - root)^2 touches zero with no sign change.  The Newton step
+    # from the guess 0 lands on root / 2 (scale 1), so the first bracket
+    # [root/2 - 1, root/2 + 1] ends on the root, which is taken as found.
+    res = _pivot_equation(lambda v: (v - root) ** 2)(0.0)
+    assert res.status == "ok"
+    assert abs(res.value - root) < 1e-14 and res.g_residual < 1e-10
+
+
+def test_lambda0_bisection_stops_at_its_iteration_cap():
+    # g = tanh(v - 0.3) is flat at the guess 1e47, which stays the
+    # initializer (scale 1e47).  The first bracket [0, 1e47] holds the sign
+    # change, and its 200 halvings leave 1e47 / 2^200 = 6e-14 > 1e-14 of it:
+    # the cap, not the width, ends the bisection, and Newton polishes.
+    res = _pivot_equation(lambda v: math.tanh(v - 0.3))(1e47)
+    assert res.status == "ok"
+    assert abs(res.value - 0.3) < 1e-15 and res.g_residual < 1e-10
+
+
+def test_lambda0_newton_step_that_overflows_is_no_root():
+    # g = 1 + 1e-9 v / 1e300 keeps its sign within 1e303 of the guess 1e300,
+    # so the Newton fallback runs.  Its slope, 1e-309, makes the first step
+    # overflow, and Newton gives up before g sees a non-finite multiplier.
+    def g(v):
+        if not math.isfinite(v):
+            pytest.fail(f"g evaluated at lam0_k = {v}")
+        return 1.0 + 1e-9 * (v / 1e300)
+    # |lam|^2 overflows in the residual's scale, which g does not read
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RootNotFoundError, match="Newton fallback failed"):
+            _pivot_equation(g)(1e300)
+
+
+def test_lambda0_newton_fallback_stops_at_its_iteration_cap():
+    # g = (v - 1)^4 touches zero at 1, with no sign change and no bracket end
+    # near it, so the Newton fallback runs from the initializer 0.25.  At a
+    # quadruple root each step keeps 3/4 of the distance (more once it falls
+    # below the difference step), so Newton stops at its 60-step cap, short
+    # of the root yet with |g| far below the acceptance tolerance.
+    res = _pivot_equation(lambda v: (v - 1.0) ** 4)(0.0)
+    assert res.status == "ok" and res.g_residual < 1e-10
+    assert 1e-8 < abs(res.value - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("call", [
@@ -652,9 +712,18 @@ def _udot_x(cf, s, xdot, lamdot):
             + cf.uxt(s.x, s.lam, s.t))
 
 
+def _rates_at(sys, s):
+    """(xdot, lamdot) at s as a march forms them: the system's lift when it
+    supplies one, else canonical_rhs."""
+    if sys.lift is None:
+        return canonical_rhs(sys, s)
+    k = np.asarray(sys.lift(s.x, s.lam, s.t), dtype=float)
+    return k[:sys.dim], k[sys.dim:]
+
+
 def _residual_at(sys, spec, s):
     cf = spec.cf
-    xdot, lamdot = canonical_rhs(sys, s)
+    xdot, lamdot = _rates_at(sys, s)
     ux = cf.ux(s.x, s.lam, s.t)
     ulam = cf.ulam(s.x, s.lam, s.t)
     if spec.variant == "Std116":

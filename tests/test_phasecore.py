@@ -1,4 +1,6 @@
 """Core types: construction rules, FD fallbacks, derivative verification."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from canomap.phasecore import (_FD_RULE, ControllingFunction, DynamicSystem, Pha
                                verify_derivatives, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.mapping import synthesize_ulam
-from canomap.scenarios import rotation_example
+from canomap.scenarios import ballistic_system, rotation_example
 
 
 def linear_system(n=1, a=1.0):
@@ -55,6 +57,28 @@ def test_wrong_jacobian_is_flagged():
     assert report.blocks["jac"] == pytest.approx(5.0 / 6.0, abs=1e-8)
     assert "jac" in report.failing
     assert not report.ok
+
+
+def _sign_flipped(lift, i):
+    """lift with the sign of its i-th value flipped."""
+    def flipped(x, lam, t):
+        k = np.array(lift(x, lam, t), dtype=float)
+        k[i] = -k[i]
+        return k
+    return flipped
+
+
+@pytest.mark.parametrize("i", [1, 5])   # one value of f, one of -A^T lam
+def test_wrong_sign_in_a_lift_is_flagged(i):
+    sysb = ballistic_system(1.0)
+    rng = np.random.default_rng(2)
+    pts = [PhaseState([rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0), 0.3],
+                      rng.uniform(-1.0, 1.0, 4), 0.0) for _ in range(5)]
+    good = verify_derivatives(sysb, pts)
+    assert good.ok and set(good.blocks) == {"ft", "jac", "lift"}
+    assert good.blocks["lift"] < 1e-14   # the printed adjoint is (-A^T) lam to rounding
+    bad = verify_derivatives(dataclasses.replace(sysb, lift=_sign_flipped(sysb.lift, i)), pts)
+    assert bad.failing == ("lift",) and bad.blocks["lift"] > 1e-2
 
 
 def test_autonomous_label_is_checked_against_f():

@@ -2,11 +2,12 @@
 right-hand side from one stage kernel, hamilton._stage.  These tests pin the
 kernel to the lift written out from the public single-state calls,
 (f_at, (-jac_at^T) lam), marched by a test-local classical RK4, and pin how
-many times a march calls the system's f and jac."""
+many times a march calls the system's f and jac, or its lift callback."""
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canomap import hamilton
 from canomap.hamilton import _grid, canonical_rhs, fundamental_matrix, integrate
@@ -164,33 +165,128 @@ def test_a_wrong_size_raises_the_single_state_value_error(bad):
         assert type(got.value) is ValueError and str(got.value) == str(want.value)
 
 
+def _ballistic_loop(M=6):
+    theta = 2.0 * np.pi * np.arange(M) / M
+    verts = [PhaseState([0.1 * np.cos(a), 1.1, 1.0 + 0.1 * np.sin(a), 0.0],
+                        [0.3, -0.5 + 0.2 * np.sin(a), 0.7, 0.2], 0.0) for a in theta]
+    return tuple(verts + [verts[0]])
+
+
 def _counted(sys):
-    calls = {"f": 0, "jac": 0}
+    """sys with its f, jac and lift (where it has one) counting their calls."""
+    calls = {"f": 0, "jac": 0, "lift": 0}
 
-    def f(x, t):
-        calls["f"] += 1
-        return sys.f(x, t)
-
-    def jac(x, t):
-        calls["jac"] += 1
-        return sys.jac(x, t)
-    return dataclasses.replace(sys, f=f, jac=jac), calls
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    return dataclasses.replace(sys, **{name: counting(name, getattr(sys, name)) for name in calls
+                                       if getattr(sys, name) is not None}), calls
 
 
 def test_each_march_calls_f_and_jac_once_per_stage():
+    s0 = PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.2, 0.5, 0.1], 0.0)
     sysb, calls = _counted(ballistic_system(1.0))
-    traj = integrate(sysb, PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.2, 0.5, 0.1], 0.0),
-                     1.0, 1e-3)
+    traj = integrate(sysb, s0, 1.0, 1e-3)
     assert len(traj) - 1 == 1000
-    assert calls == {"f": 4001, "jac": 4001}    # 4 stages per step, and the last sample
-    calls.update(f=0, jac=0)
+    # a lifted march: 4 stages per step, and the last sample, one lift call each
+    assert calls == {"f": 0, "jac": 0, "lift": 4001}
+    calls.update(f=0, jac=0, lift=0)
     fundamental_matrix(sysb, traj, "D")
-    assert calls == {"f": 4000, "jac": 4000}
+    assert calls == {"f": 4000, "jac": 4000, "lift": 0}
+    unlifted, calls = _counted(dataclasses.replace(ballistic_system(1.0), lift=None))
+    integrate(unlifted, s0, 1.0, 1e-3)
+    assert calls == {"f": 4001, "jac": 4001, "lift": 0}
     linear = DynamicSystem(dim=1, f=lambda x, t: -0.5 * x, jac=lambda x, t: -0.5 * np.eye(1),
                            autonomous=True)
     linear, calls = _counted(linear)
     flow_loop(linear, circle_loop(PhaseState([1.0], [0.5], 0.0), 0.7, 8), [1.0], 0.1)
-    assert calls == {"f": 4 * 10 * 8, "jac": 4 * 10 * 8}    # 10 steps of 8 vertices
+    assert calls == {"f": 4 * 10 * 8, "jac": 4 * 10 * 8, "lift": 0}    # 10 steps of 8 vertices
+    sysb, calls = _counted(ballistic_system(1.0))
+    flow_loop(sysb, _ballistic_loop(), [T1], STEP)
+    assert calls == {"f": 0, "jac": 0, "lift": 4 * 10 * 6}
+
+
+# ---------------------------------------------------------------------
+# A system's lift callback in place of f and jac
+# ---------------------------------------------------------------------
+
+def _lifted_ref(sys_, z0, grid):
+    """The reference march over the jac form of sys_ (its lift unused)."""
+    return _ref_march(_ref_lift(dataclasses.replace(sys_, lift=None)), z0, grid)
+
+
+def _assert_lam_close(lam, ref):
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 1.1, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                         ids=["eccentric", "infall"])
+def test_a_lifted_march_is_the_reference_march_over_the_jac_form(x0):
+    sysb = ballistic_system(1.0)
+    s0 = PhaseState(x0, [0.3, -0.5, 0.7, 0.2], 0.0)
+    grid = list(_grid(0.0, 2.0, 0.01))
+    zs, _, t_stop = _lifted_ref(sysb, s0.z(), grid)
+    traj = integrate(sysb, s0, 2.0, 0.01)
+    assert traj.x.tobytes() == zs[:, :4].tobytes()
+    _assert_lam_close(traj.lam, zs[:, 4:])
+    # the radial infall meets the r guard inside a step: the lift's DomainError
+    # truncates where f's does, with the same reason
+    unlifted = integrate(dataclasses.replace(sysb, lift=None), s0, 2.0, 0.01)
+    assert dict(traj.meta) == dict(unlifted.meta)
+    assert (t_stop is None) == (x0[1] != 0.0)
+    if t_stop is not None:
+        assert traj.meta["t_truncated"] == t_stop and "guard" in traj.meta["reason"]
+
+
+def test_a_lifted_loop_flow_is_the_reference_march_over_the_jac_form():
+    sysb = ballistic_system(1.0)
+    loop = _ballistic_loop()
+    flowed = flow_loop(sysb, loop, [T1], STEP).flowed[0]
+    for img, v in zip(flowed, loop):
+        zs, _, _ = _lifted_ref(sysb, v.z(), list(_grid(0.0, T1, STEP)))
+        assert img.x.tobytes() == zs[-1, :4].tobytes()
+        _assert_lam_close(img.lam, zs[-1, 4:])
+
+
+def test_a_lift_of_the_wrong_size_raises_value_error():
+    bad = DynamicSystem(dim=2, f=_field, jac=_jac, lift=lambda x, lam, t: np.ones(3))
+    for march in (lambda: integrate(bad, S0, T1, STEP),
+                  lambda: flow_loop(bad, _loop(), [T1], STEP)):
+        with pytest.raises(ValueError, match="cannot reshape array of size 3 into shape"):
+            march()
+
+
+def test_a_vectorized_system_takes_no_lift():
+    with pytest.raises(ValueError, match="vectorized system takes no lift"):
+        DynamicSystem(dim=2, f=_linear_rows, jac=lambda X, t: A, vectorized=True,
+                      lift=lambda x, lam, t: np.zeros(4))
+
+
+_MAG = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.floats(1e-3, 1e3),
+       v=st.lists(st.floats(-1e4, 1e4, **_MAG), min_size=3, max_size=3),
+       r=st.floats(1.0000001e-6, 1e6),
+       lam=st.lists(st.floats(-1e4, 1e4, **_MAG), min_size=4, max_size=4))
+def test_ballistic_lift_is_its_field_and_the_jac_form_adjoint(sigma, v, r, lam):
+    sysb = ballistic_system(sigma)
+    x, lam = np.array([v[0], v[1], r, v[2]]), np.array(lam)
+    k = np.asarray(sysb.lift(x, lam, 0.0))
+    ref = (-sysb.jac_at(x, 0.0).T) @ lam
+    assert k[:4].tobytes() == sysb.f_at(x, 0.0).tobytes()
+    # relative to the size of each printed equation's terms, the scale of its
+    # rounding; subnormal results round absolutely
+    v_r, v_phi, l1, l2, l3, l4, sig2 = v[0], v[1], *lam, float(sigma) ** 2
+    terms = np.array([abs(l2 * v_phi / r) + abs(l3),
+                      abs(2.0 * l1 * v_phi / r) + abs(l2 * v_r / r) + abs(l4 / r),
+                      abs(l1 * v_phi ** 2 / r ** 2) + abs(2.0 * l1 * sig2 / r ** 3)
+                      + abs(l2 * v_r * v_phi / r ** 2) + abs(l4 * v_phi / r ** 2),
+                      0.0])
+    assert np.all(np.abs(k[4:] - ref) <= 1e-14 * terms + np.finfo(float).tiny)
 
 
 def test_no_march_goes_through_the_single_state_calls(monkeypatch):

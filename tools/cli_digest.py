@@ -13,9 +13,14 @@ two or more roots, exits 1 unless every tree matches the first byte for byte,
 and names each tag (case, command, artifact) whose digest differs.  Under a
 differing `.json` artifact it lists the top-level keys the tree lost and
 gained, and each key whose value changed as `old -> new` (a nested value by
-its key alone), so a declared re-baseline can be audited key by key.
+its key alone); under a differing `.csv` artifact, each column that changed,
+with its largest absolute change where both trees wrote the same number of
+numeric cells.  So a declared re-baseline can be audited key by key and
+column by column.
 """
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -76,6 +81,9 @@ def digest(root):
                     lines.append(f"{tag} {rel} {sha(data)}")
                     if name.endswith(".json"):
                         docs[f"{tag} {rel}"] = json.loads(data)
+                    elif name.endswith(".csv"):
+                        rows = list(csv.reader(io.StringIO(data.decode())))
+                        docs[f"{tag} {rel}"] = dict(zip(rows[0], zip(*rows[1:]))) if rows else {}
 
     for (case, cfg), (cmd, extra) in ((c, m) for c in CASES.items() for m in COMMANDS.items()):
         with tempfile.TemporaryDirectory() as tmp:
@@ -110,6 +118,22 @@ def key_changes(old, new):
     return out
 
 
+def column_changes(old, new):
+    """Lines naming the columns lost, gained and changed from the CSV table
+    old to new (column -> cells); a changed numeric column of unchanged
+    length shows its largest absolute change."""
+    out = [f"lost column {k}" for k in old if k not in new]
+    out += [f"gained column {k}" for k in new if k not in old]
+    for k in (k for k in old if k in new and old[k] != new[k]):
+        try:
+            dev = max(abs(float(a) - float(b)) for a, b in zip(old[k], new[k]))
+        except ValueError:
+            dev = None
+        same = dev is not None and len(old[k]) == len(new[k])
+        out.append(f"changed column {k}" + (f": max |change| {dev:.3e}" if same else ""))
+    return out
+
+
 if __name__ == "__main__":
     roots = sys.argv[1:]
     if not roots:
@@ -129,6 +153,9 @@ if __name__ == "__main__":
                     print(f"  differs: {tag}")
                     if tag.endswith(".json"):
                         for line in key_changes(docs0.get(tag), docs.get(tag)):
+                            print(f"    {line}")
+                    elif tag.endswith(".csv"):
+                        for line in column_changes(docs0.get(tag, {}), docs.get(tag, {})):
                             print(f"    {line}")
             print(f"DIFFERS from {roots[0]}: {root}")
     if len(roots) > 1 and not bad:

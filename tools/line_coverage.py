@@ -9,8 +9,11 @@ checkout's src/canomap, then prints one line
 A statement is executable when the compiler gives its first line an
 instruction (docstrings and bare `else:` lines are not).  The tests in
 tests/test_perfbench_binding.py are left out: they run canomap in a child
-interpreter, which the recorder cannot see.  No bytecode and no pytest cache
-are written.  Hypothesis runs derandomized and without deadlines, so the
+interpreter, which the recorder cannot see; for the same reason a statement
+under a module's `if __name__ == "__main__":` guard, which only a child
+interpreter running `python -m` reaches (tests/test_cli.py has such a test),
+is listed with a note saying so.  No bytecode and no pytest cache are
+written.  Hypothesis runs derandomized and without deadlines, so the
 report does not change from run to run.  Exits with pytest's status.
 Standard library only, besides pytest and hypothesis.
 """
@@ -57,6 +60,15 @@ def executable_lines(path):
             and node.lineno in coded}
 
 
+def main_guarded(path):
+    """First lines of the statements under `if __name__ == "__main__":`."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {stmt.lineno for node in tree.body if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'"
+            for stmt in ast.walk(node) if isinstance(stmt, ast.stmt) and stmt is not node}
+
+
 class _Derandomized:
     """A pytest plugin that loads a Hypothesis profile without deadlines
     and with a fixed example sequence, once Hypothesis's plugin is in."""
@@ -80,18 +92,22 @@ def main():
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    missed = total = 0
+    missed = total = guards = 0
     for fname in sorted(os.listdir(SRC)):
         if not fname.endswith(".py"):
             continue
         path = os.path.join(SRC, fname)
         stmts = executable_lines(path)
-        ran = _hit.get(path, set())
+        ran, guarded = _hit.get(path, set()), main_guarded(path)
         total += len(stmts)
         for line in sorted(set(stmts) - ran):
             missed += 1
-            print(f"{os.path.relpath(path, ROOT)}:{line}: {stmts[line]}")
-    print(f"line_coverage: {missed} of {total} statements in src/canomap never ran")
+            guards += line in guarded
+            note = "  (under the __main__ guard: reached only by subprocess tests)" \
+                if line in guarded else ""
+            print(f"{os.path.relpath(path, ROOT)}:{line}: {stmts[line]}{note}")
+    print(f"line_coverage: {missed} of {total} statements in src/canomap never ran"
+          f" ({guards} of them under a __main__ guard)")
     return int(status)
 
 
