@@ -342,10 +342,13 @@ def _pivot_equation(G):
 def test_lambda0_takes_a_bracket_end_that_is_a_root(root):
     # g = (v - root)^2 touches zero with no sign change.  The Newton step
     # from the guess 0 lands on root / 2 (scale 1), so the first bracket
-    # [root/2 - 1, root/2 + 1] ends on the root, which is taken as found.
-    res = _pivot_equation(lambda v: (v - root) ** 2)(0.0)
+    # [root/2 - 1, root/2 + 1] ends on the root, which is taken as found:
+    # the second bracket, 10 around the initializer, is never tried.
+    at = []
+    res = _pivot_equation(lambda v: at.append(v) or (v - root) ** 2)(0.0)
     assert res.status == "ok"
     assert abs(res.value - root) < 1e-14 and res.g_residual < 1e-10
+    assert not any(5.0 < abs(v) < 50.0 for v in at)
 
 
 def test_lambda0_bisection_stops_at_its_iteration_cap():
@@ -378,9 +381,13 @@ def test_lambda0_newton_fallback_stops_at_its_iteration_cap():
     # quadruple root each step keeps 3/4 of the distance (more once it falls
     # below the difference step), so Newton stops at its 60-step cap, short
     # of the root yet with |g| far below the acceptance tolerance.
-    res = _pivot_equation(lambda v: (v - 1.0) ** 4)(0.0)
+    at = []
+    res = _pivot_equation(lambda v: at.append(v) or (v - 1.0) ** 4)(0.0)
     assert res.status == "ok" and res.g_residual < 1e-10
     assert 1e-8 < abs(res.value - 1.0) < 1e-6
+    # 16 evaluations before the fallback (the first Newton step, the probes
+    # and the brackets), then g at the start and 3 per Newton step
+    assert len(at) == 16 + 1 + 3 * 60
 
 
 @pytest.mark.parametrize("call", [
