@@ -55,8 +55,8 @@ def symplectic_test(mapping, s: PhaseState) -> float:
                                np.atleast_1d(np.asarray(mu, dtype=float))])
 
     J = _central_diff_x(stacked, s.z())
-    E = np.eye(n)
-    I = np.block([[np.zeros((n, n)), E], [-E, np.zeros((n, n))]])
+    I = np.zeros((2 * n, 2 * n))
+    I[:n, n:], I[n:, :n] = np.eye(n), -np.eye(n)
     return float(np.max(np.abs(J.T @ I @ J - I)))
 
 

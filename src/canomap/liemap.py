@@ -92,5 +92,6 @@ def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -
         y, mu = infinitesimal_step(gen, s)
         if not (np.abs(y).max() <= _BLOWUP_LIMIT and np.abs(mu).max() <= _BLOWUP_LIMIT):
             raise DomainError(f"flow composition blew up at step {i + 1}/{N}")
-        s = PhaseState(y, mu, s.t + eps)
+        t = s.t + eps   # y and mu are finite: they passed the blow-up check
+        s = PhaseState._trusted(y, mu, t) if abs(t) < np.inf else PhaseState(y, mu, t)
     return s

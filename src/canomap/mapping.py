@@ -166,7 +166,14 @@ def _residuals(spec, t, X, LAM, xdot, lamdot):
     else:  # Cross220
         udot = _mv(rows("uxx"), xdot) + _mv(rows("uxlam"), lamdot) + rows("uxt")
         r = _dot(LAM - ulam, udot) - _dot(ulam - ux, xdot) + _dot(ulam, lamdot)
-    scale = np.maximum(1.0, np.sqrt(_dot(LAM, LAM)) * np.sqrt(_dot(ulam, ulam)))
+    with np.errstate(over="ignore", invalid="ignore"):   # v . v overflows past |v| ~ 1e154
+        scale = np.maximum(1.0, np.sqrt(_dot(LAM, LAM)) * np.sqrt(_dot(ulam, ulam)))
+    bad = ~np.isfinite(scale)
+    if bad.any():   # redo those rows from lam and U_lam over their largest magnitudes m
+        V = np.stack([LAM[bad], ulam[bad]])   # (2, k, n)
+        m = np.maximum(np.max(np.abs(V), axis=2), np.finfo(float).tiny)   # a zero row stays 0
+        V = V / m[:, :, None]
+        scale[bad] = np.maximum(1.0, m[0] * m[1] * np.sqrt(_dot(V[0], V[0]) * _dot(V[1], V[1])))
     return r, scale, rows
 
 
@@ -430,9 +437,11 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 def _map_jacobian(spec: MappingSpec, s: PhaseState):
     """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
-    rows, E = _rows(spec.cf, s.t, s.x, s.lam), np.eye(spec.cf.dim)
+    n = spec.cf.dim
+    rows, E, J = _rows(spec.cf, s.t, s.x, s.lam), np.eye(n), np.empty((2 * n, 2 * n))
     (yx, ylam), (mux, mulam) = ([d(rows) for d in _DG[g]] for g in (gy, gmu))
-    return np.block([[E + a * yx, a * ylam], [b * mux, E + b * mulam]])
+    J[:n, :n], J[:n, n:], J[n:, :n], J[n:, n:] = E + a * yx, a * ylam, b * mux, E + b * mulam
+    return J
 
 
 def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
@@ -468,10 +477,11 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     norm = np.max(np.abs(r))
     if not np.isfinite(norm):
         raise ConvergenceError(f"non-finite residual {r} at the start of the inversion")
+    state = PhaseState._trusted if abs(t) < np.inf else PhaseState   # each accepted z is finite
     for _ in range(50):
         if norm < tol:
             break
-        s = PhaseState(z[:n], z[n:], t)
+        s = state(z[:n], z[n:], t)
         try:
             delta = np.linalg.solve(_map_jacobian(spec, s), -r)
         except np.linalg.LinAlgError as exc:

@@ -44,16 +44,20 @@ def _central_diff_x(func, x: np.ndarray, h_scale: float = _FD_STEP) -> np.ndarra
     distance of the rounded endpoints, so quotients of linear maps are exact.
     """
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        h = h_scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] = x[i] + h
-        xm[i] = x[i] - h
-        d = xp[i] - xm[i]
-        cols.append((np.asarray(func(xp), dtype=float) - np.asarray(func(xm), dtype=float)) / d)
-    return np.stack(cols, axis=-1)
+    if not x.size:
+        raise ValueError("no coordinate to difference: x is empty")
+    for i, xi in enumerate(x.tolist()):   # Python floats: the same IEEE steps
+        h = h_scale * max(1.0, abs(xi))
+        a, b = xi + h, xi - h
+        xp, xm = x.copy(), x.copy()   # fresh per call: func may hold its argument
+        xp[i], xm[i] = a, b
+        col = (np.asarray(func(xp), dtype=float) - np.asarray(func(xm), dtype=float)) / (a - b)
+        if i == 0:
+            out = np.empty(col.shape + (x.size,))
+        elif col.shape != out.shape[:-1]:
+            raise ValueError(f"columns of shapes {out.shape[:-1]} and {col.shape} differ")
+        out[..., i] = col
+    return out
 
 
 def _central_diff_t(func, t: float, h_scale: float = _FD_STEP):

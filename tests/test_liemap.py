@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
-                               PhaseState)
+                               PhaseState, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.invariants import symplectic_test
 from canomap.liemap import (Generator, compose_flow, hamiltonian_field,
@@ -214,3 +214,19 @@ def test_compose_flow_blowup_diagnostic():
                                ulam=lambda x, lam, t: x ** 2)
     with pytest.raises(DomainError, match="blew up at step"):
         compose_flow(quad, PhaseState([5.0], [0.0], 0.0), 10.0, 20)
+
+
+def test_compose_flow_non_finite_gradient_is_a_blowup():
+    # a NaN image fails the blow-up check, so no non-finite state is built
+    nan_field = ControllingFunction(1, lambda x, lam, t: 0.0,
+                                    ux=lambda x, lam, t: np.zeros(1),
+                                    ulam=lambda x, lam, t: np.array([np.nan]))
+    with pytest.raises(DomainError, match=r"blew up at step 1/4"):
+        compose_flow(nan_field, PhaseState([1.0], [1.0], 0.0), 1.0, 4)
+
+
+def test_compose_flow_refuses_a_time_past_the_float_range():
+    # eps = 1e308 is finite, but t0 + eps overflows: the state's time is
+    # still checked though its x and lam come from the blow-up check
+    with pytest.raises(ValueError, match=r"^non-finite phase state: .*t=inf"):
+        compose_flow(zero_controlling_function(1), PhaseState([0.0], [1.0], 1.7e308), 1e308, 1)

@@ -1,6 +1,7 @@
 """Mapping variants, canonicity checks, and the two synthesis routes."""
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from canomap.phasecore import (_FD_RULE, ControllingFunction, DomainError, Dynam
                                zero_controlling_function)
 from canomap.hamilton import canonical_rhs, energy_drift, integrate
 from canomap.invariants import action_function, symplectic_test
-from canomap.mapping import (VARIANTS, ConvergenceError, DegeneratePivotError,
-                             MappingSpec, RootNotFoundError, _images, _map_jacobian, apply_map,
+from canomap.mapping import (_DG, _FORM, VARIANTS, ConvergenceError, DegeneratePivotError,
+                             MappingSpec, RootNotFoundError, _images, _map_jacobian, _rows,
+                             apply_map,
                              canonicity_residual, canonicity_residual_points,
                              invert_map, jacobian_condition, synthesize_lambda0,
                              synthesize_lambda0_cross, synthesize_ulam)
@@ -183,6 +185,25 @@ def test_residual_points_requires_states():
     with pytest.raises(ValueError, match="nonempty"):
         canonicity_residual_points(linear_system(),
                                    MappingSpec("Std116", bilinear_cf()), [])
+
+
+@pytest.mark.parametrize("lam", [1e150, 1e160, 1e300])
+def test_residual_scale_survives_multipliers_past_the_square_range(lam):
+    # |lam|^2 overflows past about 1.3e154; the scale max(1, |lam||U_lam|)
+    # must not: U = 0 leaves r = 0 (no inf * 0 = nan), and U = 0.1 x lam on
+    # xdot = x gives r / scale = 0.1 for every |lam||U_lam| >= 1 (no r / inf).
+    s = PhaseState([0.5], [lam], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = [canonicity_residual_points(
+            linear_system(), MappingSpec(v, zero_controlling_function(1)), [s])
+            for v in ("Std116", "Cross220")]
+        bilinear = canonicity_residual_points(
+            linear_system(), MappingSpec("Std116", bilinear_cf(0.1)), [s])
+    for rep in zero:
+        assert rep.max_residual == 0.0 and rep.verdict == "canonical"
+    assert bilinear.max_residual == pytest.approx(0.1, rel=1e-12)
+    assert bilinear.verdict == "violated"
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf, -np.inf])
@@ -515,6 +536,26 @@ def test_invert_map_non_finite_residual_reported():
         invert_map(MappingSpec("Std116", cf), [1.0], [1.0], 0.0, x_init=[-0.5])
 
 
+@pytest.mark.parametrize("start", [dict(x_init=[np.nan]), dict(x_init=[np.inf]),
+                                   dict(lam_init=[-np.inf])])
+def test_invert_map_from_a_non_finite_start_reported(start):
+    with pytest.raises(ConvergenceError, match=r"non-finite residual \[nan nan\]"):
+        invert_map(MappingSpec("Std116", bilinear_cf(0.2)), [1.0], [1.0], 0.0, **start)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_invert_map_refuses_a_non_finite_time_once_it_steps(t):
+    # U is free of t, so the residual is finite; the first Newton step's
+    # state is a PhaseState, which refuses t.  A start that is already a
+    # root takes no step.
+    spec = MappingSpec("Std116", bilinear_cf(0.2))
+    with pytest.raises(ValueError, match="^non-finite phase state"):
+        invert_map(spec, [1.0], [1.0], t)
+    y, mu = apply_map(spec, PhaseState([1.0], [1.0], 0.0))
+    x, lam = invert_map(spec, y, mu, t, x_init=[1.0], lam_init=[1.0])
+    assert x.tolist() == [1.0] and lam.tolist() == [1.0]
+
+
 def test_invert_map_non_finite_step_is_not_a_reduction():
     # U = sqrt(x) lam with analytic U_x, U_lam: at x = 5e-7 the residual is
     # finite, but U_xx's FD stencil (step 1e-6) reaches x < 0, so the Newton
@@ -654,6 +695,37 @@ def test_map_jacobian_calls_each_second_block_once(variant):
     cf, calls = _counting_cf(quadratic_cf2(B, np.eye(2), -np.eye(2)))
     _map_jacobian(MappingSpec(variant, cf), PhaseState([0.7, -1.1], [0.4, 1.3], 0.0))
     assert {b: k for b, k in calls.items() if k} == {"uxx": 1, "uxlam": 1, "ulamlam": 1}
+
+
+def _wavy_cfs(eps=0.1):
+    """U = eps (sin(x).lam + |x*lam|^2 / 2) on n = 2: once with every block
+    given, once by value alone (every block FD-backed)."""
+    def u(x, lam, t):
+        return eps * (float(np.sin(x) @ lam) + 0.5 * float((x * x) @ (lam * lam)))
+    analytic = ControllingFunction(
+        2, u, ux=lambda x, lam, t: eps * (np.cos(x) * lam + x * lam * lam),
+        ulam=lambda x, lam, t: eps * (np.sin(x) + x * x * lam),
+        uxlam=lambda x, lam, t: eps * np.diag(np.cos(x) + 2.0 * x * lam),
+        uxx=lambda x, lam, t: eps * np.diag(-np.sin(x) * lam + lam * lam),
+        ulamlam=lambda x, lam, t: eps * np.diag(x * x))
+    return {"analytic": analytic, "fd": ControllingFunction(2, u)}
+
+
+@pytest.mark.parametrize("kind", ["analytic", "fd"])
+def test_map_jacobian_pinned_to_its_block_assembly(kind):
+    # the in-place fill equals np.block over the same four blocks bit for bit
+    cf = _wavy_cfs()[kind]
+    rng = np.random.default_rng(11)
+    states = [PhaseState([-0.0, 0.0], [0.0, -0.0], 0.0)] + [
+        PhaseState(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2), 0.4) for _ in range(4)]
+    for spec in _variant_specs(cf):
+        a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
+        for s in states:
+            rows, E = _rows(cf, s.t, s.x, s.lam), np.eye(2)
+            (yx, ylam), (mux, mulam) = ([d(rows) for d in _DG[g]] for g in (gy, gmu))
+            ref = np.block([[E + a * yx, a * ylam], [b * mux, E + b * mulam]])
+            got = _map_jacobian(spec, s)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), spec.variant
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
 """Core types: construction rules, FD fallbacks, derivative verification."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canomap.phasecore import (_FD_RULE, ControllingFunction, DynamicSystem, PhaseState,
                                Trajectory, _central_diff_t, _central_diff_x,
@@ -242,6 +244,78 @@ def test_trajectory_samples_on_demand_and_read_only():
     x[0, 0] = 9.0
     t[0] = -1.0
     assert traj.x[0, 0] == 0.0 and traj.t[0] == 0.0
+
+
+# ---------------------------------------------------------------------
+# Central differences
+# ---------------------------------------------------------------------
+
+def _stacked_central_diff(func, x, h_scale):
+    """The kernel's rule written on numpy scalars and joined by np.stack:
+    the reference that _central_diff_x must equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        h = h_scale * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] = x[i] + h
+        xm[i] = x[i] - h
+        d = xp[i] - xm[i]
+        cols.append((np.asarray(func(xp), dtype=float) - np.asarray(func(xm), dtype=float)) / d)
+    return np.stack(cols, axis=-1)
+
+
+# Scalar-, vector- and matrix-valued maps of R^n, nonlinear in every entry.
+_FD_FUNCS = {
+    "scalar": lambda v: float(np.sin(v) @ np.cos(v) + v @ v),
+    "numpy-scalar": lambda v: np.prod(np.tanh(v) + 2.0),
+    "vector": lambda v: np.concatenate([np.sin(v) * v[::-1], [np.prod(np.cos(v))]]),
+    "matrix": lambda v: np.outer(np.tanh(v), v * v),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                            st.floats(-1e6, 1e6)), min_size=1, max_size=4),
+       kind=st.sampled_from(sorted(_FD_FUNCS)), h_scale=st.sampled_from([1e-6, 1e-5, 1e-4]))
+def test_central_diff_x_pinned_bitwise(x, kind, h_scale):
+    func, x = _FD_FUNCS[kind], np.array(x)
+    got, ref = _central_diff_x(func, x, h_scale), _stacked_central_diff(func, x, h_scale)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert got.dtype == float and got.flags.c_contiguous
+
+
+def test_central_diff_x_calls_func_twice_per_column_on_fresh_copies():
+    # a callback may hold its argument: each of the 2n calls gets its own
+    # array, which no later step of the kernel writes to
+    x = np.array([0.5, -2.0, -0.0, 3e5])
+    held = []
+    _central_diff_x(lambda v: held.append(v) or v * v, x)
+    assert len(held) == 2 * x.size
+    for a, b in itertools.combinations([x, *held], 2):
+        assert a is not b and not np.shares_memory(a, b)
+    for i, xi in enumerate(x.tolist()):
+        h = 1e-6 * max(1.0, abs(xi))
+        for v, step in zip(held[2 * i:2 * i + 2], (xi + h, xi - h)):
+            expect = x.copy()
+            expect[i] = step
+            assert v.tobytes() == expect.tobytes()
+    assert x.tobytes() == np.array([0.5, -2.0, -0.0, 3e5]).tobytes()
+
+
+@pytest.mark.parametrize("first, second", [((), (2,)), ((2,), ()), ((2,), (1,)),
+                                           ((1,), (2,)), ((2, 2), (2,))])
+def test_central_diff_x_refuses_ragged_columns(first, second):
+    # a column that would broadcast into the first one's shape is still refused
+    shapes = iter([first, first, second, second])
+    with pytest.raises(ValueError):
+        _central_diff_x(lambda v: np.ones(next(shapes)), np.zeros(2))
+
+
+def test_central_diff_x_refuses_an_empty_x():
+    with pytest.raises(ValueError, match="x is empty"):
+        _central_diff_x(lambda v: np.ones(2), np.zeros(0))
 
 
 # ---------------------------------------------------------------------
