@@ -81,8 +81,8 @@ def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -
     mappings; it converges at O(1/N) and is meant for order checks, not
     production integration.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be an integer of at least 1, got {N!r}")
     if T == 0.0:
         return s0
     eps = T / N

@@ -354,8 +354,8 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     if x0.size != sys.dim or lam0.size != sys.dim:
         raise ValueError("x0 and lam0 must have the system dimension")
-    if not 0 <= k < sys.dim:
-        raise ValueError(f"pivot index k={k} out of range for n={sys.dim}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < sys.dim:
+        raise ValueError(f"pivot index k={k!r} is not an integer in [0, {sys.dim})")
 
     s = PhaseState(x0, lam0, t0)   # x0 and t0 are fixed: one f and one A per solve
     t, X, xdot, minus_at = (np.array([s.t]), s.x[None], sys.f_at(s.x, s.t)[None],
@@ -454,7 +454,7 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     _FD_STEP; a higher floor tries steps halved down to 1/64.  After 50
     iterations only max|r| <= tol is accepted; ConvergenceError otherwise,
     also for a non-finite residual at the start.  A non-finite trial step
-    counts as not reducing max|r|.
+    counts as not reducing max|r|; a non-finite t raises ValueError.
     """
     cf, n = spec.cf, spec.cf.dim
     y, mu, x0, lam0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
@@ -463,6 +463,8 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
         if v.shape != (n,):
             raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
     target, t = np.concatenate([y, mu]), float(t)
+    if not abs(t) < np.inf:
+        raise ValueError(f"non-finite time t={t}")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(target))))
     _, gy, _, gmu = _FORM[spec.variant](*spec.signs)
     fd_term = 4.0 * np.finfo(float).eps / _FD_STEP if {gy, gmu} & cf.fd_backed else 0.0
@@ -477,11 +479,10 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     norm = np.max(np.abs(r))
     if not np.isfinite(norm):
         raise ConvergenceError(f"non-finite residual {r} at the start of the inversion")
-    state = PhaseState._trusted if abs(t) < np.inf else PhaseState   # each accepted z is finite
     for _ in range(50):
         if norm < tol:
             break
-        s = state(z[:n], z[n:], t)
+        s = PhaseState._trusted(z[:n], z[n:], t)   # each accepted z is finite
         try:
             delta = np.linalg.solve(_map_jacobian(spec, s), -r)
         except np.linalg.LinAlgError as exc:

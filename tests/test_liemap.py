@@ -166,9 +166,14 @@ def test_compose_zero_time_returns_start():
     sysl = DynamicSystem(dim=1, f=lambda x, t: x,
                          jac=lambda x, t: np.eye(1), autonomous=True)
     s0 = PhaseState([1.0], [1.0], 0.25)
-    assert compose_flow(hamiltonian_field(sysl), s0, 0.0, 100) is s0
-    with pytest.raises(ValueError, match="at least 1"):
-        compose_flow(hamiltonian_field(sysl), s0, 1.0, 0)
+    H = hamiltonian_field(sysl)
+    assert compose_flow(H, s0, 0.0, 100) is s0
+    for N in (0, 2.5, 1.0, True):
+        with pytest.raises(ValueError, match="at least 1"):
+            compose_flow(H, s0, 1.0, N)
+    end = compose_flow(H, s0, 1.0, np.int64(3))
+    ref = compose_flow(H, s0, 1.0, 3)
+    assert end.x.tolist() == ref.x.tolist() and end.lam.tolist() == ref.lam.tolist()
 
 
 def test_compose_flow_first_order_error():

@@ -299,9 +299,16 @@ def test_lambda0_degenerate_pivot_raises():
 
 
 def test_lambda0_k_validated():
-    with pytest.raises(ValueError, match="k"):
-        synthesize_lambda0(rotation_system(), small_bilinear_cf2(),
-                           x0=[0.0, 1.0], lam0=[0.0, 1.0], k=2)
+    # a bool or a non-integer k is refused, not met as NumPy's IndexError;
+    # a NumPy integer pivots as the int does
+    args = (rotation_system(), small_bilinear_cf2(), [0.0, 1.0], [0.0, 1.0])
+    for synth in (synthesize_lambda0, synthesize_lambda0_cross):
+        for k in (2, -1, 0.0, 1.0, True):
+            with pytest.raises(ValueError, match="k"):
+                synth(*args, k=k)
+        res, ref = synth(*args, k=np.int64(1)), synth(*args, k=1)
+        assert (res.value, res.status, res.lam0.tolist()) == (ref.value, ref.status,
+                                                              ref.lam0.tolist())
 
 
 @pytest.mark.parametrize("synth", [synthesize_lambda0, synthesize_lambda0_cross])
@@ -543,17 +550,19 @@ def test_invert_map_from_a_non_finite_start_reported(start):
         invert_map(MappingSpec("Std116", bilinear_cf(0.2)), [1.0], [1.0], 0.0, **start)
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf])
-def test_invert_map_refuses_a_non_finite_time_once_it_steps(t):
-    # U is free of t, so the residual is finite; the first Newton step's
-    # state is a PhaseState, which refuses t.  A start that is already a
-    # root takes no step.
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_invert_map_refuses_a_non_finite_time_whatever_the_start(t):
+    # U is free of t, so the residual is finite wherever the start is; the
+    # time is refused before any step, also from a start that is already a
+    # root and for the zero U, which takes no step anywhere.
     spec = MappingSpec("Std116", bilinear_cf(0.2))
-    with pytest.raises(ValueError, match="^non-finite phase state"):
+    with pytest.raises(ValueError, match="^non-finite"):
         invert_map(spec, [1.0], [1.0], t)
     y, mu = apply_map(spec, PhaseState([1.0], [1.0], 0.0))
-    x, lam = invert_map(spec, y, mu, t, x_init=[1.0], lam_init=[1.0])
-    assert x.tolist() == [1.0] and lam.tolist() == [1.0]
+    with pytest.raises(ValueError, match="^non-finite"):
+        invert_map(spec, y, mu, t, x_init=[1.0], lam_init=[1.0])
+    with pytest.raises(ValueError, match="^non-finite"):
+        invert_map(MappingSpec("Std116", zero_controlling_function(1)), [1.0], [1.0], t)
 
 
 def test_invert_map_non_finite_step_is_not_a_reduction():

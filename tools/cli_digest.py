@@ -8,7 +8,9 @@ the CLI cases, the benchmark's `synthesis` library session (perfbench/
 session.py, seeds 0-2) runs against each tree, which reaches the layers no
 CLI case does: fundamental_matrix, synthesize_lambda0, FD-backed invert_map,
 verify_derivatives and compose_flow.  The session code is read from this
-checkout's perfbench/ for every tree, and nothing is written there.  With
+checkout's perfbench/ for every tree, and nothing is written there.  The
+`api` case writes api.json, {name: type name} for each name of the sorted
+`canomap.__all__`, so a lost or gained public name is listed by key.  With
 two or more roots, exits 1 unless every tree matches the first byte for byte,
 and names each tag (case, command, artifact) whose digest differs.  Under a
 differing `.json` artifact it lists the top-level keys the tree lost and
@@ -57,6 +59,9 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 SESSION_SEEDS = (0, 1, 2)
 SESSION = ("import sys, session, workloads\n"
            "session.run(workloads.WORKLOADS['synthesis'].inputs(int(sys.argv[1])), sys.argv[2])")
+API = ("import json, sys, canomap\n"
+       "json.dump({n: type(getattr(canomap, n)).__name__ for n in sorted(canomap.__all__)},\n"
+       "          open(sys.argv[1], 'w'), indent=1)")
 
 
 def digest(root):
@@ -99,6 +104,10 @@ def digest(root):
             record(f"synthesis-seed{seed} session",
                    ["-c", SESSION, str(seed), os.path.join(out, "session.json")], tmp,
                    os.pathsep.join([src, os.path.abspath(PERFBENCH)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        record("api", ["-c", API, os.path.join(out, "api.json")], tmp, src)
     return lines, docs
 
 
