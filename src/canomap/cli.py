@@ -209,7 +209,6 @@ class Outcome:
     verdict: str
     max_residual: float
     energy_drift: float
-    exit_code: int
 
 
 def _linear_system(cfg):
@@ -382,7 +381,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     if traj.meta.get("truncated"):
         print(f"numerical failure: trajectory truncated at t={traj.meta['t_truncated']} "
               f"({traj.meta['reason']})", file=sys.stderr)
-        return Outcome("degenerate", float("nan"), float("nan"), 3)
+        return Outcome("degenerate", float("nan"), float("nan"))
 
     report = canonicity_residual(system, spec, traj,
                                  tol=cfg.tolerances["canonicity"],
@@ -397,7 +396,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     _write_json(os.path.join(out_dir, "invariants.json"), inv)
     if cfg.emit_gnuplot:
         _write_gnuplot(os.path.join(out_dir, "plot.gp"), cfg.n)
-    return Outcome(verdict, max_res, drift.drift, _verdict_exit(verdict))
+    return Outcome(verdict, max_res, drift.drift)
 
 
 def _resolve_out(cfg: RunConfig) -> str:
@@ -411,7 +410,7 @@ def _resolve_out(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> int:
     out = _execute(cfg.validate(), _resolve_out(cfg))
     print(f"VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
-    return out.exit_code
+    return _verdict_exit(out.verdict)
 
 
 def sweep(cfg: RunConfig, param: str, values: list) -> int:
@@ -423,7 +422,6 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
     caster = _SWEEP_PARAMS[param]
     base = _resolve_out(cfg)
     rows = []
-    worst = 0
     for token in values:
         try:
             value = caster(token)
@@ -435,14 +433,13 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
         out = _execute(sub, sub_dir)
         print(f"{param}={token}: VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
         rows.append([token, out.verdict, _fmt(out.max_residual),
-                     _fmt(out.energy_drift), str(out.exit_code)])
-        worst = max(worst, out.exit_code)
+                     _fmt(out.energy_drift), _verdict_exit(out.verdict)])
     os.makedirs(base, exist_ok=True)
     with open(os.path.join(base, "index.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value,verdict,max_residual,energy_drift,exit_status\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
-    return worst
+            fh.write(",".join(map(str, row)) + "\n")
+    return max(row[-1] for row in rows)
 
 
 def verify(cfg: RunConfig) -> int:

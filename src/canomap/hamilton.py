@@ -73,12 +73,10 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
             if F.shape != X.shape:
                 raise ValueError(f"vectorized f returned shape {F.shape}, expected {X.shape}")
             A = np.asarray(jac(X, t), dtype=float)
-            if A.shape == mat:
-                return F, A[None]
-            if A.shape != (len(X),) + mat:
+            if A.shape not in (mat, (len(X),) + mat):
                 raise ValueError(f"vectorized jac returned shape {A.shape}, "
                                  f"expected {(len(X),) + mat} or {mat}")
-            return F, A
+            return F, A.reshape((-1,) + mat)
     else:
         rows = lambda X, t: (np.array([_shaped(f(x, t), vec) for x in X]),
                              np.array([_shaped(jac(x, t), mat) for x in X]))
@@ -147,7 +145,7 @@ def _grid(t0: float, t1: float, step: float):
         yield (t := t_next)
 
 
-def _rk4_path(rhs, z0: np.ndarray, times, path: str = "samples"):
+def _rk4_path(rhs, z0: np.ndarray, times, last: bool = False):
     """March z' = rhs(z, t) over times: z0 at the first one, then one step to
     each next one (a _grid, or a trajectory's own times).
 
@@ -157,11 +155,10 @@ def _rk4_path(rhs, z0: np.ndarray, times, path: str = "samples"):
     Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
     a dict describing the truncation point if the state blew up (any
     component beyond 1e12 in magnitude, a non-finite value, or a DomainError
-    from the field).  path says what is kept: "samples" stacks every sample
-    in zs, "stages" also each step's first stage rhs(zs[i], ts[i]) in ks
-    (None otherwise), and "last" keeps only the last finite sample in ts and
-    zs.  zs (read-only) and ks are gathered as raw bytes rather than one
-    array object per step.
+    from the field).  zs stacks every sample and ks each step's first stage
+    rhs(zs[i], ts[i]); with last, ts and zs keep only the last finite sample
+    and ks none.  zs (read-only) and ks are gathered as raw bytes rather than
+    one array object per step.
     """
     times = iter(times)
     t = next(times)
@@ -185,16 +182,15 @@ def _rk4_path(rhs, z0: np.ndarray, times, path: str = "samples"):
         if not np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT:  # NaN too
             diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
             break
-        if path == "last":
+        if last:
             ts, zs = [t], z.tobytes()
         else:
             ts.append(t)
             zs += z.tobytes()
-            if path == "stages":
-                ks += k1.tobytes()
+            ks += k1.tobytes()
     zs, ks = (np.frombuffer(b).reshape((-1,) + z.shape) for b in (zs, ks))
     zs.flags.writeable = False
-    return ts, zs, diag, ks if path == "stages" else None
+    return ts, zs, diag, ks
 
 
 def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Trajectory:
@@ -222,7 +218,7 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     _require_dim(sys, s0)
     n = sys.dim
     rhs = _stage(sys)
-    ts, Z, diag, K = _rk4_path(rhs, s0.z(), _grid(s0.t, t1, step), path="stages")
+    ts, Z, diag, K = _rk4_path(rhs, s0.z(), _grid(s0.t, t1, step))
     traj = Trajectory(ts, Z[:, :n], Z[:, n:], dict(diag) if diag else {})
     try:   # the last sample starts no step
         K = np.vstack([K, rhs(Z[-1], ts[-1])])

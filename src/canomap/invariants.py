@@ -116,7 +116,7 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     rhs = _stage(sys, stack=True)
     flowed = []
     for t1 in t_targets:
-        ts, zs, diag, _ = _rk4_path(rhs, Z0, _grid(t0, t1, step), path="last")
+        ts, zs, diag, _ = _rk4_path(rhs, Z0, _grid(t0, t1, step), last=True)
         if diag is not None:
             raise DomainError(f"loop flow truncated at t={diag['t_truncated']} "
                               f"({diag['reason']})")

@@ -214,7 +214,6 @@ def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
     flow derivatives substituted from the canonical pair.  The scaled max
     residual is |r| / max(1, |lam||U_lam|) per sample.
     """
-    _require_dim(sys, traj[0])
     _require_criterion(sys, spec)
     return _canonicity_over(spec, (traj.t, traj.x, traj.lam, *_rates(sys, traj)),
                             tol, degenerate_tol)
@@ -357,13 +356,15 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < sys.dim:
         raise ValueError(f"pivot index k={k!r} is not an integer in [0, {sys.dim})")
 
-    s = PhaseState(x0, lam0, t0)   # x0 and t0 are fixed: one f and one A per solve
-    t, X, xdot, minus_at = (np.array([s.t]), s.x[None], sys.f_at(s.x, s.t)[None],
-                            -sys.jac_at(s.x, s.t).T)
+    s = PhaseState(x0, lam0, t0)
+    t, X = np.array([s.t]), s.x[None]
+    if sys.lift is None:   # x0 and t0 are fixed: one f and one A per solve
+        xdot, minus_at = sys.f_at(s.x, s.t)[None], -sys.jac_at(s.x, s.t).T
 
-    def g(v):   # lamdot in the jac form (-A^T) lam, as canonical_rhs
+    def g(v):   # lamdot as the verifier's _lift_at forms it: the lift, else (-A^T) lam
         lam = _with_component(s.lam, k, v)
-        return float(_residuals(spec, t, X, lam[None], xdot, (minus_at @ lam)[None])[0][0])
+        rates = (xdot, (minus_at @ lam)[None]) if sys.lift is None else _lift_at(sys, t, X, lam[None])
+        return float(_residuals(spec, t, X, lam[None], *rates)[0][0])
 
     value, status, g_res = _solve_scalar(g, float(lam0[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,

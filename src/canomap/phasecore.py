@@ -82,6 +82,13 @@ _mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
 _dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _positive_dim(dim) -> int:
+    """dim as an int if it is an integer >= 1 (a NumPy one, not a bool), else ValueError."""
+    if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValueError("dim must be a positive integer")
+    return int(dim)
+
+
 def _shaped(out, shape: tuple) -> np.ndarray:
     """A callback's result as a float array of the expected shape: a list or
     an (n, 1) array is reshaped, a wrong size raises numpy's ValueError."""
@@ -144,8 +151,7 @@ class DynamicSystem:
     fd_backed: frozenset = field(default=frozenset(), init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        _positive_dim(self.dim)
         if self.vectorized and self.jac is None:
             raise ValueError("a vectorized system must supply jac "
                              "(there are no batched finite differences)")
@@ -269,9 +275,7 @@ class ControllingFunction:
 
     def __init__(self, dim, u, ux=None, ulam=None, ut=None, uxlam=None,
                  uxx=None, ulamlam=None, uxt=None, ulamt=None):
-        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-            raise ValueError("dim must be a positive integer")
-        self.dim = int(dim)
+        self.dim = _positive_dim(dim)
         self.u = u
         self._constant = {}   # block -> its value, for a block given as a constant
         given = dict(ux=ux, ulam=ulam, ut=ut, uxlam=uxlam, uxx=uxx,
@@ -317,7 +321,8 @@ def _zero_blocks(dim: int, blocks=tuple(_FD_RULE)) -> dict:
 
 def zero_controlling_function(dim: int) -> ControllingFunction:
     """U identically zero, with exact (analytic) zero derivative blocks."""
-    return ControllingFunction(dim, u=lambda x, lam, t: 0.0, **_zero_blocks(dim))
+    n = _positive_dim(dim)   # before _zero_blocks shapes arrays by it
+    return ControllingFunction(n, u=lambda x, lam, t: 0.0, **_zero_blocks(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -383,16 +383,9 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     sol = straightening_solve(prob, sys, F, x_grid, np.linspace(prob.lam_b, prob.lam_b + 2.0, 101))
     pde_residual = sol.residual_check()
 
-    # controlling-function view of the solved U (time part h t restores the
-    # energy level in the Hamilton-Jacobi reading)
-    cf = ControllingFunction(
-        1,
-        u=lambda x, lam, t: sol.evaluate(x[0], lam[0]) + prob.h * t,
-        ux=lambda x, lam, t: _central_diff_t(lambda v: sol.evaluate(v, lam[0]), x[0]),
-        ulam=lambda x, lam, t: np.array([sol.ulam(x[0], lam[0])]),
-        ut=lambda x, lam, t: prob.h,
-    )
-    spec = MappingSpec("Std116", cf)
+    spec = MappingSpec("Std116", ControllingFunction(   # U_x: the FD rule's difference of u
+        1, u=lambda x, lam, t: sol.evaluate(x[0], lam[0]),
+        ulam=lambda x, lam, t: np.array([sol.ulam(x[0], lam[0])])))
 
     # mapped motion on a subsample of the extremal
     idx = _subsample(traj, 41)

@@ -519,7 +519,10 @@ def test_weierstrass_excess_vanishes(x, lam, xdot, g):
 def test_rk4_endpoint_only_march_keeps_last_sample(t1):
     rhs = lambda z, t: z
     full = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1))
-    last = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1), path="last")
+    last = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1), last=True)
     assert len(last[0]) == len(last[1]) == 1
     assert last[0][0] == full[0][-1] and np.array_equal(last[1][0], full[1][-1])
     assert last[2] == full[2]
+    # a full march keeps one first stage per step: rhs = z at each sample it leaves
+    assert full[3].shape == (len(full[0]) - 1, 3, 2)
+    assert np.array_equal(full[3], full[1][:-1]) and len(last[3]) == 0

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canomap.phasecore import (_FD_RULE, ControllingFunction, DomainError, DynamicSystem,
                                PhaseState, Trajectory, _central_diff_x,
@@ -433,11 +433,11 @@ def test_controlling_function_dimension_mismatch(call):
         call(rotation_system(), bilinear_cf())
 
 
-def quadratic_cf2(B, P, Q):
-    """U = x.(B lam) + x.(P x)/2 + lam.(Q lam)/2 with P, Q symmetric."""
-    z = np.zeros(2)
+def quadratic_cf(B, P, Q):
+    """U = x.(B lam) + x.(P x)/2 + lam.(Q lam)/2 with P, Q symmetric, in B's dimension."""
+    z = np.zeros(len(B))
     return ControllingFunction(
-        dim=2,
+        dim=len(B),
         u=lambda x, lam, t: float(x @ B @ lam + 0.5 * x @ P @ x + 0.5 * lam @ Q @ lam),
         ux=lambda x, lam, t: B @ lam + P @ x,
         ulam=lambda x, lam, t: B.T @ x + Q @ lam,
@@ -454,22 +454,30 @@ def quadratic_cf2(B, P, Q):
 @given(a=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
        u=st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10),
        z=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
-       k=st.integers(0, 1), variant=st.sampled_from(["Std116", "Cross220"]))
-def test_synthesis_solves_the_verified_residual(a, u, z, k, variant):
-    A = np.array(a).reshape(2, 2)
-    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A,
-                         autonomous=True)
+       k=st.integers(0, 3), variant=st.sampled_from(["Std116", "Cross220"]),
+       lifted=st.booleans())
+@example(a=[0.0, 1.0, 0.0, 0.0], u=[0.0] * 8 + [0.5, 0.0], z=[0.0] * 4, k=0,
+         variant="Std116", lifted=False)   # the Newton polish meets a zero slope
+def test_synthesis_solves_the_verified_residual(a, u, z, k, variant, lifted):
     p, q = u[4:7], u[7:10]
-    cf = quadratic_cf2(np.array(u[:4]).reshape(2, 2),
-                       np.array([[p[0], p[1]], [p[1], p[2]]]),
-                       np.array([[q[0], q[1]], [q[1], q[2]]]))
+    B, P, Q = (np.array(u[:4]).reshape(2, 2), np.array([[p[0], p[1]], [p[1], p[2]]]),
+               np.array([[q[0], q[1]], [q[1], q[2]]]))
+    if lifted:   # the lift's printed adjoint rounds apart from (-A^T) lam
+        sys_, x0, lam0 = ballistic_system(1.0), [z[0], z[1], 1.0 + z[2] ** 2, z[3]], z
+        B, P, Q = (np.kron(np.eye(2), M) for M in (B, P, Q))
+    else:
+        A = np.array(a).reshape(2, 2)
+        sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A,
+                             autonomous=True)
+        x0, lam0, k = z[:2], z[2:], k % 2
+    cf = quadratic_cf(B, P, Q)
     synth = synthesize_lambda0 if variant == "Std116" else synthesize_lambda0_cross
     try:
-        res = synth(sys_, cf, x0=z[:2], lam0=z[2:], k=k, t0=0.3)
+        res = synth(sys_, cf, x0=x0, lam0=lam0, k=k, t0=0.3)
     except (DegeneratePivotError, RootNotFoundError):
         return
     rep = canonicity_residual_points(sys_, MappingSpec(variant, cf),
-                                     [PhaseState(z[:2], res.lam0, 0.3)])
+                                     [PhaseState(x0, res.lam0, 0.3)])
     assert abs(rep.residual_series[0]) == res.g_residual
 
 
@@ -656,7 +664,7 @@ def test_variant_table_image_and_jacobian():
     B = np.array([[0.3, -0.7], [0.5, 0.2]])
     P = np.array([[0.4, 0.1], [0.1, -0.6]])
     Q = np.array([[-0.2, 0.3], [0.3, 0.8]])
-    cf = quadratic_cf2(B, P, Q)
+    cf = quadratic_cf(B, P, Q)
     z = np.array([0.7, -1.1, 0.4, 1.3])
     s = PhaseState(z[:2], z[2:], 0.2)
     for spec in _variant_specs(cf):
@@ -690,7 +698,7 @@ def _counting_cf(cf):
                                             ("Cross220", {"ulamt"})])
 def test_canonicity_calls_each_block_once_per_sample(variant, never):
     B = np.array([[0.3, -0.7], [0.5, 0.2]])
-    cf, calls = _counting_cf(quadratic_cf2(B, np.eye(2), -np.eye(2)))
+    cf, calls = _counting_cf(quadratic_cf(B, np.eye(2), -np.eye(2)))
     sys_ = DynamicSystem(dim=2, f=lambda x, t: B @ x, jac=lambda x, t: B, autonomous=True)
     traj = integrate(sys_, PhaseState([0.7, -1.1], [0.4, 1.3], 0.0), 0.1, 0.01)
     canonicity_residual(sys_, MappingSpec(variant, cf), traj)
@@ -701,7 +709,7 @@ def test_canonicity_calls_each_block_once_per_sample(variant, never):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_map_jacobian_calls_each_second_block_once(variant):
     B = np.array([[0.3, -0.7], [0.5, 0.2]])
-    cf, calls = _counting_cf(quadratic_cf2(B, np.eye(2), -np.eye(2)))
+    cf, calls = _counting_cf(quadratic_cf(B, np.eye(2), -np.eye(2)))
     _map_jacobian(MappingSpec(variant, cf), PhaseState([0.7, -1.1], [0.4, 1.3], 0.0))
     assert {b: k for b, k in calls.items() if k} == {"uxx": 1, "uxlam": 1, "ulamlam": 1}
 
@@ -744,7 +752,7 @@ def test_map_jacobian_pinned_to_its_block_assembly(kind):
 def test_invert_map_undoes_apply_map(u, z, variant, signs):
     # entries of at most 0.2 keep the affine map's Jacobian well away from singular
     p, q = u[4:7], u[7:10]
-    cf = quadratic_cf2(np.array(u[:4]).reshape(2, 2), np.array([[p[0], p[1]], [p[1], p[2]]]),
+    cf = quadratic_cf(np.array(u[:4]).reshape(2, 2), np.array([[p[0], p[1]], [p[1], p[2]]]),
                        np.array([[q[0], q[1]], [q[1], q[2]]]))
     spec = MappingSpec(variant, cf, signs=signs if signs in _signs_of(variant) else (1, -1))
     y, mu = apply_map(spec, PhaseState(z[:2], z[2:], 0.3))

@@ -137,10 +137,15 @@ def test_dimension_mismatch_rejected_early():
 
 
 def test_dim_must_be_positive():
-    with pytest.raises(ValueError):
-        DynamicSystem(dim=0, f=lambda x, t: x)
-    with pytest.raises(ValueError, match="^dim must be a positive integer$"):
-        ControllingFunction(dim=0, u=lambda x, lam, t: 0.0)
+    u = lambda x, lam, t: 0.0
+    for dim in (0, True, False, 2.0, 1.5, np.float64(2.0), "2"):
+        for build in (lambda d: DynamicSystem(dim=d, f=lambda x, t: x),
+                      lambda d: ControllingFunction(dim=d, u=u), zero_controlling_function):
+            with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+                build(dim)
+    assert DynamicSystem(dim=np.int64(2), f=lambda x, t: x).dim == 2
+    assert ControllingFunction(np.int64(2), u).dim == 2
+    assert zero_controlling_function(np.int64(2)).ux(np.ones(2), np.ones(2), 0.0).shape == (2,)
 
 
 def test_vectorized_system_needs_analytic_jacobian():

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canomap.phasecore import DomainError, DynamicSystem, PhaseState, _cumtrapz
+from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, _central_diff_t,
+                               _cumtrapz, _subsample)
 from canomap.hamilton import canonical_rhs, hamiltonian, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
@@ -410,6 +411,21 @@ def test_reduction_moving_extremal_diagnostics():
     # sits entirely on the boundary where the reduction is exact
     assert rep.ydot_max_err < 1.0
     assert rep.mu_defect < 0.5
+
+
+def test_reduction_u_x_is_the_hand_written_difference_of_u():
+    # the mapped motion's U_x is the FD rule's block of the solved U: bit for
+    # bit one central difference of sol.evaluate in x at each sample
+    lin = DynamicSystem(dim=1, f=lambda x, t: x,
+                        jac=lambda x, t: np.eye(1), autonomous=True)
+    prob = StraighteningProblem(c=[0.5], a=[1.0], h=0.5, y0=[2.0], lam_b=0.1)
+    rep = constant_field_reduction(prob, lin, [1.0], [0.5])
+    sol, idx = rep.solution, _subsample(rep.traj, 41)
+    ts, xs, lams = rep.traj.t[idx], rep.traj.x[idx, 0], rep.traj.lam[idx, 0]
+    ux = np.array([_central_diff_t(lambda v: sol.evaluate(v, lam), x) for x, lam in zip(xs, lams)])
+    ulam = np.array([sol.ulam(x, lam) for x, lam in zip(xs, lams)])
+    assert rep.mu_defect == float(np.max(np.abs(lams - ux - 0.5))) > 0.0
+    assert rep.ydot_max_err == float(np.max(np.abs(np.gradient(xs + ulam, ts) - 1.0))) > 0.0
 
 
 def test_reduction_rejects_bad_inputs():
