@@ -16,7 +16,7 @@ import numpy as np
 
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz,
-                        _subsample, _zero_blocks)
+                        _positive_dim, _subsample, _zero_blocks)
 from .hamilton import _h_series, _xdot, integrate
 from .mapping import MappingSpec, _images
 
@@ -122,7 +122,7 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
     (lam, -x) exactly — a quarter-turn of the phase plane — for every
     differentiable u(t), which never enters the gradients.
     """
-    n = int(dim)
+    n = _positive_dim(dim)
     E = np.eye(n)
     u_val = (lambda t: 0.0) if u_t is None else (lambda t: float(u_t(t)))
     cf = ControllingFunction(

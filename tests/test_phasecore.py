@@ -140,7 +140,8 @@ def test_dim_must_be_positive():
     u = lambda x, lam, t: 0.0
     for dim in (0, True, False, 2.0, 1.5, np.float64(2.0), "2"):
         for build in (lambda d: DynamicSystem(dim=d, f=lambda x, t: x),
-                      lambda d: ControllingFunction(dim=d, u=u), zero_controlling_function):
+                      lambda d: ControllingFunction(dim=d, u=u), zero_controlling_function,
+                      lambda d: rotation_example(dim=d)):
             with pytest.raises(ValueError, match="^dim must be a positive integer$"):
                 build(dim)
     assert DynamicSystem(dim=np.int64(2), f=lambda x, t: x).dim == 2
