@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasecore import (DomainError, DynamicSystem, PhaseState, _subsample,
+from .phasecore import (DomainError, DynamicSystem, PhaseState, _is_int, _subsample,
                         zero_controlling_function, verify_derivatives)
 # hamiltonian and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.cli.hamiltonian and .apply_map.
@@ -50,10 +50,6 @@ _DEFAULT_TOLERANCES = {"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _scenario(name) -> "Scenario":

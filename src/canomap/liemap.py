@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasecore import ControllingFunction, DomainError, DynamicSystem, PhaseState
+from .phasecore import ControllingFunction, DomainError, DynamicSystem, PhaseState, _is_int
 from .hamilton import _BLOWUP_LIMIT
 from .mapping import _FORM
 
@@ -81,7 +81,7 @@ def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -
     mappings; it converges at O(1/N) and is meant for order checks, not
     production integration.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+    if not (_is_int(N) and N >= 1):
         raise ValueError(f"N must be an integer of at least 1, got {N!r}")
     if T == 0.0:
         return s0

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasecore import (_FD_STEP, ControllingFunction, DynamicSystem, PhaseState,
-                        Trajectory, _central_diff_t, _dot, _mv, _require_dim, _zero_blocks)
+                        Trajectory, _central_diff_t, _dot, _is_int, _mv, _require_dim, _zero_blocks)
 from .hamilton import _lift_at, _rates, fundamental_matrix
 
 __all__ = [
@@ -353,7 +353,7 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     if x0.size != sys.dim or lam0.size != sys.dim:
         raise ValueError("x0 and lam0 must have the system dimension")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < sys.dim:
+    if not (_is_int(k) and 0 <= k < sys.dim):
         raise ValueError(f"pivot index k={k!r} is not an integer in [0, {sys.dim})")
 
     s = PhaseState(x0, lam0, t0)

@@ -7,6 +7,7 @@ substituted by central finite differences and flagged as FD-backed.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -80,11 +81,14 @@ def _central_diff(fn, arg: int, x, lam, t, h_scale: float = _FD_STEP):
 # the single-row products (einsum and norm(axis=1) are not).
 _mv = lambda A, v: (A @ v[:, :, None])[:, :, 0]
 _dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+# The one integer rule, for a dim, a pivot index, a step count and the CLI's
+# integer fields: an int or a NumPy integer, never a bool.
+_is_int = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _positive_dim(dim) -> int:
-    """dim as an int if it is an integer >= 1 (a NumPy one, not a bool), else ValueError."""
-    if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer)) and dim >= 1):
+    """dim as an int if it is an integer >= 1, else ValueError."""
+    if not (_is_int(dim) and dim >= 1):
         raise ValueError("dim must be a positive integer")
     return int(dim)
 
