@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
-                        _central_diff_x, _require_dim)
+                        _central_diff_x, _is_int, _require_dim)
 # integrate and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.invariants.integrate and .apply_map.
 from .hamilton import _grid, _h_series, _lam_dot, _rk4_path, _stage, _xdot, hamiltonian, integrate
@@ -86,7 +86,7 @@ def circle_loop(center: PhaseState, radius: float, M: int) -> tuple:
     """Closed M-gon inscribed in the (x, lam) circle around `center` (n=1)."""
     if center.n != 1:
         raise ValueError("circle_loop is defined for n=1")
-    if not (isinstance(M, (int, np.integer)) and M >= 3):
+    if not (_is_int(M) and M >= 3):
         raise ValueError(f"need an integer M of at least 3 vertices, got {M}")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")

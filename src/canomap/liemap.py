@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasecore import ControllingFunction, DomainError, DynamicSystem, PhaseState, _is_int
+from .phasecore import ControllingFunction, DomainError, DynamicSystem, PhaseState, _is_int, _require_dim
 from .hamilton import _BLOWUP_LIMIT
 from .mapping import _FORM
 
@@ -55,8 +55,8 @@ def hamiltonian_field(sys: DynamicSystem) -> ControllingFunction:
 def poisson_bracket(psi: ControllingFunction, omega: ControllingFunction,
                     s: PhaseState) -> float:
     """{psi, omega} = sum_i (psi_x_i omega_lam_i - psi_lam_i omega_x_i) at s."""
-    if psi.dim != omega.dim or psi.dim != s.n:
-        raise ValueError("dimension mismatch between fields and state")
+    _require_dim(psi, s)
+    _require_dim(omega, s)
     args = (s.x, s.lam, s.t)
     return float(np.dot(psi.ux(*args), omega.ulam(*args))
                  - np.dot(psi.ulam(*args), omega.ux(*args)))
@@ -66,8 +66,7 @@ def infinitesimal_step(gen: Generator, s: PhaseState):
     """(y, mu) = (x + Omega_lam eps, lam - Omega_x eps), the Std116 row of
     mapping._FORM with U = eps Omega."""
     cf = gen.field
-    if cf.dim != s.n:
-        raise ValueError("dimension mismatch between generator and state")
+    _require_dim(cf, s)
     a, gy, b, gmu = _FORM["Std116"](1, -1)
     return (s.x + a * gen.eps * getattr(cf, gy)(s.x, s.lam, s.t),
             s.lam + b * gen.eps * getattr(cf, gmu)(s.x, s.lam, s.t))

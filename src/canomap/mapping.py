@@ -77,7 +77,7 @@ class MappingSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if len(self.signs) != 2 or any(s not in (-1, 1) for s in self.signs):
+        if len(self.signs) != 2 or any(not (_is_int(s) and s in (-1, 1)) for s in self.signs):
             raise ValueError("signs must be a pair drawn from {+1, -1}")
         signs = tuple(int(s) for s in self.signs)
         if signs != (1, -1) and _FORM[self.variant](*signs) == _FORM[self.variant](1, -1):
@@ -349,14 +349,11 @@ def _newton(g, x, iters=60):
 
 def _synthesize(sys, spec, x0, lam0, k, t0):
     _require_criterion(sys, spec)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
-    if x0.size != sys.dim or lam0.size != sys.dim:
-        raise ValueError("x0 and lam0 must have the system dimension")
+    s = PhaseState(x0, lam0, t0)
+    _require_dim(sys, s)
     if not (_is_int(k) and 0 <= k < sys.dim):
         raise ValueError(f"pivot index k={k!r} is not an integer in [0, {sys.dim})")
 
-    s = PhaseState(x0, lam0, t0)
     t, X = np.array([s.t]), s.x[None]
     if sys.lift is None:   # x0 and t0 are fixed: one f and one A per solve
         xdot, minus_at = sys.f_at(s.x, s.t)[None], -sys.jac_at(s.x, s.t).T
@@ -366,9 +363,9 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
         rates = (xdot, (minus_at @ lam)[None]) if sys.lift is None else _lift_at(sys, t, X, lam[None])
         return float(_residuals(spec, t, X, lam[None], *rates)[0][0])
 
-    value, status, g_res = _solve_scalar(g, float(lam0[k]))
+    value, status, g_res = _solve_scalar(g, float(s.lam[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,
-                         lam0=_with_component(lam0, k, value), k=k)
+                         lam0=_with_component(s.lam, k, value), k=k)
 
 
 def synthesize_lambda0(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
@@ -458,9 +455,9 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     counts as not reducing max|r|; a non-finite t raises ValueError.
     """
     cf, n = spec.cf, spec.cf.dim
-    y, mu, x0, lam0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
+    y, mu, x_init, lam_init = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (
         y, mu, y if x_init is None else x_init, mu if lam_init is None else lam_init))
-    for name, v in zip(("y", "mu", "x_init", "lam_init"), (y, mu, x0, lam0)):
+    for name, v in zip(("y", "mu", "x_init", "lam_init"), (y, mu, x_init, lam_init)):
         if v.shape != (n,):
             raise ValueError(f"dimension mismatch: controlling function n={n}, {name} n={v.size}")
     target, t = np.concatenate([y, mu]), float(t)
@@ -475,7 +472,7 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
             return np.full(2 * n, np.nan)
         return np.concatenate(_images(spec, t, z[:n], z[n:])) - target
 
-    z = np.concatenate([x0, lam0])
+    z = np.concatenate([x_init, lam_init])
     r = residual(z)
     norm = np.max(np.abs(r))
     if not np.isfinite(norm):

@@ -54,8 +54,8 @@ def ballistic_system(sigma: float) -> DynamicSystem:
     supplies its lift, the field followed by make_ballistic_adjoint's
     multiplier equations.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     sig2 = float(sigma) ** 2
 
     def f(s, t):
@@ -177,9 +177,9 @@ class StraighteningProblem:
 def _simpson(g, a, b, tol, depth=48):
     """Adaptive Simpson of every cell [a_i, b_i] (1-d a, b) at once.  g(s, i)
     evaluates the integrands of cells i at nodes s of shape (q, len(i)).  A
-    cell refines while not |err| <= 15 tol, halving tol per level, and sums
-    in the scalar recursion's order, so it gets that recursion's value bit
-    for bit; zero-width cells give 0.0."""
+    cell refines while |err| > 15 tol, halving tol per level, and sums in
+    the scalar recursion's order, so it gets that recursion's value bit for
+    bit; zero-width cells give 0.0, and a cell whose err is NaN stops there."""
     out = np.zeros(a.shape)
     cells = i = np.flatnonzero(a != b)
     a, b = a[i], b[i]
@@ -192,7 +192,7 @@ def _simpson(g, a, b, tol, depth=48):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = left + right - whole
-        r = np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth > 0 else i[:0]
+        r = np.flatnonzero(np.abs(err) > 15.0 * tol) if depth > 0 else i[:0]
         levels.append((left + right + err / 15.0, r))
         if r.size == 0:
             break
@@ -295,7 +295,7 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
     lam_grid = np.asarray(lam_grid, dtype=float)
     if x_grid.ndim != 1 or lam_grid.ndim != 1 or lam_grid.size < 2:
         raise ValueError("x_grid and lam_grid must be 1-d (lam_grid with >= 2 nodes)")
-    if np.any(np.diff(lam_grid) <= 0) or np.any(np.diff(x_grid) <= 0):
+    if not (np.all(np.diff(lam_grid) > 0) and np.all(np.diff(x_grid) > 0)):
         raise ValueError("x_grid and lam_grid must be strictly increasing")
     if abs(lam_grid[0] - prob.lam_b) > 1e-12 * max(1.0, abs(prob.lam_b)):
         raise ValueError("lam_grid must start at the boundary lam_b")
@@ -351,8 +351,6 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         raise ValueError("constant_field_reduction requires an autonomous system")
     if sys.dim != 1 or prob.c.size != 1:
         raise ValueError("constant_field_reduction handles n=1 only")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     traj = integrate(sys, PhaseState(x0, lam0, t0), t1, step)
     ts, xs = traj.t, traj.x[:, 0]
     c = float(prob.c[0])
@@ -368,7 +366,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     if frozen:
         # every x sits on its own frozen extremal; the line integral is zero
         F = lambda x, lam: c * (y0 - x)
-        x_grid = np.linspace(x0[0] - 1.0, x0[0] + 1.0, 101)
+        x_grid = np.linspace(xs[0] - 1.0, xs[0] + 1.0, 101)
     else:
         d = np.diff(xs)
         if not (np.all(d > 0) or np.all(d < 0)):

@@ -294,7 +294,7 @@ def test_flow_loop_validates_loop_step_and_targets():
 def test_circle_loop_validated():
     with pytest.raises(ValueError, match="n=1"):
         circle_loop(PhaseState([0.0, 0.0], [0.0, 0.0], 0.0), 1.0, 16)
-    for M in (2, 8.5):
+    for M in (2, 8.5, True, 3.0):
         with pytest.raises(ValueError, match="3 vertices"):
             circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, M)
     assert len(circle_loop(PhaseState([0.0], [0.0], 0.0), 1.0, np.int64(8))) == 9

@@ -70,6 +70,14 @@ def test_bracket_dimension_checked():
                         PhaseState([0.0], [0.0], 0.0))
 
 
+def test_bracket_and_step_state_the_library_dimension_message():
+    with pytest.raises(ValueError, match="^dimension mismatch: controlling function n=2, state n=1$"):
+        poisson_bracket(coord_field(0, 1), momentum_field(0, 2), PhaseState([0.0], [0.0], 0.0))
+    with pytest.raises(ValueError, match="^dimension mismatch: controlling function n=1, state n=2$"):
+        infinitesimal_step(Generator(coord_field(0, 1), 0.1),
+                           PhaseState([0.0, 0.0], [0.0, 0.0], 0.0))
+
+
 def test_fd_backed_scalar_field():
     om = ControllingFunction(1, lambda x, lam, t: float(x[0] * lam[0]))
     assert {"ux", "ulam"} <= om.fd_backed

@@ -108,6 +108,11 @@ def test_sign_variants_flip_offsets():
     for signs in ((2, -1), (1.9, -1.2)):   # refused, not truncated to (1, -1)
         with pytest.raises(ValueError, match="sign"):
             MappingSpec("SignVariant218", bilinear_cf(0.1), signs=signs)
+    for signs in ((True, -1), (1.0, -1)):   # phasecore._is_int: never a bool or a float
+        with pytest.raises(ValueError, match="^signs must be a pair drawn from"):
+            MappingSpec("SignVariant218", bilinear_cf(0.1), signs=signs)
+    spec = MappingSpec("SignVariant218", bilinear_cf(0.1), signs=(np.int64(-1), 1))
+    assert spec.signs == (-1, 1) and type(spec.signs[0]) is int
     with pytest.raises(ValueError, match="variant"):
         MappingSpec("Affine", bilinear_cf(0.1))
 
@@ -315,8 +320,10 @@ def test_lambda0_k_validated():
 def test_lambda0_state_validated(synth):
     sysr, cf = rotation_system(), small_bilinear_cf2()
     for x0, lam0 in (([0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, 2.0])):
-        with pytest.raises(ValueError, match="^x0 and lam0 must have the system dimension$"):
+        with pytest.raises(ValueError, match="^x and lam must be 1-d arrays of identical dimension$"):
             synth(sysr, cf, x0=x0, lam0=lam0, k=0)
+    with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=3$"):
+        synth(sysr, cf, x0=[0.0, 1.0, 2.0], lam0=[0.0, 1.0, 2.0], k=0)
     with pytest.raises(ValueError, match=r"^non-finite phase state: x=\[ 0. nan\]"):
         synth(sysr, cf, x0=[0.0, np.nan], lam0=[0.0, 1.0], k=0)
 

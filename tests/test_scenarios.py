@@ -1,4 +1,9 @@
 """Worked systems: ballistic flight, phase-plane quarter-turn, straightening."""
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,8 +70,9 @@ def test_radius_guard_truncates_infall():
 
 
 def test_sigma_validated():
-    with pytest.raises(ValueError, match="positive"):
-        ballistic_system(0.0)
+    for sigma in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite$"):
+            ballistic_system(sigma)
 
 
 def _ballistic_on_numpy_scalars(sig2):
@@ -232,6 +238,10 @@ def test_problem_and_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.5, 0.0]), np.array([0.0, 0.5]))
+    for x_grid, lam_grid in (([0.0, np.nan, 1.0], [0.0, 0.5]), ([0.0], [0.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+                                np.array(x_grid), np.array(lam_grid))
     with pytest.raises(ValueError, match="start at the boundary"):
         straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.5, 1.0]))
@@ -352,7 +362,8 @@ def test_batched_solution_matches_scalar_recursion_bitwise(c, F):
 
 def test_batched_simpson_matches_recursion_per_cell():
     # cells refine to different depths, one has zero width, one runs
-    # backwards, and a NaN integrand refines down to the depth limit
+    # backwards, and a NaN integrand reads NaN (the batch stops it after
+    # one level, the recursion at the depth limit)
     a = np.array([0.0, 0.5, 1.0, -0.3, 2.0, 0.0])
     b = np.array([1.0, 0.5, -1.0, 0.7, 2.1, 1.0])
     p = np.array([0.3, 0.0, -0.2, 0.0, 2.05, np.nan])
@@ -361,6 +372,45 @@ def test_batched_simpson_matches_recursion_per_cell():
     want = [ref_simpson(ints(i), a[i], b[i], 1e-9, depth=12) for i in range(a.size)]
     assert np.array_equal(got, want, equal_nan=True)
     assert got[1] == 0.0
+
+
+def test_a_nan_integrand_stops_after_one_level():
+    # NaN never passes |err| > 15 tol, so the cell is not split: 3 + 2 nodes
+    nodes = []
+    def g(s, i):
+        nodes.append(s.size)
+        return np.full(s.shape, np.nan)
+    got = _simpson(g, np.array([0.0]), np.array([1.0]), 1e-9, depth=20)
+    assert np.isnan(got[0]) and sum(nodes) <= 5
+
+
+NONFINITE = """
+import json, resource
+cap = 1_500_000_000   # bytes of address space: a runaway refinement raises MemoryError
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from canomap.phasecore import DynamicSystem
+from canomap.scenarios import StraighteningProblem, straightening_solve
+prob = StraighteningProblem(c=[1.0], a=[1.0], h=1.0, y0=[0.0], lam_b=0.0)
+sys1 = DynamicSystem(dim=1, f=lambda x, t: np.zeros(1), jac=lambda x, t: np.zeros((1, 1)),
+                     autonomous=True)
+grids = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
+sol = straightening_solve(prob, sys1, lambda x, lam: np.cos(x) + lam, *grids)
+nan_f = straightening_solve(prob, sys1, lambda x, lam: np.nan, *grids)
+print(json.dumps([sol.evaluate(0.0, np.nan), sol.evaluate(0.0, np.inf),
+                  bool(np.isnan(nan_f.U[:, 1:]).all())]))
+"""
+
+
+def test_non_finite_straightening_input_reads_nan():
+    # in a child under an address-space cap: a quadrature that refined a
+    # NaN cell to the depth limit would need far more memory than the cap
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", NONFINITE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_nan, at_inf, nan_forcing = json.loads(proc.stdout)
+    assert np.isnan(at_nan) and np.isnan(at_inf) and nan_forcing
 
 
 def test_forcing_of_the_wrong_shape_is_rejected():

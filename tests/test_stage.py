@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canomap import hamilton
 from canomap.hamilton import _grid, canonical_rhs, fundamental_matrix, integrate
@@ -269,6 +269,8 @@ def test_a_vectorized_system_takes_no_lift():
        v=st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3),
        r=st.floats(1.0000001e-6, 1e6),
        lam=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4))
+# 2 l1 sig2 is subnormal: it rounds by 2^-1075 before / r**3 scales it by 1e18
+@example(sigma=1.5, v=[0.0, 0.0, 0.0], r=1.0000001e-06, lam=[5e-324, 0.0, 0.0, 0.0])
 def test_ballistic_lift_is_its_field_and_the_jac_form_adjoint(sigma, v, r, lam):
     sysb = ballistic_system(sigma)
     x, lam = np.array([v[0], v[1], r, v[2]]), np.array(lam)
@@ -283,7 +285,19 @@ def test_ballistic_lift_is_its_field_and_the_jac_form_adjoint(sigma, v, r, lam):
                       abs(l1 * v_phi ** 2 / r ** 2) + abs(2.0 * l1 * sig2 / r ** 3)
                       + abs(l2 * v_r * v_phi / r ** 2) + abs(l4 * v_phi / r ** 2),
                       0.0])
-    assert np.all(np.abs(k[4:] - ref) <= 1e-14 * terms + np.finfo(float).tiny)
+    # a subnormal intermediate p rounds absolutely, by up to 2^-1075 (half its
+    # spacing, itself below the smallest float, hence ldexp), and whatever scales p afterwards, 1/r**k above all, scales that
+    # rounding; no term is added where every intermediate is normal
+    tiny = np.finfo(float).tiny
+    sub = lambda *pairs: sum(np.ldexp(g, -1075) for p, g in pairs if 0.0 < abs(p) < tiny)
+    subnormal = np.array([
+        sub((l2 * v_phi, 1 / r)),
+        sub((-2.0 * l1 * v_phi, 1 / r), (l2 * v_r, 1 / r)),
+        sub((l1 * v_phi ** 2, 1 / r ** 2), (2.0 * l1 * sig2, 1 / r ** 3),
+            (l2 * v_r, abs(v_phi) / r ** 2), (l2 * v_r * v_phi, 1 / r ** 2),
+            (l4 * v_phi, 1 / r ** 2), (v_r * v_phi, abs(l2) / r ** 2)),   # the last is jac's
+        0.0])
+    assert np.all(np.abs(k[4:] - ref) <= 1e-14 * terms + subnormal + tiny)
 
 
 def test_no_march_goes_through_the_single_state_calls(monkeypatch):
