@@ -286,8 +286,9 @@ def test_ballistic_lift_is_its_field_and_the_jac_form_adjoint(sigma, v, r, lam):
                       + abs(l2 * v_r * v_phi / r ** 2) + abs(l4 * v_phi / r ** 2),
                       0.0])
     # a subnormal intermediate p rounds absolutely, by up to 2^-1075 (half its
-    # spacing, itself below the smallest float, hence ldexp), and whatever scales p afterwards, 1/r**k above all, scales that
-    # rounding; no term is added where every intermediate is normal
+    # spacing, below the smallest float, hence ldexp), and whatever scales p
+    # afterwards, 1/r**k above all, scales that rounding; no term is added
+    # where every intermediate is normal
     tiny = np.finfo(float).tiny
     sub = lambda *pairs: sum(np.ldexp(g, -1075) for p, g in pairs if 0.0 < abs(p) < tiny)
     subnormal = np.array([
