@@ -27,7 +27,6 @@ __all__ = [
     "fundamental_matrix",
     "EnergyDriftReport",
     "energy_drift",
-    "weierstrass_excess",
 ]
 
 _BLOWUP_LIMIT = 1e12
@@ -334,21 +333,3 @@ def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
         ft = np.array([sys.ft_at(x, t) for x, t in zip(traj.x, traj.t.tolist())])
         dh = dh - _cumtrapz(traj.t, _lam_dot(traj.lam, ft))
     return EnergyDriftReport(hs, float(np.max(np.abs(dh))), bool(sys.autonomous))
-
-
-# ---------------------------------------------------------------------
-# Variational integrand
-# ---------------------------------------------------------------------
-
-def weierstrass_excess(sys: DynamicSystem, s: PhaseState, xdot, g) -> float:
-    """Excess E = lam.(g-f) - lam.(xdot-f) - lam.(g-xdot).
-
-    The three dot products are taken separately — the identity E = 0 then
-    holds only up to rounding, which is exactly what the check measures.
-    """
-    _require_dim(sys, s)
-    f = sys.f_at(s.x, s.t)
-    xdot = np.asarray(xdot, dtype=float)
-    g = np.asarray(g, dtype=float)
-    lam = s.lam
-    return float(np.dot(lam, g - f) - np.dot(lam, xdot - f) - np.dot(lam, g - xdot))

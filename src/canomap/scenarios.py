@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _R_MIN = 1e-6
-_QUAD_TOL = 1e-10      # adaptive Simpson tolerance of the straightening quadratures
 _RESIDUAL_FD_H = 1e-5  # central-difference step in lam of residual_check
 
 
@@ -174,36 +173,35 @@ class StraighteningProblem:
         object.__setattr__(self, "lam_b", lam_b)
 
 
-def _simpson(g, a, b, tol, depth=48):
-    """Adaptive Simpson of every cell [a_i, b_i] (1-d a, b) at once.  g(s, i)
-    evaluates the integrands of cells i at nodes s of shape (q, len(i)).  A
-    cell refines while |err| > 15 tol, halving tol per level, and sums in
-    the scalar recursion's order, so it gets that recursion's value bit for
-    bit; zero-width cells give 0.0, and a cell whose err is NaN stops there."""
+# 8-point Gauss–Legendre nodes and weights mapped to [0, 1]
+_GL_X = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+                  0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+                  0.8983332387068134, 0.9801449282487681])
+_GL_W = np.array([0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                  0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+                  0.11119051722668721, 0.05061426814518853])
+
+
+def _weighted(g, c, a, b):
+    """∫_{a_i}^{b_i} e^{(s - b_i)/c} g(s, i) ds for every cell (1-d a, b) by
+    a composite 8-point Gauss–Legendre rule, 1,024 cells at a time.  g(s, i)
+    evaluates the integrands of cells i at nodes s of shape (8, len(i)).
+    Panels are at most min(0.05, 2|c|) wide and cover only the 36|c| of a
+    cell next to the end where the weight is heavier (b when (b - a)/c > 0);
+    the rest weighs < e^-36.  A zero-width cell gives 0.0, and a non-finite
+    one gets one panel and reads NaN."""
+    w = b - a
+    span = np.clip(w, -36.0 * abs(c), 36.0 * abs(c)) + 0.0 * w   # NaN unless w is finite
+    first = np.where((w > 0) == (c > 0), -span, -w)                # s - b where panels start
+    panels = np.nan_to_num(np.ceil(np.abs(span) / min(0.05, 2.0 * abs(c))), nan=1.0).astype(int)
     out = np.zeros(a.shape)
-    cells = i = np.flatnonzero(a != b)
-    a, b = a[i], b[i]
-    fa, fm, fb = g(np.stack([a, 0.5 * (a + b), b]), i)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    levels = []
-    while True:
-        m = 0.5 * (a + b)
-        flm, frm = g(np.stack([0.5 * (a + m), 0.5 * (m + b)]), i)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        r = np.flatnonzero(np.abs(err) > 15.0 * tol) if depth > 0 else i[:0]
-        levels.append((left + right + err / 15.0, r))
-        if r.size == 0:
-            break
-        a, b, i, fa, fm, fb, whole = [np.concatenate([u[r], v[r]]) for u, v in (
-            (a, m), (m, b), (i, i), (fa, fm), (flm, frm), (fm, fb), (left, right))]
-        tol, depth = 0.5 * tol, depth - 1
-    val = levels.pop()[0]
-    for parent, r in reversed(levels):
-        parent[r] = val[:r.size] + val[r.size:]
-        val = parent
-    out[cells] = val
+    for lo in range(0, a.size, 1024):
+        n = panels[lo:lo + 1024]
+        i = np.repeat(np.arange(lo, lo + n.size), n)           # the cell of each panel
+        dh = span[i] / panels[i]
+        o = first[i] + dh * (np.arange(i.size) - np.repeat(np.cumsum(n) - n, n) + _GL_X[:, None])
+        vals = dh * (_GL_W @ (np.exp(o / c) * g(b[i] + o, i)))
+        out[lo:lo + n.size] = np.bincount(i - lo, vals, minlength=n.size)
     return out
 
 
@@ -244,8 +242,7 @@ class StraighteningSolution:
         on = np.abs(self.x_grid[j] - x) <= 1e-12 * np.maximum(1.0, np.abs(x))
         lam_ref = np.where(on, self.lam_grid[k], self.problem.lam_b)
         u_ref = np.where(on, self.U[j, k], 0.0)
-        integral = _simpson(lambda s, i: np.exp(-(lam[i] - s) / c) * _field(self.F, x[i], s),
-                            lam_ref, lam, _QUAD_TOL)
+        integral = _weighted(lambda s, i: _field(self.F, x[i], s), c, lam_ref, lam)
         return np.where(lam == lam_ref, u_ref,
                         np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
 
@@ -265,9 +262,7 @@ class StraighteningSolution:
             return 0.0
         X, L = (v.ravel() for v in np.meshgrid(self.x_grid, self.lam_grid, indexing="ij"))
         hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
-        # blocks of 2048 points keep the quadrature's temporaries small
-        u_hi, u_lo = (np.concatenate([self._at(X[b:b + 2048], v[b:b + 2048])
-                                      for b in range(0, X.size, 2048)]) for v in (hi, lo))
+        u_hi, u_lo = self._at(X, hi), self._at(X, lo)
         res = self.U.ravel() + self._c() * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
         return float(np.max(np.abs(res), initial=0.0))
 
@@ -282,11 +277,12 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
         U(lam_{k+1}) = e^{-dlam/c} U(lam_k)
                        + (1/c) ∫ e^{-(lam_{k+1}-s)/c} F(x, s) ds
 
-    with the integrals of every cell of every column in one batched adaptive
-    Simpson to _QUAD_TOL.  F is called on arrays, and F(x, lam) must return
-    something that broadcasts to their shape (a constant does), else
-    ValueError.  Only n=1 is supported — with 2n independent variables the
-    characteristics picture stops being a desk-scale computation.
+    with the integrals of every cell of every column by one composite
+    8-point Gauss–Legendre rule (_weighted).  F is called on arrays, and
+    F(x, lam) must return something that broadcasts to their shape (a
+    constant does), else ValueError.  Only n=1 is supported — with 2n
+    independent variables the characteristics picture stops being a
+    desk-scale computation.
     """
     if prob.c.size != 1 or sys.dim != 1:
         raise ValueError("straightening_solve handles n=1 only; "
@@ -306,8 +302,7 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
         return StraighteningSolution(x_grid, lam_grid, U, prob, F, True)
     X, A = (v.ravel() for v in np.meshgrid(x_grid, lam_grid[:-1], indexing="ij"))
     B = np.tile(lam_grid[1:], x_grid.size)
-    cells = _simpson(lambda s, i: np.exp(-(B[i] - s) / c) * _field(F, X[i], s),
-                     A, B, _QUAD_TOL).reshape(x_grid.size, -1)
+    cells = _weighted(lambda s, i: _field(F, X[i], s), c, A, B).reshape(x_grid.size, -1)
     decay = np.exp(-np.diff(lam_grid) / c)
     U = np.zeros((x_grid.size, lam_grid.size))
     for k in range(1, lam_grid.size):

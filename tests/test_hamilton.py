@@ -11,7 +11,7 @@ from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, Trajector
                                zero_controlling_function)
 from canomap.hamilton import (EnergyDriftReport, _grid, _rates, _rk4_path, canonical_rhs,
                               energy_drift, fundamental_matrix, hamiltonian,
-                              integrate, weierstrass_excess)
+                              integrate)
 from canomap.invariants import action_function, circle_loop, flow_loop
 from canomap.mapping import MappingSpec, canonicity_residual, synthesize_ulam
 from canomap.scenarios import ballistic_system
@@ -501,18 +501,6 @@ def test_energy_drift_names_the_first_non_finite_sample():
     assert str(got.value) == str(want.value) == "non-finite Hamiltonian at x=[0.6], t=0.1"
     with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=1$"):
         energy_drift(linear_system(n=2), traj)
-
-
-# ---------------------------------------------------------------------
-# variational integrand
-# ---------------------------------------------------------------------
-
-@given(x=st.floats(-10, 10), lam=st.floats(-10, 10),
-       xdot=st.floats(-10, 10), g=st.floats(-10, 10))
-def test_weierstrass_excess_vanishes(x, lam, xdot, g):
-    s = PhaseState([x], [lam], 0.0)
-    E = weierstrass_excess(linear_system(), s, [xdot], [g])
-    assert abs(E) < 1e-12
 
 
 @pytest.mark.parametrize("t1", [0.95, 40.0])   # the second march blows up

@@ -13,8 +13,8 @@ from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, _central_
 from canomap.hamilton import canonical_rhs, hamiltonian, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
-from canomap.scenarios import (_QUAD_TOL, _RESIDUAL_FD_H, StraighteningProblem,
-                               _simpson, ballistic_system, constant_field_reduction,
+from canomap.scenarios import (_GL_W, _GL_X, _RESIDUAL_FD_H, StraighteningProblem,
+                               _weighted, ballistic_system, constant_field_reduction,
                                make_ballistic_adjoint, rotation_example,
                                straightening_solve)
 
@@ -256,132 +256,105 @@ def test_problem_and_grid_validation():
 
 
 # ---------------------------------------------------------------------
-# batched quadrature against the scalar recursion it replaces
+# the quadrature rule against closed forms
 # ---------------------------------------------------------------------
 
-def ref_simpson(g, a, b, tol, depth=48):
-    """Scalar adaptive Simpson of g over [a, b] (orientation-aware)."""
-    if a == b:
-        return 0.0
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return ref_split(g, a, b, fa, fm, fb, whole, tol, depth)
+def test_gauss_legendre_nodes_and_weights_are_leggauss_8_on_the_unit_interval():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(_GL_X, (x + 1.0) / 2.0)
+    assert np.array_equal(_GL_W, w / 2.0)
 
 
-def ref_split(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (ref_split(g, a, m, fa, flm, fm, left, half, depth - 1)
-            + ref_split(g, m, b, fm, frm, fb, right, half, depth - 1))
+def test_weighted_cells_against_the_closed_form():
+    # g = 1: the cell integral is c (1 - e^{(a - b)/c}).  Cells run forwards
+    # and backwards, the weight grows toward either end, two cells are far
+    # wider than 36|c| at c = 0.01, one has zero width and evaluates no node,
+    # and a NaN cell evaluates one panel of 8 nodes and reads NaN
+    a = np.array([0.0, 1.0, 0.5, -0.3, 0.0, 0.0, 2.0])
+    b = np.array([1.0, 0.0, 0.5, 0.7, -3.0, 3.0, np.nan])
+    for c in (1.0, -0.7, 0.01):
+        nodes = []
+        def g(s, i):
+            nodes.append(s.size)
+            return np.ones(s.shape)
+        got = _weighted(g, c, a, b)
+        want = c * (1.0 - np.exp((a - b) / c))
+        # the exponent's rounding, relative to the exponent, scales with it
+        bound = 1e-15 * (1.0 + np.abs((a - b) / c)) * np.maximum(1.0, np.abs(want))
+        assert np.all((np.abs(got - want) <= bound)[:6])
+        assert got[2] == 0.0 and np.isnan(got[6])
+        panels = np.ceil(np.minimum(np.abs(b - a)[:6], 36.0 * abs(c)) / min(0.05, 2.0 * abs(c)))
+        assert sum(nodes) == 8 * (panels.sum() + 1)
 
 
-def ref_U(sol):
-    """The solved grid by the scalar column-by-column march."""
-    c = float(sol.problem.c[0])
-    F = sol.F
-    U = np.zeros_like(sol.U)
-    for j, xv in enumerate(sol.x_grid):
-        if sol.degenerate:
-            U[j, :] = [float(F(xv, lv)) for lv in sol.lam_grid]
-            continue
-        u = 0.0
-        for k in range(1, sol.lam_grid.size):
-            a_, b_ = float(sol.lam_grid[k - 1]), float(sol.lam_grid[k])
-            integral = ref_simpson(lambda s: np.exp(-(b_ - s) / c) * float(F(xv, s)),
-                                   a_, b_, _QUAD_TOL)
-            u = float(np.exp(-(b_ - a_) / c)) * u + integral / c
-            U[j, k] = u
-    return U
-
-
-def ref_evaluate(sol, x, lam):
-    """U(x, lam) by one scalar quadrature from the nearest node or lam_b."""
-    if sol.degenerate:
-        return float(sol.F(x, lam))
-    c = float(sol.problem.c[0])
-    j = int(np.argmin(np.abs(sol.x_grid - x)))
-    if abs(sol.x_grid[j] - x) <= 1e-12 * max(1.0, abs(x)):
-        k = int(np.argmin(np.abs(sol.lam_grid - lam)))
-        lam_ref, u_ref = float(sol.lam_grid[k]), float(sol.U[j, k])
-    else:
-        lam_ref, u_ref = sol.problem.lam_b, 0.0
-    if lam == lam_ref:
-        return u_ref
-    integral = ref_simpson(lambda s: np.exp(-(lam - s) / c) * float(sol.F(x, s)),
-                           lam_ref, lam, _QUAD_TOL)
-    return float(np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
-
-
-def ref_residual_check(sol):
-    if sol.degenerate:
-        return 0.0
-    c = float(sol.problem.c[0])
-    worst = 0.0
-    for j, xv in enumerate(sol.x_grid):
-        for k, lv in enumerate(sol.lam_grid):
-            hi, lo = lv + _RESIDUAL_FD_H, lv - _RESIDUAL_FD_H
-            ulam_fd = (ref_evaluate(sol, xv, hi) - ref_evaluate(sol, xv, lo)) / (hi - lo)
-            worst = max(worst, abs(float(sol.U[j, k]) + c * ulam_fd - float(sol.F(xv, lv))))
-    return worst
-
-
-@pytest.mark.parametrize("c, F", [
-    (0.05, lambda x, lam: 0.05 * (1.0 - x)),          # refines ~90% of the cells
-    (1.0, lambda x, lam: np.sin(x) + np.cos(lam)),    # criterion 10's forcing
-    (-0.7, lambda x, lam: x * lam + np.exp(-lam)),
-    (1.0, lambda x, lam: 1.0),                        # scalar-returning F
-    (0.0, lambda x, lam: x + lam),                    # degenerate U = F
-])
-def test_batched_solution_matches_scalar_recursion_bitwise(c, F):
-    lam_b = 0.5
-    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_b)
-    x_grid = np.linspace(-1.0, 1.0, 9)
-    sol = straightening_solve(prob, scalar_system(), F, x_grid,
-                              lam_b + np.arange(17) / 8.0)
-    assert np.array_equal(sol.U, ref_U(sol))
-    assert sol.residual_check() == ref_residual_check(sol)
-    # on-grid x (from the nearest node) and off-grid x (from lam_b); lam
-    # between nodes, behind lam_b, on a node (a zero-width interval),
-    # halfway between two nodes (the tie goes to the lower one) and far out
-    for x in (x_grid[0], x_grid[4], 0.123, 3.0):
-        for lam in (lam_b, lam_b + 0.31, lam_b - 0.4, sol.lam_grid[7],
-                    lam_b + 7.0 / 16.0, 5.0):
-            assert sol.evaluate(x, lam) == ref_evaluate(sol, x, lam)
-
-
-def test_batched_simpson_matches_recursion_per_cell():
-    # cells refine to different depths, one has zero width, one runs
-    # backwards, and a NaN integrand reads NaN (the batch stops it after
-    # one level, the recursion at the depth limit)
-    a = np.array([0.0, 0.5, 1.0, -0.3, 2.0, 0.0])
-    b = np.array([1.0, 0.5, -1.0, 0.7, 2.1, 1.0])
-    p = np.array([0.3, 0.0, -0.2, 0.0, 2.05, np.nan])
-    ints = lambda i: (lambda s: np.sqrt(np.abs(s - p[i])))
-    got = _simpson(lambda s, i: np.sqrt(np.abs(s - p[i])), a, b, 1e-9, depth=12)
-    want = [ref_simpson(ints(i), a[i], b[i], 1e-9, depth=12) for i in range(a.size)]
-    assert np.array_equal(got, want, equal_nan=True)
-    assert got[1] == 0.0
-
-
-def test_a_nan_integrand_stops_after_one_level():
-    # NaN never passes |err| > 15 tol, so the cell is not split: 3 + 2 nodes
+def test_a_nan_cell_evaluates_one_panel():
     nodes = []
     def g(s, i):
         nodes.append(s.size)
         return np.full(s.shape, np.nan)
-    got = _simpson(g, np.array([0.0]), np.array([1.0]), 1e-9, depth=20)
-    assert np.isnan(got[0]) and sum(nodes) <= 5
+    got = _weighted(g, 1.0, np.array([0.0, 0.0]), np.array([1e-3, 0.0]))
+    assert np.isnan(got[0]) and got[1] == 0.0 and sum(nodes) == 8
+
+
+def linear_forcing(x, lam):
+    return (1.0 - x) + 0.5 * lam
+
+
+def linear_forcing_u(c, lam_b, x, lam):
+    """U + c U_lam = (1 - x) + lam / 2 with U(x, lam_b) = 0, in closed form."""
+    particular = lambda lam: 0.5 * lam + (1.0 - x) - 0.5 * c
+    return particular(lam) - particular(lam_b) * np.exp(-(lam - lam_b) / c)
+
+
+STRAIGHTENING_GRIDS = {   # the CLI's 101 x 101 grid and a coarse one
+    "cli": (np.linspace(-1.0, 1.0, 101), np.linspace(0.5, 2.5, 101)),
+    "tests": (np.linspace(-1.0, 1.0, 9), 0.5 + np.arange(17) / 8.0),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(STRAIGHTENING_GRIDS))
+@pytest.mark.parametrize("c", [1.0, 0.05, 0.01, 1e-3, 1e-5, -0.7])
+def test_straightening_matches_the_closed_form(c, grid):
+    x_grid, lam_grid = STRAIGHTENING_GRIDS[grid]
+    lam_b, h = lam_grid[0], lam_grid[1] - lam_grid[0]
+    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_b)
+    sol = straightening_solve(prob, scalar_system(), linear_forcing, x_grid, lam_grid)
+    tol = 1e-12 if abs(c) >= 1e-3 else 1e-10
+    err = lambda got, want: np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    U = linear_forcing_u(c, lam_b, x_grid[:, None], lam_grid)
+    assert err(sol.U, U) <= tol
+    # on-grid x (from the nearest node) and off-grid x (from lam_b); lam on
+    # lam_b and on a node (zero-width cells), after a node, before a node (a
+    # backward cell), behind lam_b and far out.  Evaluated d behind a node,
+    # U carries the node's rounding times e^{d/|c|}, so d stays within 4|c|;
+    # behind lam_b, where U = 0 exactly, within 40|c| (U grows as e^{d/|c|}).
+    # On the coarse grid lam_b + 7/16 is a tie, which goes to the lower node
+    # (the upper one would be 6,250|c| ahead at c = 1e-5).
+    lams = [lam_b, lam_grid[7], lam_grid[7] + 0.3 * h, lam_grid[7] - min(0.3 * h, 4.0 * abs(c)),
+            lam_b - min(0.4, 40.0 * abs(c)), 5.0] + ([lam_b + 7.0 / 16.0] if grid == "tests" else [])
+    for x in (x_grid[0], x_grid[4], 0.123, 3.0):
+        for lam in lams:
+            assert err(sol.evaluate(x, lam), linear_forcing_u(c, lam_b, x, lam)) <= tol, (x, lam)
+    # residual_check against the same difference of the closed form; the
+    # difference quotient scales an error of U by |c| / (2 h)
+    X, L = np.meshgrid(x_grid, lam_grid, indexing="ij")
+    hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
+    u_lam = (linear_forcing_u(c, lam_b, X, hi) - linear_forcing_u(c, lam_b, X, lo)) / (hi - lo)
+    want = np.max(np.abs(U + c * u_lam - linear_forcing(X, L)))
+    scale = np.max(np.maximum(1.0, np.abs(U))) * (1.0 + abs(c) / (2.0 * _RESIDUAL_FD_H))
+    assert abs(sol.residual_check() - want) <= tol * scale
+
+
+def test_degenerate_straightening_is_the_forcing_everywhere():
+    prob = StraighteningProblem(c=[0.0], a=[0.0], h=0.0, y0=[0.0], lam_b=0.5)
+    x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
+    F = lambda x, lam: x + lam
+    sol = straightening_solve(prob, scalar_system(), F, x_grid, lam_grid)
+    assert np.array_equal(sol.U, x_grid[:, None] + lam_grid)
+    assert sol.residual_check() == 0.0
+    for x in (x_grid[4], 0.123):
+        for lam in (0.5, 0.81, 0.1, 5.0):
+            assert sol.evaluate(x, lam) == x + lam
 
 
 NONFINITE = """
@@ -397,20 +370,30 @@ sys1 = DynamicSystem(dim=1, f=lambda x, t: np.zeros(1), jac=lambda x, t: np.zero
 grids = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
 sol = straightening_solve(prob, sys1, lambda x, lam: np.cos(x) + lam, *grids)
 nan_f = straightening_solve(prob, sys1, lambda x, lam: np.nan, *grids)
+nodes = []
+def unit(x, lam):
+    nodes.append(np.broadcast(x, lam).size)
+    return 1.0
+far = straightening_solve(prob, sys1, unit, *grids)
+nodes.clear()
+u = far.evaluate(0.0, -35.0)   # the weight grows as e^35 toward lam_b
 print(json.dumps([sol.evaluate(0.0, np.nan), sol.evaluate(0.0, np.inf),
-                  bool(np.isnan(nan_f.U[:, 1:]).all())]))
+                  bool(np.isnan(nan_f.U[:, 1:]).all()), sum(nodes),
+                  abs(u - (1.0 - np.exp(35.0))) / (np.exp(35.0) - 1.0)]))
 """
 
 
 def test_non_finite_straightening_input_reads_nan():
     # in a child under an address-space cap: a quadrature that refined a
-    # NaN cell to the depth limit would need far more memory than the cap
+    # NaN cell, or a cell whose weight reaches e^35, without bound would need
+    # far more memory than the cap.  The 35-wide cell takes 700 panels of 8
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run([sys.executable, "-B", "-c", NONFINITE], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_nan, at_inf, nan_forcing = json.loads(proc.stdout)
+    at_nan, at_inf, nan_forcing, nodes, far_err = json.loads(proc.stdout)
     assert np.isnan(at_nan) and np.isnan(at_inf) and nan_forcing
+    assert nodes <= 5600 and far_err <= 1e-14
 
 
 def test_forcing_of_the_wrong_shape_is_rejected():
