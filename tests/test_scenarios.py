@@ -279,7 +279,7 @@ def test_weighted_cells_against_the_closed_form():
             return np.ones(s.shape)
         got = _weighted(g, c, a, b)
         want = c * (1.0 - np.exp((a - b) / c))
-        # the exponent's rounding, relative to the exponent, scales with it
+        # the rounding of the exponent (a - b)/c grows with its size
         bound = 1e-15 * (1.0 + np.abs((a - b) / c)) * np.maximum(1.0, np.abs(want))
         assert np.all((np.abs(got - want) <= bound)[:6])
         assert got[2] == 0.0 and np.isnan(got[6])
@@ -288,6 +288,7 @@ def test_weighted_cells_against_the_closed_form():
 
 
 def test_a_nan_cell_evaluates_one_panel():
+    # a NaN integrand costs one panel of 8 nodes, a zero-width cell none
     nodes = []
     def g(s, i):
         nodes.append(s.size)
