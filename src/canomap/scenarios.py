@@ -210,15 +210,9 @@ def _field(F, x, lam):
     return np.broadcast_to(np.asarray(F(x, lam), dtype=float), np.broadcast(x, lam).shape)
 
 
-def _nearest(grid, v):
-    """Nearest node of an increasing grid to each v (ties: lower, as argmin)."""
-    i = np.clip(np.searchsorted(grid, v), 1, grid.size - 1)
-    return np.where(np.abs(grid[i] - v) < np.abs(grid[i - 1] - v), i, i - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class StraighteningSolution:
-    """Solved U on the (x, lam) grid plus point evaluation off the grid."""
+    """Solved U on the (x, lam) grid, output only, and U anywhere from lam_b."""
 
     x_grid: np.ndarray
     lam_grid: np.ndarray
@@ -230,21 +224,18 @@ class StraighteningSolution:
     def _c(self) -> float:
         return float(self.problem.c[0])
 
-    def _at(self, x, lam):
-        """U at the points (x, lam), 1-d arrays of one size: incremental
-        integrating-factor quadrature from the nearest solved node where x
-        is a grid column, else from the boundary lam_b directly."""
-        if self.degenerate:
-            return _field(self.F, x, lam)
+    def _from(self, x, lam, lam_ref, u_ref):
+        """U at (x, lam), 1-d arrays, continued from u_ref at lam_ref (an array)."""
         c = self._c()
-        j = _nearest(self.x_grid, x)
-        k = _nearest(self.lam_grid, lam)
-        on = np.abs(self.x_grid[j] - x) <= 1e-12 * np.maximum(1.0, np.abs(x))
-        lam_ref = np.where(on, self.lam_grid[k], self.problem.lam_b)
-        u_ref = np.where(on, self.U[j, k], 0.0)
         integral = _weighted(lambda s, i: _field(self.F, x[i], s), c, lam_ref, lam)
         return np.where(lam == lam_ref, u_ref,
                         np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
+
+    def _at(self, x, lam):
+        """U at the points (x, lam): the integral from lam_b, where U = 0."""
+        if self.degenerate:
+            return _field(self.F, x, lam)
+        return self._from(x, lam, np.full(lam.shape, self.problem.lam_b), 0.0)
 
     def evaluate(self, x: float, lam: float) -> float:
         """U(x, lam) anywhere."""
@@ -257,13 +248,14 @@ class StraighteningSolution:
         return (float(self.F(x, lam)) - self.evaluate(x, lam)) / self._c()
 
     def residual_check(self) -> float:
-        """max |U + c U_lam - F| over the grid, U_lam by central FD."""
+        """max |U + c U_lam - F| over the grid, U_lam by central FD from each node."""
         if self.degenerate:
             return 0.0
         X, L = (v.ravel() for v in np.meshgrid(self.x_grid, self.lam_grid, indexing="ij"))
+        U = self.U.ravel()
         hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
-        u_hi, u_lo = self._at(X, hi), self._at(X, lo)
-        res = self.U.ravel() + self._c() * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
+        u_hi, u_lo = self._from(X, hi, L, U), self._from(X, lo, L, U)
+        res = U + self._c() * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
         return float(np.max(np.abs(res), initial=0.0))
 
 

@@ -1,4 +1,5 @@
 """Worked systems: ballistic flight, phase-plane quarter-turn, straightening."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -324,18 +325,19 @@ def test_straightening_matches_the_closed_form(c, grid):
     err = lambda got, want: np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
     U = linear_forcing_u(c, lam_b, x_grid[:, None], lam_grid)
     assert err(sol.U, U) <= tol
-    # on-grid x (from the nearest node) and off-grid x (from lam_b); lam on
-    # lam_b and on a node (zero-width cells), after a node, before a node (a
-    # backward cell), behind lam_b and far out.  Evaluated d behind a node,
-    # U carries the node's rounding times e^{d/|c|}, so d stays within 4|c|;
-    # behind lam_b, where U = 0 exactly, within 40|c| (U grows as e^{d/|c|}).
-    # On the coarse grid lam_b + 7/16 is a tie, which goes to the lower node
-    # (the upper one would be 6,250|c| ahead at c = 1e-5).
-    lams = [lam_b, lam_grid[7], lam_grid[7] + 0.3 * h, lam_grid[7] - min(0.3 * h, 4.0 * abs(c)),
-            lam_b - min(0.4, 40.0 * abs(c)), 5.0] + ([lam_b + 7.0 / 16.0] if grid == "tests" else [])
+    # on-grid and off-grid x alike integrate from lam_b, where U = 0 exactly;
+    # lam on lam_b and on a node, after and before a node (far behind it in
+    # units of |c| when c is small), behind lam_b and far out.  Behind lam_b
+    # U itself grows as e^{d/|c|}, so d stays within 40|c| there.
+    lams = [lam_b, lam_grid[7], lam_grid[7] + 0.3 * h, lam_grid[7] - 0.3 * h,
+            lam_b - min(0.4, 40.0 * abs(c)), 5.0]
     for x in (x_grid[0], x_grid[4], 0.123, 3.0):
         for lam in lams:
             assert err(sol.evaluate(x, lam), linear_forcing_u(c, lam_b, x, lam)) <= tol, (x, lam)
+    if (grid, c) == ("cli", 1e-5):
+        # 250|c| behind a node, whose rounding a continuation from it scales by e^250
+        lam = lam_grid[22] - 250.0 * abs(c)
+        assert err(sol.evaluate(-1.0, lam), linear_forcing_u(c, lam_b, -1.0, lam)) <= 1e-12
     # residual_check against the same difference of the closed form; the
     # difference quotient scales an error of U by |c| / (2 h)
     X, L = np.meshgrid(x_grid, lam_grid, indexing="ij")
@@ -344,6 +346,22 @@ def test_straightening_matches_the_closed_form(c, grid):
     want = np.max(np.abs(U + c * u_lam - linear_forcing(X, L)))
     scale = np.max(np.maximum(1.0, np.abs(U))) * (1.0 + abs(c) / (2.0 * _RESIDUAL_FD_H))
     assert abs(sol.residual_check() - want) <= tol * scale
+
+
+@pytest.mark.parametrize("c", [0.3, -0.7])
+def test_point_evaluation_does_not_read_the_grid(c):
+    # the solved U is output only: evaluate and ulam integrate from lam_b,
+    # and residual_check alone continues from the nodes
+    x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
+    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_grid[0])
+    sol = straightening_solve(prob, scalar_system(), linear_forcing, x_grid, lam_grid)
+    blind = dataclasses.replace(sol, U=np.full_like(sol.U, np.nan))
+    h = lam_grid[1] - lam_grid[0]
+    for x in (x_grid[0], x_grid[4], 0.123):
+        for lam in (lam_grid[7] - 0.3 * h, lam_grid[7], lam_grid[7] + 0.3 * h, lam_grid[0] - 0.3):
+            assert blind.evaluate(x, lam) == sol.evaluate(x, lam), (x, lam)
+            assert blind.ulam(x, lam) == sol.ulam(x, lam), (x, lam)
+    assert np.isnan(blind.residual_check())
 
 
 def test_degenerate_straightening_is_the_forcing_everywhere():

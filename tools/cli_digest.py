@@ -54,6 +54,9 @@ CASES = {
     # cell, the steepest integrating factor of these cases
     "straightening-refine": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
                              "lam0": [0.05]},
+    # c = lam0 < 0: the weight is heavier at each cell's start
+    "straightening-backward": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
+                               "x0": [0.2], "lam0": [-0.8]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
