@@ -12,6 +12,7 @@ the energy diagnostics quantify how well dH/dt = lam . f_t holds discretely.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
+# _rk4_path's ops (axpy, combine, bounded, pack): on arrays, or on float lists
+_ARRAYS = (lambda z, a, k: z + a * k,
+           lambda z, c, k1, k2, k3, k4: z + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+           lambda z: np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT, np.ndarray.tobytes)
+_FLOATS = (lambda z, a, k: [u + a * v for u, v in zip(z, k)],
+           lambda z, c, *ks: [u + c * (a + 2.0 * b + 2.0 * d + e) for u, a, b, d, e in zip(z, *ks)],
+           lambda z: all(map(_BLOWUP_LIMIT.__ge__, map(abs, z))), lambda z: array("d", z))
 
 
 def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
@@ -43,19 +51,23 @@ def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
 
 def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
     """The right-hand side of every march on sys, decided once per march:
-    the lift (f, (-A^T) lam) at z = (x, lam), or (f, mdot(A, M)) at
-    z = (x, M.ravel()), from one call each of sys.f and sys.jac (else
-    sys.jac_at, central differences of f), shaped by _shaped.  With stack,
-    the lift at a stack Z (M, 2n) sharing t, each row bitwise its single
-    state: a vectorized sys is called once on the (M, n) stack (a constant
-    (n, n) jac goes on as (1, n, n), which _mv broadcasts), any other once
-    per row.  Not -(A^T lam): that flips signed zeros.  A system's lift
-    replaces f and jac in the lift: one call per state (per row of a stack)."""
+    the lift (f, (-A^T) lam) at z = (x, lam), a float list for one state, or
+    (f, mdot(A, M)) at the array z = (x, M.ravel()), from one call each of
+    sys.f and sys.jac (else sys.jac_at, central differences of f), shaped by
+    _shaped.  With stack, the lift at a stack Z (M, 2n) sharing t, each row
+    bitwise its single state: a vectorized sys is called once on the (M, n)
+    stack (a constant (n, n) jac goes on as (1, n, n), which _mv broadcasts),
+    any other once per row.  Not -(A^T lam): that flips signed zeros.  The
+    lift sys.lift replaces f and jac: one call per state or row, of 2n values."""
     n, f, vec, mat = sys.dim, sys.f, (sys.dim,), (sys.dim, sys.dim)
     if mdot is None and sys.lift is not None:
-        fused, two = sys.lift, (2 * n,)
-        one = lambda z, t: _shaped(fused(z[:n], z[n:], t), two)
-        return (lambda Z, t: np.array([one(z, t) for z in Z])) if stack else one
+        fused, m = sys.lift, 2 * n
+
+        def one(z, t):
+            if len(k := fused(z[:n], z[n:], t)) != m:
+                raise ValueError(f"lift returned {len(k)} values, expected 2n = {m}")
+            return k
+        return (lambda Z, t: np.array([one(z, t) for z in Z.tolist()])) if stack else one
     jac = sys.jac if sys.jac is not None else sys.jac_at
     if not stack:
         one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
@@ -65,7 +77,7 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
         def rhs(z, t):
             x = z[one]
             return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
-        return rhs
+        return rhs if mdot is not None else (lambda z, t: rhs(np.array(z), t).tolist())
     if sys.vectorized:
         def rows(X, t):
             F = np.asarray(f(X, t), dtype=float)
@@ -97,7 +109,7 @@ def canonical_rhs(sys: DynamicSystem, s: PhaseState):
 def _lift_at(sys: DynamicSystem, t: np.ndarray, X: np.ndarray, LAM: np.ndarray):
     """(xdot, lamdot) at M samples, each at its own time (t (M,), X and LAM
     (M, n)): one single-state lift per row, stacked."""
-    K = np.array(list(map(_stage(sys), np.hstack((X, LAM)), t.tolist())))
+    K = np.array(list(map(_stage(sys), np.hstack((X, LAM)).tolist(), t.tolist())), dtype=float)
     return K[:, :sys.dim], K[:, sys.dim:]
 
 
@@ -144,50 +156,52 @@ def _grid(t0: float, t1: float, step: float):
         yield (t := t_next)
 
 
-def _rk4_path(rhs, z0: np.ndarray, times, last: bool = False):
+def _rk4_path(rhs, z0: np.ndarray, times, ops=_ARRAYS, last: bool = False, stages: bool = True):
     """March z' = rhs(z, t) over times: z0 at the first one, then one step to
     each next one (a _grid, or a trajectory's own times).
 
-    z may be one flat state or a stack of them; the arithmetic is
-    elementwise, so every row of a stack follows the flat march bitwise.
+    z0 is a float array under _ARRAYS, any shape (a stack's rows each follow
+    the flat march bitwise), or one state's float list under _FLOATS: cheaper
+    at that size, bitwise alike (numpy's order), and bounded sees any NaN, unlike max().
 
     Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
     a dict describing the truncation point if the state blew up (any
     component beyond 1e12 in magnitude, a non-finite value, or a DomainError
-    from the field).  zs stacks every sample and ks each step's first stage
-    rhs(zs[i], ts[i]); with last, ts and zs keep only the last finite sample
-    and ks none.  zs (read-only) and ks are gathered as raw bytes rather than
-    one array object per step.
+    from the field).  zs stacks every sample and ks, with stages, each step's
+    first stage rhs(zs[i], ts[i]); with last, ts and zs keep only the last
+    finite sample and ks none.  zs (read-only) and ks are gathered as raw
+    bytes rather than one object per step.
     """
+    axpy, combine, bounded, pack = ops
     times = iter(times)
     t = next(times)
     ts = [t]
-    z = np.array(z0, dtype=float)
-    zs, ks = bytearray(z.tobytes()), bytearray()
+    z = z0
+    zs, ks = bytearray(pack(z)), bytearray()
     diag = None
     for t_next in times:
         h = t_next - t          # the increment of the stored t, not the nominal step
         hh = 0.5 * h            # 0.5 * h * k is (0.5 * h) * k: the same bits
         try:
             k1 = rhs(z, t)
-            k2 = rhs(z + hh * k1, t + hh)
-            k3 = rhs(z + hh * k2, t + hh)
-            k4 = rhs(z + h * k3, t_next)
+            k2 = rhs(axpy(z, hh, k1), t + hh)
+            k3 = rhs(axpy(z, hh, k2), t + hh)
+            k4 = rhs(axpy(z, h, k3), t_next)
         except DomainError as exc:
             diag = {"truncated": True, "t_truncated": t, "reason": str(exc)}
             break
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = combine(z, h / 6.0, k1, k2, k3, k4)
         t = t_next
-        if not np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT:  # NaN too
+        if not bounded(z):
             diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
             break
         if last:
-            ts, zs = [t], z.tobytes()
+            ts, zs = [t], pack(z)
         else:
             ts.append(t)
-            zs += z.tobytes()
-            ks += k1.tobytes()
-    zs, ks = (np.frombuffer(b).reshape((-1,) + z.shape) for b in (zs, ks))
+            zs += pack(z)
+            ks += pack(k1) if stages else b""
+    zs, ks = (np.frombuffer(b).reshape((-1,) + np.shape(z)) for b in (zs, ks))
     zs.flags.writeable = False
     return ts, zs, diag, ks
 
@@ -217,10 +231,10 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     _require_dim(sys, s0)
     n = sys.dim
     rhs = _stage(sys)
-    ts, Z, diag, K = _rk4_path(rhs, s0.z(), _grid(s0.t, t1, step))
+    ts, Z, diag, K = _rk4_path(rhs, s0.z().tolist(), _grid(s0.t, t1, step), _FLOATS)
     traj = Trajectory(ts, Z[:, :n], Z[:, n:], dict(diag) if diag else {})
     try:   # the last sample starts no step
-        K = np.vstack([K, rhs(Z[-1], ts[-1])])
+        K = np.vstack([K, rhs(Z[-1].tolist(), ts[-1])])
     except DomainError:   # no columns: each diagnostic meets the error there
         return traj
     K.flags.writeable = False
@@ -288,7 +302,7 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
     s0 = traj[0]
     _require_dim(sys, s0)
     z0 = np.concatenate([s0.x, np.eye(n).ravel()])
-    _, zs, diag, _ = _rk4_path(_stage(sys, mdot=_KINDS[kind]), z0, traj.t.tolist())
+    _, zs, diag, _ = _rk4_path(_stage(sys, mdot=_KINDS[kind]), z0, traj.t.tolist(), stages=False)
     if diag is not None:
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
     values = np.array(zs)[:, n:].reshape(-1, n, n)

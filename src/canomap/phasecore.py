@@ -140,9 +140,9 @@ class DynamicSystem:
         are no batched finite differences.  Without the flag, a march over
         a stack (hamilton._stage) calls f and jac once per row.
     lift : callable, optional
-        (x, lam, t) -> the 2n values (f, -A^T lam), one array or list, which
-        integrate and flow_loop march in place of f and jac; jac still serves
-        fundamental_matrix and jac_at.  Not with vectorized.
+        (x, lam, t) -> the 2n floats (f, -A^T lam), with x and lam float
+        sequences; integrate and flow_loop march it in place of f and jac, jac
+        still serves fundamental_matrix and jac_at.  Not with vectorized.
     """
 
     dim: int
@@ -151,7 +151,7 @@ class DynamicSystem:
     ft: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     autonomous: bool = False
     vectorized: bool = False
-    lift: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
+    lift: Optional[Callable[[Sequence[float], Sequence[float], float], Sequence[float]]] = None
     fd_backed: frozenset = field(default=frozenset(), init=False)
 
     def __post_init__(self):
@@ -450,7 +450,7 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
             yield "jac", obj.jac_at(s.x, s.t), _central_diff(f, 0, s.x, s.lam, s.t)
             yield "ft", obj.ft_at(s.x, s.t), _central_diff(f, 2, s.x, s.lam, s.t)
             if obj.lift is not None:
-                yield ("lift", _shaped(obj.lift(s.x, s.lam, s.t), (2 * obj.dim,)),
+                yield ("lift", _shaped(obj.lift(s.x.tolist(), s.lam.tolist(), s.t), (2 * obj.dim,)),
                        np.concatenate(_jac_form(obj, s.x, s.lam, s.t)))
     elif isinstance(obj, ControllingFunction):
         tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": max(rtol, 1e-4)}

@@ -78,8 +78,8 @@ def ballistic_system(sigma: float) -> DynamicSystem:
         ]).reshape(4, 4)
 
     def lift(s, lam, t):   # f's expressions, then the multiplier equations
-        v_r, v_phi, r, _phi = s.tolist()
-        l1, l2, l3, l4 = lam.tolist()
+        v_r, v_phi, r, _phi = s
+        l1, l2, l3, l4 = lam
         if r <= _R_MIN:
             raise DomainError(f"radius {r} at or below the guard {_R_MIN}")
         return [v_phi ** 2 / r - sig2 / r ** 2, -v_r * v_phi / r, v_r, v_phi / r,
@@ -106,7 +106,7 @@ def make_ballistic_adjoint(sigma: float) -> Callable[[PhaseState], np.ndarray]:
     be tested against the machinery that is supposed to reproduce it.
     """
     lift = ballistic_system(sigma).lift
-    return lambda s: np.array(lift(s.x, s.lam, s.t)[4:])
+    return lambda s: np.array(lift(s.x.tolist(), s.lam.tolist(), s.t)[4:])
 
 
 # ---------------------------------------------------------------------

@@ -514,3 +514,7 @@ def test_rk4_endpoint_only_march_keeps_last_sample(t1):
     # a full march keeps one first stage per step: rhs = z at each sample it leaves
     assert full[3].shape == (len(full[0]) - 1, 3, 2)
     assert np.array_equal(full[3], full[1][:-1]) and len(last[3]) == 0
+    # fundamental_matrix's mode: every sample, no stage
+    samples = _rk4_path(rhs, np.ones((3, 2)), _grid(0.0, t1, 0.1), stages=False)
+    assert samples[0] == full[0] and samples[1].tobytes() == full[1].tobytes()
+    assert samples[2] == full[2] and samples[3].shape == (0, 3, 2)

@@ -254,8 +254,42 @@ def test_a_lift_of_the_wrong_size_raises_value_error():
     bad = DynamicSystem(dim=2, f=_field, jac=_jac, lift=lambda x, lam, t: np.ones(3))
     for march in (lambda: integrate(bad, S0, T1, STEP),
                   lambda: flow_loop(bad, _loop(), [T1], STEP)):
-        with pytest.raises(ValueError, match="cannot reshape array of size 3 into shape"):
+        with pytest.raises(ValueError, match=r"^lift returned 3 values, expected 2n = 4$"):
             march()
+
+
+def _nan_late(x, lam, t):
+    """The ballistic lift, with NaN for its last value (lam_4') after t = 0.5."""
+    k = ballistic_system(1.0).lift(x, lam, t)
+    return k[:-1] + [np.nan] if t > 0.5 else k
+
+
+def _growth(x, lam, t):
+    """The lift of xdot = 50 x, which passes 1e12 near t = 0.55."""
+    return [50.0 * x[0], -50.0 * lam[0]]
+
+
+@pytest.mark.parametrize("sys_, s0, reason", [
+    (DynamicSystem(dim=4, f=ballistic_system(1.0).f, lift=_nan_late),
+     PhaseState([0.0, 1.1, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0), "state magnitude"),
+    (DynamicSystem(dim=1, f=lambda x, t: 50.0 * x, lift=_growth),
+     PhaseState([1.0], [1.0], 0.0), "state magnitude"),
+    (ballistic_system(1.0), PhaseState([0.0, 0.0, 1.0, 0.0], [0.3, -0.5, 0.7, 0.2], 0.0),
+     "radius"),
+], ids=["nan-in-the-last-value", "blow-up", "r-guard"])
+def test_a_lifted_state_marches_in_floats_as_the_array_march(sys_, s0, reason):
+    # the array march of the same lift: a stack of one row, as flow_loop marches it
+    n, rows = sys_.dim, hamilton._stage(sys_, stack=True)
+    ts, zs, diag, ks = hamilton._rk4_path(rows, s0.z()[None], _grid(0.0, 2.0, 0.01))
+    traj = integrate(sys_, s0, 2.0, 0.01)
+    assert diag is not None and diag["reason"].startswith(reason)
+    assert dict(traj.meta) == diag and ts[-1] <= diag["t_truncated"] < 2.0
+    assert traj.t.tolist() == ts
+    assert traj.x.tobytes() == zs[:, 0, :n].tobytes()
+    assert traj.lam.tobytes() == zs[:, 0, n:].tobytes()
+    K = np.vstack([ks[:, 0], rows(zs[-1], ts[-1])])
+    assert traj.xdot.tobytes() == K[:, :n].tobytes()
+    assert traj.lamdot.tobytes() == K[:, n:].tobytes()
 
 
 def test_a_vectorized_system_takes_no_lift():
