@@ -67,7 +67,7 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
             if len(k := fused(z[:n], z[n:], t)) != m:
                 raise ValueError(f"lift returned {len(k)} values, expected 2n = {m}")
             return k
-        return (lambda Z, t: np.array([one(z, t) for z in Z.tolist()])) if stack else one
+        return (lambda Z, t: np.array([one(z, t) for z in Z.tolist()], float)) if stack else one
     jac = sys.jac if sys.jac is not None else sys.jac_at
     if not stack:
         one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
