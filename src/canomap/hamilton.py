@@ -12,7 +12,7 @@ the energy diagnostics quantify how well dH/dt = lam . f_t holds discretely.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,8 @@ _ARRAYS = (lambda z, a, k: z + a * k,
            lambda z: np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT, np.ndarray.tobytes)
 _FLOATS = (lambda z, a, k: [u + a * v for u, v in zip(z, k)],
            lambda z, c, *ks: [u + c * (a + 2.0 * b + 2.0 * d + e) for u, a, b, d, e in zip(z, *ks)],
-           lambda z: all(map(_BLOWUP_LIMIT.__ge__, map(abs, z))), lambda z: array("d", z))
+           lambda z: all(map(_BLOWUP_LIMIT.__ge__, map(abs, z))),
+           lambda z: struct.pack("d" * len(z), *z))
 
 
 def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
