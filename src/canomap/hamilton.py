@@ -157,7 +157,7 @@ def _grid(t0: float, t1: float, step: float):
         yield (t := t_next)
 
 
-def _rk4_path(rhs, z0: np.ndarray, times, ops=_ARRAYS, last: bool = False, stages: bool = True):
+def _rk4_path(rhs, z0, times, ops=_ARRAYS, last: bool = False, stages: bool = True):
     """March z' = rhs(z, t) over times: z0 at the first one, then one step to
     each next one (a _grid, or a trajectory's own times).
 
