@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
-# _rk4_path's ops (axpy, combine, bounded, pack): on arrays, or on float lists
+# _rk4_path's ops (axpy, combine, bounded, pack): for an array z0, or a float list
 _ARRAYS = (lambda z, a, k: z + a * k,
            lambda z, c, k1, k2, k3, k4: z + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
            lambda z: np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT, np.ndarray.tobytes)
@@ -157,13 +157,13 @@ def _grid(t0: float, t1: float, step: float):
         yield (t := t_next)
 
 
-def _rk4_path(rhs, z0, times, ops=_ARRAYS, last: bool = False, stages: bool = True):
+def _rk4_path(rhs, z0, times, last: bool = False, stages: bool = True):
     """March z' = rhs(z, t) over times: z0 at the first one, then one step to
     each next one (a _grid, or a trajectory's own times).
 
-    z0 is a float array under _ARRAYS, any shape (a stack's rows each follow
-    the flat march bitwise), or one state's float list under _FLOATS: cheaper
-    at that size, bitwise alike (numpy's order), and bounded sees any NaN, unlike max().
+    z0 is a float array (_ARRAYS), any shape (a stack's rows each follow the
+    flat march bitwise), or one state's float list (_FLOATS): cheaper at that
+    size, bitwise alike (numpy's order), and bounded sees any NaN, unlike max().
 
     Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
     a dict describing the truncation point if the state blew up (any
@@ -173,7 +173,7 @@ def _rk4_path(rhs, z0, times, ops=_ARRAYS, last: bool = False, stages: bool = Tr
     finite sample and ks none.  zs (read-only) and ks are gathered as raw
     bytes rather than one object per step.
     """
-    axpy, combine, bounded, pack = ops
+    axpy, combine, bounded, pack = _FLOATS if isinstance(z0, list) else _ARRAYS
     times = iter(times)
     t = next(times)
     ts = [t]
@@ -232,7 +232,7 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
     _require_dim(sys, s0)
     n = sys.dim
     rhs = _stage(sys)
-    ts, Z, diag, K = _rk4_path(rhs, s0.z().tolist(), _grid(s0.t, t1, step), _FLOATS)
+    ts, Z, diag, K = _rk4_path(rhs, s0.z().tolist(), _grid(s0.t, t1, step))
     traj = Trajectory(ts, Z[:, :n], Z[:, n:], dict(diag) if diag else {})
     try:   # the last sample starts no step
         K = np.vstack([K, rhs(Z[-1].tolist(), ts[-1])])

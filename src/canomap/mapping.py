@@ -432,11 +432,11 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
 # Numerical inverse
 # ---------------------------------------------------------------------
 
-def _map_jacobian(spec: MappingSpec, s: PhaseState):
+def _map_jacobian(spec: MappingSpec, t, x, lam):
     """d(y, mu)/d(x, lam) = [[E + a dG_y/dx, a dG_y/dlam], [b dG_mu/dx, E + b dG_mu/dlam]]."""
     a, gy, b, gmu = _FORM[spec.variant](*spec.signs)
     n = spec.cf.dim
-    rows, E, J = _rows(spec.cf, s.t, s.x, s.lam), np.eye(n), np.empty((2 * n, 2 * n))
+    rows, E, J = _rows(spec.cf, t, x, lam), np.eye(n), np.empty((2 * n, 2 * n))
     (yx, ylam), (mux, mulam) = ([d(rows) for d in _DG[g]] for g in (gy, gmu))
     J[:n, :n], J[:n, n:], J[n:, :n], J[n:, n:] = E + a * yx, a * ylam, b * mux, E + b * mulam
     return J
@@ -480,9 +480,8 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
     for _ in range(50):
         if norm < tol:
             break
-        s = PhaseState._trusted(z[:n], z[n:], t)   # each accepted z is finite
         try:
-            delta = np.linalg.solve(_map_jacobian(spec, s), -r)
+            delta = np.linalg.solve(_map_jacobian(spec, t, z[:n], z[n:]), -r)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian during inversion: {exc}")
         for alpha in 0.5 ** np.arange(7):
@@ -491,7 +490,7 @@ def invert_map(spec: MappingSpec, y, mu, t: float, x_init=None, lam_init=None):
                 z, r, norm = z + alpha * delta, r_try, np.max(np.abs(r_try))
                 break
             if alpha == 1.0 and (norm <= tol or fd_term > 0.0 and norm <= tol + fd_term
-                                 * max(1.0, abs(float(cf.u(s.x, s.lam, s.t))))):
+                                 * max(1.0, abs(float(cf.u(z[:n], z[n:], t))))):
                 return z[:n].copy(), z[n:].copy()   # a full step stalls at the floor
         else:
             raise ConvergenceError(

@@ -143,34 +143,26 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
 
 @dataclass(frozen=True, eq=False)
 class StraighteningProblem:
-    """Targets for the constant-drift reduction ydot = a, mu = c.
+    """Targets for the constant-drift reduction ydot = a, mu = c, all floats
+    (n = 1; a sequence raises TypeError).
 
-    The consistency a . c = h ties the drift and multiplier targets to the
+    The consistency a c = h ties the drift and multiplier targets to the
     energy level of the motion being straightened.
     """
 
-    c: np.ndarray
-    a: np.ndarray
+    c: float
+    a: float
     h: float
-    y0: np.ndarray
+    y0: float
     lam_b: float        # reference multiplier where U(x, lam_b) = 0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if not (c.shape == a.shape == y0.shape):
-            raise ValueError("c, a, y0 must share one dimension")
-        h, lam_b = float(self.h), float(self.lam_b)
-        if not np.isfinite(np.concatenate([c, a, y0, [h, lam_b]])).all():
+        for name in ("c", "a", "h", "y0", "lam_b"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not np.isfinite([self.c, self.a, self.h, self.y0, self.lam_b]).all():
             raise ValueError("c, a, h, y0 and lam_b must be finite")
-        if abs(float(np.dot(a, c)) - h) > 1e-12 * max(1.0, abs(h)):
-            raise ValueError(f"inconsistent targets: a.c = {float(np.dot(a, c))} != h = {h}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam_b", lam_b)
+        if abs(self.a * self.c - self.h) > 1e-12 * max(1.0, abs(self.h)):
+            raise ValueError(f"inconsistent targets: a.c = {self.a * self.c} != h = {self.h}")
 
 
 # 8-point Gauss–Legendre nodes and weights mapped to [0, 1]
@@ -221,12 +213,9 @@ class StraighteningSolution:
     F: Callable
     degenerate: bool         # |c| below threshold: algebraic U = F case
 
-    def _c(self) -> float:
-        return float(self.problem.c[0])
-
     def _from(self, x, lam, lam_ref, u_ref):
         """U at (x, lam), 1-d arrays, continued from u_ref at lam_ref (an array)."""
-        c = self._c()
+        c = self.problem.c
         integral = _weighted(lambda s, i: _field(self.F, x[i], s), c, lam_ref, lam)
         return np.where(lam == lam_ref, u_ref,
                         np.exp(-(lam - lam_ref) / c) * u_ref + integral / c)
@@ -245,7 +234,7 @@ class StraighteningSolution:
         """U_lam from the equation itself: (F - U) / c."""
         if self.degenerate:
             raise ValueError("U_lam is not determined by the degenerate (c=0) equation")
-        return (float(self.F(x, lam)) - self.evaluate(x, lam)) / self._c()
+        return (float(self.F(x, lam)) - self.evaluate(x, lam)) / self.problem.c
 
     def residual_check(self) -> float:
         """max |U + c U_lam - F| over the grid, U_lam by central FD from each node."""
@@ -255,12 +244,12 @@ class StraighteningSolution:
         U = self.U.ravel()
         hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
         u_hi, u_lo = self._from(X, hi, L, U), self._from(X, lo, L, U)
-        res = U + self._c() * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
+        res = U + self.problem.c * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
         return float(np.max(np.abs(res), initial=0.0))
 
 
-def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
-                        F: Callable, x_grid, lam_grid) -> StraighteningSolution:
+def straightening_solve(prob: StraighteningProblem, F: Callable, x_grid,
+                        lam_grid) -> StraighteningSolution:
     """Solve U + c U_lam = F(x, lam) column-by-column with U(x, lam_b) = 0.
 
     Each grid x is an independent characteristic line in lam; the exact
@@ -272,13 +261,11 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
     with the integrals of every cell of every column by one composite
     8-point Gauss–Legendre rule (_weighted).  F is called on arrays, and
     F(x, lam) must return something that broadcasts to their shape (a
-    constant does), else ValueError.  Only n=1 is supported — with 2n
+    constant does), else ValueError.  F carries the system, so none is
+    passed.  The problem is scalar (n = 1, every target a float): with 2n
     independent variables the characteristics picture stops being a
     desk-scale computation.
     """
-    if prob.c.size != 1 or sys.dim != 1:
-        raise ValueError("straightening_solve handles n=1 only; "
-                         "higher dimensions need a genuine PDE solver")
     x_grid = np.asarray(x_grid, dtype=float)
     lam_grid = np.asarray(lam_grid, dtype=float)
     if x_grid.ndim != 1 or lam_grid.ndim != 1 or lam_grid.size < 2:
@@ -287,7 +274,7 @@ def straightening_solve(prob: StraighteningProblem, sys: DynamicSystem,
         raise ValueError("x_grid and lam_grid must be strictly increasing")
     if abs(lam_grid[0] - prob.lam_b) > 1e-12 * max(1.0, abs(prob.lam_b)):
         raise ValueError("lam_grid must start at the boundary lam_b")
-    c = float(prob.c[0])
+    c = prob.c
     if abs(c) < 1e-12:
         # Degenerate equation: U = F pointwise, no lam propagation.
         U = np.array(_field(F, x_grid[:, None], lam_grid))
@@ -336,13 +323,11 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     """
     if not sys.autonomous:
         raise ValueError("constant_field_reduction requires an autonomous system")
-    if sys.dim != 1 or prob.c.size != 1:
+    if sys.dim != 1:
         raise ValueError("constant_field_reduction handles n=1 only")
     traj = integrate(sys, PhaseState(x0, lam0, t0), t1, step)
     ts, xs = traj.t, traj.x[:, 0]
-    c = float(prob.c[0])
-    a = float(prob.a[0])
-    y0 = float(prob.y0[0])
+    c, a, y0 = prob.c, prob.a, prob.y0
 
     # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
     hs = _h_series(traj, _xdot(sys, traj))
@@ -365,7 +350,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
         F = lambda x, lam: np.interp(x, xs_sorted, line_sorted) + c * (y0 - x)
         x_grid = np.linspace(xs_sorted[0], xs_sorted[-1], 101)
 
-    sol = straightening_solve(prob, sys, F, x_grid, np.linspace(prob.lam_b, prob.lam_b + 2.0, 101))
+    sol = straightening_solve(prob, F, x_grid, np.linspace(prob.lam_b, prob.lam_b + 2.0, 101))
     pde_residual = sol.residual_check()
 
     spec = MappingSpec("Std116", ControllingFunction(   # U_x: the FD rule's difference of u

@@ -246,20 +246,14 @@ def test_criterion_09_ballistic_conservation():
 
 def test_criterion_10_straightening_equation():
     with criterion(10, "straightening equation solved on the grid", 10.0):
-        sys1 = DynamicSystem(dim=1, f=lambda x, t: np.zeros(1),
-                             jac=lambda x, t: np.zeros((1, 1)),
-                             autonomous=True)
-        prob = StraighteningProblem(c=[1.0], a=[0.3], h=0.3, y0=[0.0],
-                                    lam_b=0.0)
-        sol = straightening_solve(prob, sys1,
-                                  lambda x, lam: np.sin(x) + np.cos(lam),
+        prob = StraighteningProblem(c=1.0, a=0.3, h=0.3, y0=0.0, lam_b=0.0)
+        sol = straightening_solve(prob, lambda x, lam: np.sin(x) + np.cos(lam),
                                   np.linspace(0.0, 1.0, 101),
                                   np.linspace(0.0, 2.0, 101))
         assert sol.residual_check() < 1e-8
-        unit = StraighteningProblem(c=[1.0], a=[1.0], h=1.0, y0=[0.0],
-                                    lam_b=0.0)
+        unit = StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
         lam_grid = np.linspace(0.0, 2.0, 101)
-        sol1 = straightening_solve(unit, sys1, lambda x, lam: 1.0,
+        sol1 = straightening_solve(unit, lambda x, lam: 1.0,
                                    np.array([0.0, 0.5, 1.0]), lam_grid)
         exact = 1.0 - np.exp(-lam_grid)
         assert np.max(np.abs(sol1.U - exact[None, :])) < 1e-9

@@ -681,7 +681,7 @@ def test_variant_table_image_and_jacobian():
         assert np.array_equal(y, s.x + dy) and np.array_equal(mu, s.lam + dmu)
         ref = _central_diff_x(
             lambda v: np.concatenate(apply_map(spec, PhaseState(v[:2], v[2:], 0.2))), z)
-        err = np.max(np.abs(_map_jacobian(spec, s) - ref))
+        err = np.max(np.abs(_map_jacobian(spec, s.t, s.x, s.lam) - ref))
         assert err < 1e-8, (spec.variant, spec.signs, err)
         # jacobian_condition: the determinants of the diagonal blocks dy/dx, dmu/dlam
         dets = np.linalg.det(ref[:2, :2]), np.linalg.det(ref[2:, 2:])
@@ -717,7 +717,7 @@ def test_canonicity_calls_each_block_once_per_sample(variant, never):
 def test_map_jacobian_calls_each_second_block_once(variant):
     B = np.array([[0.3, -0.7], [0.5, 0.2]])
     cf, calls = _counting_cf(quadratic_cf(B, np.eye(2), -np.eye(2)))
-    _map_jacobian(MappingSpec(variant, cf), PhaseState([0.7, -1.1], [0.4, 1.3], 0.0))
+    _map_jacobian(MappingSpec(variant, cf), 0.0, np.array([0.7, -1.1]), np.array([0.4, 1.3]))
     assert {b: k for b, k in calls.items() if k} == {"uxx": 1, "uxlam": 1, "ulamlam": 1}
 
 
@@ -748,7 +748,7 @@ def test_map_jacobian_pinned_to_its_block_assembly(kind):
             rows, E = _rows(cf, s.t, s.x, s.lam), np.eye(2)
             (yx, ylam), (mux, mulam) = ([d(rows) for d in _DG[g]] for g in (gy, gmu))
             ref = np.block([[E + a * yx, a * ylam], [b * mux, E + b * mulam]])
-            got = _map_jacobian(spec, s)
+            got = _map_jacobian(spec, s.t, s.x, s.lam)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), spec.variant
 
 

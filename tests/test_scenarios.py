@@ -177,12 +177,11 @@ def null_system2():
 
 
 def unit_problem():
-    return StraighteningProblem(c=[1.0], a=[1.0], h=1.0, y0=[0.0], lam_b=0.0)
+    return StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
 
 
 def test_zero_forcing_gives_zero_solution():
-    sol = straightening_solve(unit_problem(), scalar_system(),
-                              lambda x, lam: 0.0,
+    sol = straightening_solve(unit_problem(), lambda x, lam: 0.0,
                               np.linspace(-1, 1, 5), np.linspace(0, 2, 41))
     assert np.all(sol.U == 0.0)
     assert sol.residual_check() == 0.0
@@ -190,8 +189,7 @@ def test_zero_forcing_gives_zero_solution():
 
 def test_unit_forcing_exponential_solution():
     lam_grid = np.linspace(0.0, 2.0, 101)
-    sol = straightening_solve(unit_problem(), scalar_system(),
-                              lambda x, lam: 1.0,
+    sol = straightening_solve(unit_problem(), lambda x, lam: 1.0,
                               np.array([0.0, 0.5]), lam_grid)
     exact = 1.0 - np.exp(-lam_grid)
     assert np.max(np.abs(sol.U - exact[None, :])) < 1e-9
@@ -201,8 +199,7 @@ def test_unit_forcing_exponential_solution():
 
 def test_off_grid_evaluation_and_ulam():
     lam_grid = np.linspace(0.0, 2.0, 101)
-    sol = straightening_solve(unit_problem(), scalar_system(),
-                              lambda x, lam: 1.0,
+    sol = straightening_solve(unit_problem(), lambda x, lam: 1.0,
                               np.array([0.0]), lam_grid)
     # x off the grid: integrated from the boundary, same lam profile
     assert sol.evaluate(0.37, 0.63) == pytest.approx(1.0 - np.exp(-0.63),
@@ -212,9 +209,8 @@ def test_off_grid_evaluation_and_ulam():
 
 
 def test_degenerate_multiplier_flag():
-    prob = StraighteningProblem(c=[0.0], a=[2.0], h=0.0, y0=[1.0], lam_b=0.0)
-    sol = straightening_solve(prob, scalar_system(),
-                              lambda x, lam: x + lam,
+    prob = StraighteningProblem(c=0.0, a=2.0, h=0.0, y0=1.0, lam_b=0.0)
+    sol = straightening_solve(prob, lambda x, lam: x + lam,
                               np.array([0.5]), np.linspace(0, 1, 11))
     assert sol.degenerate
     assert sol.U[0, 3] == 0.5 + 0.3
@@ -225,35 +221,31 @@ def test_degenerate_multiplier_flag():
 
 def test_problem_and_grid_validation():
     with pytest.raises(ValueError, match="inconsistent targets"):
-        StraighteningProblem(c=[1.0], a=[2.0], h=1.0, y0=[0.0], lam_b=0.0)
-    with pytest.raises(ValueError, match="share one dimension"):
-        StraighteningProblem(c=[1.0, 2.0], a=[2.0], h=2.0, y0=[0.0], lam_b=0.0)
-    good = dict(c=[1.0], a=[1.0], h=1.0, y0=[0.0], lam_b=0.0)
-    for bad in (dict(h=np.nan), dict(lam_b=np.inf), dict(c=[np.nan]), dict(y0=[np.inf])):
+        StraighteningProblem(c=1.0, a=2.0, h=1.0, y0=0.0, lam_b=0.0)
+    good = dict(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
+    for target in ("c", "a", "y0"):   # every target is a float, never a sequence
+        with pytest.raises(TypeError):
+            StraighteningProblem(**{**good, target: [1.0]})
+    for bad in (dict(h=np.nan), dict(lam_b=np.inf), dict(c=np.nan), dict(y0=np.inf)):
         with pytest.raises(ValueError, match="must be finite"):
             StraighteningProblem(**{**good, **bad})
     prob = unit_problem()
     with pytest.raises(ValueError, match="strictly increasing"):
-        straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+        straightening_solve(prob, lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.0, 0.5, 0.4]))
     with pytest.raises(ValueError, match="strictly increasing"):
-        straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+        straightening_solve(prob, lambda x, lam: 1.0,
                             np.array([0.5, 0.0]), np.array([0.0, 0.5]))
     for x_grid, lam_grid in (([0.0, np.nan, 1.0], [0.0, 0.5]), ([0.0], [0.0, np.nan, 1.0])):
         with pytest.raises(ValueError, match="strictly increasing"):
-            straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+            straightening_solve(prob, lambda x, lam: 1.0,
                                 np.array(x_grid), np.array(lam_grid))
     with pytest.raises(ValueError, match="start at the boundary"):
-        straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+        straightening_solve(prob, lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match=">= 2 nodes"):
-        straightening_solve(prob, scalar_system(), lambda x, lam: 1.0,
+        straightening_solve(prob, lambda x, lam: 1.0,
                             np.array([0.0]), np.array([0.0]))
-    prob2 = StraighteningProblem(c=[1.0, 1.0], a=[0.5, 0.5], h=1.0, y0=[0.0, 0.0], lam_b=0.0)
-    for p, sys_ in ((prob2, scalar_system()), (prob, null_system2())):
-        with pytest.raises(ValueError, match="^straightening_solve handles n=1 only"):
-            straightening_solve(p, sys_, lambda x, lam: 1.0, np.array([0.0]),
-                                np.array([0.0, 0.5]))
 
 
 # ---------------------------------------------------------------------
@@ -319,8 +311,8 @@ STRAIGHTENING_GRIDS = {   # the CLI's 101 x 101 grid and a coarse one
 def test_straightening_matches_the_closed_form(c, grid):
     x_grid, lam_grid = STRAIGHTENING_GRIDS[grid]
     lam_b, h = lam_grid[0], lam_grid[1] - lam_grid[0]
-    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_b)
-    sol = straightening_solve(prob, scalar_system(), linear_forcing, x_grid, lam_grid)
+    prob = StraighteningProblem(c=c, a=0.0, h=0.0, y0=0.0, lam_b=lam_b)
+    sol = straightening_solve(prob, linear_forcing, x_grid, lam_grid)
     tol = 1e-12 if abs(c) >= 1e-3 else 1e-10
     err = lambda got, want: np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
     U = linear_forcing_u(c, lam_b, x_grid[:, None], lam_grid)
@@ -353,8 +345,8 @@ def test_point_evaluation_does_not_read_the_grid(c):
     # the solved U is output only: evaluate and ulam integrate from lam_b,
     # and residual_check alone continues from the nodes
     x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
-    prob = StraighteningProblem(c=[c], a=[0.0], h=0.0, y0=[0.0], lam_b=lam_grid[0])
-    sol = straightening_solve(prob, scalar_system(), linear_forcing, x_grid, lam_grid)
+    prob = StraighteningProblem(c=c, a=0.0, h=0.0, y0=0.0, lam_b=lam_grid[0])
+    sol = straightening_solve(prob, linear_forcing, x_grid, lam_grid)
     blind = dataclasses.replace(sol, U=np.full_like(sol.U, np.nan))
     h = lam_grid[1] - lam_grid[0]
     for x in (x_grid[0], x_grid[4], 0.123):
@@ -365,10 +357,10 @@ def test_point_evaluation_does_not_read_the_grid(c):
 
 
 def test_degenerate_straightening_is_the_forcing_everywhere():
-    prob = StraighteningProblem(c=[0.0], a=[0.0], h=0.0, y0=[0.0], lam_b=0.5)
+    prob = StraighteningProblem(c=0.0, a=0.0, h=0.0, y0=0.0, lam_b=0.5)
     x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
     F = lambda x, lam: x + lam
-    sol = straightening_solve(prob, scalar_system(), F, x_grid, lam_grid)
+    sol = straightening_solve(prob, F, x_grid, lam_grid)
     assert np.array_equal(sol.U, x_grid[:, None] + lam_grid)
     assert sol.residual_check() == 0.0
     for x in (x_grid[4], 0.123):
@@ -381,19 +373,16 @@ import json, resource
 cap = 1_500_000_000   # bytes of address space: a runaway refinement raises MemoryError
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
-from canomap.phasecore import DynamicSystem
 from canomap.scenarios import StraighteningProblem, straightening_solve
-prob = StraighteningProblem(c=[1.0], a=[1.0], h=1.0, y0=[0.0], lam_b=0.0)
-sys1 = DynamicSystem(dim=1, f=lambda x, t: np.zeros(1), jac=lambda x, t: np.zeros((1, 1)),
-                     autonomous=True)
+prob = StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
 grids = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
-sol = straightening_solve(prob, sys1, lambda x, lam: np.cos(x) + lam, *grids)
-nan_f = straightening_solve(prob, sys1, lambda x, lam: np.nan, *grids)
+sol = straightening_solve(prob, lambda x, lam: np.cos(x) + lam, *grids)
+nan_f = straightening_solve(prob, lambda x, lam: np.nan, *grids)
 nodes = []
 def unit(x, lam):
     nodes.append(np.broadcast(x, lam).size)
     return 1.0
-far = straightening_solve(prob, sys1, unit, *grids)
+far = straightening_solve(prob, unit, *grids)
 nodes.clear()
 u = far.evaluate(0.0, -35.0)   # the weight grows as e^35 toward lam_b
 print(json.dumps([sol.evaluate(0.0, np.nan), sol.evaluate(0.0, np.inf),
@@ -417,7 +406,7 @@ def test_non_finite_straightening_input_reads_nan():
 
 def test_forcing_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError):
-        straightening_solve(unit_problem(), scalar_system(), lambda x, lam: np.ones(7),
+        straightening_solve(unit_problem(), lambda x, lam: np.ones(7),
                             np.array([0.0, 0.5]), np.linspace(0.0, 2.0, 11))
 
 
@@ -426,7 +415,7 @@ def test_forcing_of_the_wrong_shape_is_rejected():
 # ---------------------------------------------------------------------
 
 def test_reduction_frozen_field_is_exact():
-    prob = StraighteningProblem(c=[0.7], a=[0.0], h=0.0, y0=[1.5], lam_b=0.7)
+    prob = StraighteningProblem(c=0.7, a=0.0, h=0.0, y0=1.5, lam_b=0.7)
     rep = constant_field_reduction(prob, scalar_system(), [0.5], [0.7])
     assert rep.pde_residual_max < 1e-8
     assert rep.ydot_max_err < 1e-6
@@ -440,7 +429,7 @@ def test_reduction_default_grids_are_the_cli_grids():
     # at lam0 = 1.3, lam0 + linspace(0, 2) and linspace(lam0, lam0 + 2)
     # differ in the last bit; the straightening scenario uses the latter
     x0, lam0 = 0.3, 1.3
-    prob = StraighteningProblem(c=[lam0], a=[0.0], h=0.0, y0=[x0 + 1.0], lam_b=lam0)
+    prob = StraighteningProblem(c=lam0, a=0.0, h=0.0, y0=x0 + 1.0, lam_b=lam0)
     sol = constant_field_reduction(prob, scalar_system(), [x0], [lam0]).solution
     assert np.array_equal(sol.lam_grid, np.linspace(lam0, lam0 + 2.0, 101))
     assert np.array_equal(sol.x_grid, np.linspace(x0 - 1.0, x0 + 1.0, 101))
@@ -449,7 +438,7 @@ def test_reduction_default_grids_are_the_cli_grids():
 def test_reduction_moving_extremal_diagnostics():
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
-    prob = StraighteningProblem(c=[0.5], a=[1.0], h=0.5, y0=[2.0], lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
     rep = constant_field_reduction(prob, lin, [1.0], [0.5])
     # the PDE itself is solved tightly ...
     assert rep.pde_residual_max < 1e-8
@@ -470,7 +459,7 @@ def test_reduction_u_x_is_the_hand_written_difference_of_u():
     # bit one central difference of sol.evaluate in x at each sample
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
-    prob = StraighteningProblem(c=[0.5], a=[1.0], h=0.5, y0=[2.0], lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
     rep = constant_field_reduction(prob, lin, [1.0], [0.5])
     sol, idx = rep.solution, _subsample(rep.traj, 41)
     ts, xs, lams = rep.traj.t[idx], rep.traj.x[idx, 0], rep.traj.lam[idx, 0]
@@ -481,7 +470,7 @@ def test_reduction_u_x_is_the_hand_written_difference_of_u():
 
 
 def test_reduction_rejects_bad_inputs():
-    prob = StraighteningProblem(c=[0.5], a=[1.0], h=0.5, y0=[2.0], lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
     driven = DynamicSystem(dim=1, f=lambda x, t: np.ones(1),
                            jac=lambda x, t: np.zeros((1, 1)), autonomous=False)
     with pytest.raises(ValueError, match="autonomous"):
