@@ -305,7 +305,7 @@ def _straighten(cfg, system, x0, lam0):
     if abs(lam0[0]) < 1e-6:
         raise ConfigError("straightening scenario needs lam0[0] away from zero "
                           "(it doubles as the multiplier target c)")
-    prob = StraighteningProblem(c=lam0[0], a=0.0, h=0.0, y0=x0[0] + 1.0, lam_b=lam0[0])
+    prob = StraighteningProblem(c=lam0[0], a=0.0, y0=x0[0] + 1.0, lam_b=lam0[0])
     return constant_field_reduction(prob, system, x0, lam0,
                                     t0=cfg.t0, t1=cfg.t1, step=cfg.step)
 

@@ -261,17 +261,15 @@ _KINDS = {
 class FundamentalMatrix:
     """Matrix solution with identity initial condition along a trajectory.
 
-    kind "B" solves Bdot = -A^T B, so lam(t) = B(t) lam0 reproduces the
-    multiplier flow; kind "D" solves Ddot = A D, the propagator of U_lam
-    data, and satisfies B(t) D(t)^T = E.  "B_paper"/"D_paper" keep the
-    transposed conventions for comparison.
+    fundamental_matrix's kind "B" solves Bdot = -A^T B, so lam(t) = B(t) lam0
+    reproduces the multiplier flow; kind "D" solves Ddot = A D, the
+    propagator of U_lam data, and satisfies B(t) D(t)^T = E.
+    "B_paper"/"D_paper" keep the transposed conventions for comparison.
     """
 
-    kind: str
     values: np.ndarray     # (N, n, n): the matrix at each sample time
     times: np.ndarray      # (N,): the trajectory's own t
-    min_abs_det: float
-    singular: bool         # True when some |det| < 1e-12
+    min_abs_det: float     # min |det| over the samples
 
     def value_at(self, t: float) -> np.ndarray:
         """Matrix at time t: exact at grid times, else linear interpolation."""
@@ -308,8 +306,7 @@ def fundamental_matrix(sys: DynamicSystem, traj: Trajectory, kind: str = "B") ->
         raise DomainError(f"fundamental matrix integration truncated: {diag['reason']}")
     values = np.array(zs)[:, n:].reshape(-1, n, n)
     min_abs_det = float(np.min(np.abs(np.linalg.det(values))))
-    return FundamentalMatrix(kind=kind, values=values, times=traj.t, min_abs_det=min_abs_det,
-                             singular=bool(min_abs_det < 1e-12))
+    return FundamentalMatrix(values=values, times=traj.t, min_abs_det=min_abs_det)
 
 
 # ---------------------------------------------------------------------
@@ -321,7 +318,6 @@ class EnergyDriftReport:
     h_series: np.ndarray   # H at each sample
     drift: float           # max |H - H0|  (autonomous)
     #                        max |H - H0 - int lam.f_t dt|  (otherwise)
-    autonomous: bool
 
 
 def _lam_dot(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -347,4 +343,4 @@ def energy_drift(sys: DynamicSystem, traj: Trajectory) -> EnergyDriftReport:
     if not sys.autonomous:
         ft = np.array([sys.ft_at(x, t) for x, t in zip(traj.x, traj.t.tolist())])
         dh = dh - _cumtrapz(traj.t, _lam_dot(traj.lam, ft))
-    return EnergyDriftReport(hs, float(np.max(np.abs(dh))), bool(sys.autonomous))
+    return EnergyDriftReport(hs, float(np.max(np.abs(dh))))

@@ -246,7 +246,6 @@ class Lambda0Result:
     status: str          # "ok" | "indeterminate"
     g_residual: float    # |g(value)|
     lam0: np.ndarray     # full multiplier vector with component k replaced
-    k: int
 
 
 _G_TOL = 1e-10
@@ -365,7 +364,7 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
 
     value, status, g_res = _solve_scalar(g, float(s.lam[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,
-                         lam0=_with_component(s.lam, k, value), k=k)
+                         lam0=_with_component(s.lam, k, value))
 
 
 def synthesize_lambda0(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,

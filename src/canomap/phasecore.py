@@ -387,12 +387,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DerivativeReport:
-    """Max relative error per derivative block, plus failure flags."""
+    """Max relative error per derivative block, and the blocks that fail."""
 
     blocks: Mapping            # block name -> max relative error
     failing: tuple             # names exceeding their tolerance
-    fd_backed: tuple           # blocks that were FD-substituted at build time
-    rtol: float
 
     @property
     def ok(self) -> bool:
@@ -432,7 +430,7 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
 
     Returns
     -------
-    DerivativeReport with per-block max relative errors.
+    DerivativeReport: per-block max relative errors and the failing blocks.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -473,5 +471,4 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
         for block, value, ref in pairs(s):
             errs[block] = max(errs[block], _rel_err(_check_finite(value, block, s), ref))
     failing = tuple(sorted(name for name, e in errs.items() if e > tols[name]))
-    return DerivativeReport(blocks=dict(sorted(errs.items())), failing=failing,
-                            fd_backed=tuple(sorted(obj.fd_backed)), rtol=rtol)
+    return DerivativeReport(blocks=dict(sorted(errs.items())), failing=failing)

@@ -143,26 +143,20 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
 
 @dataclass(frozen=True, eq=False)
 class StraighteningProblem:
-    """Targets for the constant-drift reduction ydot = a, mu = c, all floats
-    (n = 1; a sequence raises TypeError).
-
-    The consistency a c = h ties the drift and multiplier targets to the
-    energy level of the motion being straightened.
-    """
+    """Targets for the constant-drift reduction ydot = a, mu = c, four finite
+    floats (n = 1; a sequence raises TypeError).  The consistency a c = h
+    fixes the energy level h = a c of the motion being straightened."""
 
     c: float
     a: float
-    h: float
     y0: float
     lam_b: float        # reference multiplier where U(x, lam_b) = 0
 
     def __post_init__(self):
-        for name in ("c", "a", "h", "y0", "lam_b"):
+        for name in ("c", "a", "y0", "lam_b"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not np.isfinite([self.c, self.a, self.h, self.y0, self.lam_b]).all():
-            raise ValueError("c, a, h, y0 and lam_b must be finite")
-        if abs(self.a * self.c - self.h) > 1e-12 * max(1.0, abs(self.h)):
-            raise ValueError(f"inconsistent targets: a.c = {self.a * self.c} != h = {self.h}")
+        if not np.isfinite([self.c, self.a, self.y0, self.lam_b]).all():
+            raise ValueError("c, a, y0 and lam_b must be finite")
 
 
 # 8-point Gauss–Legendre nodes and weights mapped to [0, 1]
@@ -296,7 +290,7 @@ def straightening_solve(prob: StraighteningProblem, F: Callable, x_grid,
 @dataclass(frozen=True, eq=False)
 class ConstantFieldReport:
     """How well the solved U straightens the extremal.  No Hamilton-Jacobi
-    residual with G = a.mu is kept: a.c = h makes |h - a.mu| = |a| |c - mu|,
+    residual with G = a.mu is kept: h = a.c makes |h - a.mu| = |a| |c - mu|,
     a scaled mu_defect."""
 
     solution: StraighteningSolution
@@ -305,7 +299,7 @@ class ConstantFieldReport:
     pde_residual_max: float
     ydot_max_err: float         # max |ydot - a| on the mapped motion
     mu_defect: float            # max |lam - U_x - c| (compatibility diagnostic)
-    energy_mismatch: float      # |lam0.f(x0) - h|
+    energy_mismatch: float      # |lam0.f(x0) - a c|, a c the energy level h
     boundary_note: str
 
 
@@ -332,7 +326,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     # line integral ∫ lam dx = ∫ H dt along the extremal, H = lam f
     hs = _h_series(traj, _xdot(sys, traj))
     f_line = _cumtrapz(ts, hs)
-    energy_mismatch = float(abs(hs[0] - prob.h))
+    energy_mismatch = float(abs(hs[0] - a * c))
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:

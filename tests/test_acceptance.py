@@ -246,12 +246,12 @@ def test_criterion_09_ballistic_conservation():
 
 def test_criterion_10_straightening_equation():
     with criterion(10, "straightening equation solved on the grid", 10.0):
-        prob = StraighteningProblem(c=1.0, a=0.3, h=0.3, y0=0.0, lam_b=0.0)
+        prob = StraighteningProblem(c=1.0, a=0.3, y0=0.0, lam_b=0.0)
         sol = straightening_solve(prob, lambda x, lam: np.sin(x) + np.cos(lam),
                                   np.linspace(0.0, 1.0, 101),
                                   np.linspace(0.0, 2.0, 101))
         assert sol.residual_check() < 1e-8
-        unit = StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
+        unit = StraighteningProblem(c=1.0, a=1.0, y0=0.0, lam_b=0.0)
         lam_grid = np.linspace(0.0, 2.0, 101)
         sol1 = straightening_solve(unit, lambda x, lam: 1.0,
                                    np.array([0.0, 0.5, 1.0]), lam_grid)

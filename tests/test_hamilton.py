@@ -305,7 +305,6 @@ def test_fundamental_matrix_zero_generator():
         fm = fundamental_matrix(const, traj, kind)
         for M in fm.values:
             assert np.array_equal(M, np.eye(2))
-        assert not fm.singular
 
 
 def test_fundamental_matrix_scalar_exponentials():
@@ -415,7 +414,6 @@ def test_fundamental_matrix_value_at():
 def test_energy_drift_autonomous():
     traj = integrate(linear_system(), PhaseState([1.0], [2.0], 0.0), 1.0, 1e-3)
     report = energy_drift(linear_system(), traj)
-    assert report.autonomous
     assert report.drift < 1e-8
 
 
@@ -434,7 +432,6 @@ def test_energy_drift_driven_field_compensated():
                            ft=lambda x, t: np.ones(1), autonomous=False)
     traj = integrate(driven, PhaseState([0.0], [3.0], 0.0), 1.0, 1e-3)
     report = energy_drift(driven, traj)
-    assert not report.autonomous
     # H(t) - H0 = lam0 * t, matched by the trapezoidal int of lam * f_t
     assert report.drift < 1e-8
     assert report.h_series[-1] == pytest.approx(3.0, rel=1e-10)

@@ -177,7 +177,7 @@ def null_system2():
 
 
 def unit_problem():
-    return StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
+    return StraighteningProblem(c=1.0, a=1.0, y0=0.0, lam_b=0.0)
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -209,7 +209,7 @@ def test_off_grid_evaluation_and_ulam():
 
 
 def test_degenerate_multiplier_flag():
-    prob = StraighteningProblem(c=0.0, a=2.0, h=0.0, y0=1.0, lam_b=0.0)
+    prob = StraighteningProblem(c=0.0, a=2.0, y0=1.0, lam_b=0.0)
     sol = straightening_solve(prob, lambda x, lam: x + lam,
                               np.array([0.5]), np.linspace(0, 1, 11))
     assert sol.degenerate
@@ -220,13 +220,13 @@ def test_degenerate_multiplier_flag():
 
 
 def test_problem_and_grid_validation():
-    with pytest.raises(ValueError, match="inconsistent targets"):
-        StraighteningProblem(c=1.0, a=2.0, h=1.0, y0=0.0, lam_b=0.0)
-    good = dict(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
+    good = dict(c=1.0, a=1.0, y0=0.0, lam_b=0.0)
     for target in ("c", "a", "y0"):   # every target is a float, never a sequence
         with pytest.raises(TypeError):
             StraighteningProblem(**{**good, target: [1.0]})
-    for bad in (dict(h=np.nan), dict(lam_b=np.inf), dict(c=np.nan), dict(y0=np.inf)):
+    with pytest.raises(TypeError):    # the energy level is a c, not a target
+        StraighteningProblem(**good, h=1.0)
+    for bad in (dict(lam_b=np.inf), dict(c=np.nan), dict(y0=np.inf)):
         with pytest.raises(ValueError, match="must be finite"):
             StraighteningProblem(**{**good, **bad})
     prob = unit_problem()
@@ -311,7 +311,7 @@ STRAIGHTENING_GRIDS = {   # the CLI's 101 x 101 grid and a coarse one
 def test_straightening_matches_the_closed_form(c, grid):
     x_grid, lam_grid = STRAIGHTENING_GRIDS[grid]
     lam_b, h = lam_grid[0], lam_grid[1] - lam_grid[0]
-    prob = StraighteningProblem(c=c, a=0.0, h=0.0, y0=0.0, lam_b=lam_b)
+    prob = StraighteningProblem(c=c, a=0.0, y0=0.0, lam_b=lam_b)
     sol = straightening_solve(prob, linear_forcing, x_grid, lam_grid)
     tol = 1e-12 if abs(c) >= 1e-3 else 1e-10
     err = lambda got, want: np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
@@ -345,7 +345,7 @@ def test_point_evaluation_does_not_read_the_grid(c):
     # the solved U is output only: evaluate and ulam integrate from lam_b,
     # and residual_check alone continues from the nodes
     x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
-    prob = StraighteningProblem(c=c, a=0.0, h=0.0, y0=0.0, lam_b=lam_grid[0])
+    prob = StraighteningProblem(c=c, a=0.0, y0=0.0, lam_b=lam_grid[0])
     sol = straightening_solve(prob, linear_forcing, x_grid, lam_grid)
     blind = dataclasses.replace(sol, U=np.full_like(sol.U, np.nan))
     h = lam_grid[1] - lam_grid[0]
@@ -357,7 +357,7 @@ def test_point_evaluation_does_not_read_the_grid(c):
 
 
 def test_degenerate_straightening_is_the_forcing_everywhere():
-    prob = StraighteningProblem(c=0.0, a=0.0, h=0.0, y0=0.0, lam_b=0.5)
+    prob = StraighteningProblem(c=0.0, a=0.0, y0=0.0, lam_b=0.5)
     x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
     F = lambda x, lam: x + lam
     sol = straightening_solve(prob, F, x_grid, lam_grid)
@@ -374,7 +374,7 @@ cap = 1_500_000_000   # bytes of address space: a runaway refinement raises Memo
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
 from canomap.scenarios import StraighteningProblem, straightening_solve
-prob = StraighteningProblem(c=1.0, a=1.0, h=1.0, y0=0.0, lam_b=0.0)
+prob = StraighteningProblem(c=1.0, a=1.0, y0=0.0, lam_b=0.0)
 grids = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
 sol = straightening_solve(prob, lambda x, lam: np.cos(x) + lam, *grids)
 nan_f = straightening_solve(prob, lambda x, lam: np.nan, *grids)
@@ -415,7 +415,7 @@ def test_forcing_of_the_wrong_shape_is_rejected():
 # ---------------------------------------------------------------------
 
 def test_reduction_frozen_field_is_exact():
-    prob = StraighteningProblem(c=0.7, a=0.0, h=0.0, y0=1.5, lam_b=0.7)
+    prob = StraighteningProblem(c=0.7, a=0.0, y0=1.5, lam_b=0.7)
     rep = constant_field_reduction(prob, scalar_system(), [0.5], [0.7])
     assert rep.pde_residual_max < 1e-8
     assert rep.ydot_max_err < 1e-6
@@ -429,7 +429,7 @@ def test_reduction_default_grids_are_the_cli_grids():
     # at lam0 = 1.3, lam0 + linspace(0, 2) and linspace(lam0, lam0 + 2)
     # differ in the last bit; the straightening scenario uses the latter
     x0, lam0 = 0.3, 1.3
-    prob = StraighteningProblem(c=lam0, a=0.0, h=0.0, y0=x0 + 1.0, lam_b=lam0)
+    prob = StraighteningProblem(c=lam0, a=0.0, y0=x0 + 1.0, lam_b=lam0)
     sol = constant_field_reduction(prob, scalar_system(), [x0], [lam0]).solution
     assert np.array_equal(sol.lam_grid, np.linspace(lam0, lam0 + 2.0, 101))
     assert np.array_equal(sol.x_grid, np.linspace(x0 - 1.0, x0 + 1.0, 101))
@@ -438,7 +438,7 @@ def test_reduction_default_grids_are_the_cli_grids():
 def test_reduction_moving_extremal_diagnostics():
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
-    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, y0=2.0, lam_b=0.1)
     rep = constant_field_reduction(prob, lin, [1.0], [0.5])
     # the PDE itself is solved tightly ...
     assert rep.pde_residual_max < 1e-8
@@ -459,7 +459,7 @@ def test_reduction_u_x_is_the_hand_written_difference_of_u():
     # bit one central difference of sol.evaluate in x at each sample
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
-    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, y0=2.0, lam_b=0.1)
     rep = constant_field_reduction(prob, lin, [1.0], [0.5])
     sol, idx = rep.solution, _subsample(rep.traj, 41)
     ts, xs, lams = rep.traj.t[idx], rep.traj.x[idx, 0], rep.traj.lam[idx, 0]
@@ -470,7 +470,7 @@ def test_reduction_u_x_is_the_hand_written_difference_of_u():
 
 
 def test_reduction_rejects_bad_inputs():
-    prob = StraighteningProblem(c=0.5, a=1.0, h=0.5, y0=2.0, lam_b=0.1)
+    prob = StraighteningProblem(c=0.5, a=1.0, y0=2.0, lam_b=0.1)
     driven = DynamicSystem(dim=1, f=lambda x, t: np.ones(1),
                            jac=lambda x, t: np.zeros((1, 1)), autonomous=False)
     with pytest.raises(ValueError, match="autonomous"):

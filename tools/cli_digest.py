@@ -9,8 +9,11 @@ session.py, seeds 0-2) runs against each tree, which reaches the layers no
 CLI case does: fundamental_matrix, synthesize_lambda0, FD-backed invert_map,
 verify_derivatives and compose_flow.  The session code is read from this
 checkout's perfbench/ for every tree, and nothing is written there.  The
-`api` case writes api.json, {name: type name} for each name of the sorted
-`canomap.__all__`, so a lost or gained public name is listed by key.  With
+`api` case writes api.json, {name: "type name signature"} for each name of
+the sorted `canomap.__all__` (the type name alone where inspect.signature
+fails, the repr in place of a signature for a value that is not callable),
+so a lost or gained public name, and a changed signature or dataclass
+field, is listed by key.  With
 two or more roots, exits 1 unless every tree matches the first byte for byte,
 and names each tag (case, command, artifact) whose digest differs.  Under a
 differing `.json` artifact it lists the top-level keys the tree lost and
@@ -63,9 +66,17 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 SESSION_SEEDS = (0, 1, 2)
 SESSION = ("import sys, session, workloads\n"
            "session.run(workloads.WORKLOADS['synthesis'].inputs(int(sys.argv[1])), sys.argv[2])")
-API = ("import json, sys, canomap\n"
-       "json.dump({n: type(getattr(canomap, n)).__name__ for n in sorted(canomap.__all__)},\n"
-       "          open(sys.argv[1], 'w'), indent=1)")
+API = """import inspect, json, sys, canomap
+def entry(value):
+    if not callable(value):
+        return f"{type(value).__name__} {value!r}"
+    try:
+        return f"{type(value).__name__} {inspect.signature(value)}"
+    except (TypeError, ValueError):
+        return type(value).__name__
+json.dump({n: entry(getattr(canomap, n)) for n in sorted(canomap.__all__)},
+          open(sys.argv[1], 'w'), indent=1)
+"""
 
 
 def digest(root):
