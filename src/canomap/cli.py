@@ -300,17 +300,12 @@ def _verdict_exit(verdict):
     return {"canonical": 0, "violated": 1}.get(verdict, 3)
 
 
-def _straighten(cfg, system, x0, lam0):
-    """Constant-drift reduction of the frozen field through (x0, lam0)."""
-    if abs(lam0[0]) < 1e-6:
-        raise ConfigError("straightening scenario needs lam0[0] away from zero "
-                          "(it doubles as the multiplier target c)")
-    prob = StraighteningProblem(c=lam0[0], a=0.0, y0=x0[0] + 1.0, lam_b=lam0[0])
-    return constant_field_reduction(prob, system, x0, lam0,
-                                    t0=cfg.t0, t1=cfg.t1, step=cfg.step)
-
-
-def _pde_verdict(cfg, red):
+def _pde_verdict(cfg, system, traj):
+    """Constant-drift reduction of the frozen field along traj, whose start
+    (x0, lam0) sets the targets: c = lam_b = lam0 and y0 = x0 + 1."""
+    x0, lam0 = traj.x[0, 0], traj.lam[0, 0]
+    prob = StraighteningProblem(c=lam0, a=0.0, y0=x0 + 1.0, lam_b=lam0)
+    red = constant_field_reduction(prob, system, traj)
     ok = red.pde_residual_max < 1e-8 and red.ydot_max_err < 1e-6 and red.mu_defect < 1e-6
     verdict = "canonical" if ok else "violated"
     inv = {
@@ -320,7 +315,8 @@ def _pde_verdict(cfg, red):
         "ydot_max_err": red.ydot_max_err,
         "mu_defect": red.mu_defect,
         "energy_mismatch": red.energy_mismatch,
-        "boundary": red.boundary_note,
+        "boundary": f"boundary U(x, lam_b)=0 imposed at lam_b={prob.lam_b} "
+                    "(reference multiplier; identity-map limit)",
         "loop_drift": None,
     }
     return verdict, red.pde_residual_max, inv
@@ -353,20 +349,21 @@ def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
 
 
 def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
-    os.makedirs(out_dir, exist_ok=True)
     scenario = SCENARIOS[cfg.scenario]
     system = scenario.system(cfg)
     x0, lam0 = _default_states(cfg)
+    if scenario.basis == "pde":   # before any output: the reduction's target c and grids
+        if abs(lam0[0]) < 1e-6:
+            raise ConfigError("straightening scenario needs lam0[0] away from zero "
+                              "(it doubles as the multiplier target c)")
+        if max(abs(x0[0]), abs(lam0[0])) >= 1e14:   # 0.02-step grids around them repeat nodes
+            raise ConfigError("straightening scenario needs |x0[0]| and |lam0[0]| below 1e14")
+    os.makedirs(out_dir, exist_ok=True)
     if scenario.control is not None:
         spec = scenario.control(cfg.n)[1]
     else:
         spec = MappingSpec(cfg.map_variant, zero_controlling_function(cfg.n))
-    if scenario.basis == "pde":
-        red = _straighten(cfg, system, x0, lam0)
-        traj = red.traj
-    else:
-        red = None
-        traj = integrate(system, PhaseState(x0, lam0, cfg.t0), cfg.t1, cfg.step)
+    traj = integrate(system, PhaseState(x0, lam0, cfg.t0), cfg.t1, cfg.step)
 
     drift = energy_drift(system, traj)
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
@@ -384,8 +381,8 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     _write_csv(os.path.join(out_dir, "canonicity.csv"), ["t", "residual", "det_y", "det_mu"],
                np.column_stack([report.times, report.residual_series, report.det_y_series,
                                 report.det_mu_series]))
-    if red is not None:
-        verdict, max_res, inv = _pde_verdict(cfg, red)
+    if scenario.basis == "pde":
+        verdict, max_res, inv = _pde_verdict(cfg, system, traj)
     else:
         verdict, max_res, inv = _flow_verdict(cfg, scenario, system, spec, traj, report, drift)
     _write_json(os.path.join(out_dir, "invariants.json"), inv)

@@ -17,6 +17,8 @@ import numpy as np
 from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
                         PhaseState, Trajectory, _central_diff_t, _cumtrapz,
                         _positive_dim, _subsample, _zero_blocks)
+# integrate is unused here but stays importable:
+# perfbench/tracing.py patches canomap.scenarios.integrate.
 from .hamilton import _h_series, _xdot, integrate
 from .mapping import MappingSpec, _images
 
@@ -55,7 +57,10 @@ def ballistic_system(sigma: float) -> DynamicSystem:
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
-    sig2 = float(sigma) ** 2
+    try:
+        sig2 = float(sigma) ** 2
+    except OverflowError:   # sigma above about 1.34e154
+        raise ValueError(f"sigma={sigma} is too large: sigma^2 overflows") from None
 
     def f(s, t):
         v_r, v_phi, r, _phi = s.tolist()
@@ -144,8 +149,9 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
 @dataclass(frozen=True, eq=False)
 class StraighteningProblem:
     """Targets for the constant-drift reduction ydot = a, mu = c, four finite
-    floats (n = 1; a sequence raises TypeError).  The consistency a c = h
-    fixes the energy level h = a c of the motion being straightened."""
+    floats (n = 1; a sequence raises TypeError) with |c| >= 1e-12, since
+    U + c U_lam = F is solved along lam.  The consistency a c = h fixes the
+    energy level h = a c of the motion being straightened."""
 
     c: float
     a: float
@@ -157,6 +163,8 @@ class StraighteningProblem:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not np.isfinite([self.c, self.a, self.y0, self.lam_b]).all():
             raise ValueError("c, a, y0 and lam_b must be finite")
+        if abs(self.c) < 1e-12:
+            raise ValueError("c must be nonzero (|c| >= 1e-12)")
 
 
 # 8-point Gauss–Legendre nodes and weights mapped to [0, 1]
@@ -205,7 +213,6 @@ class StraighteningSolution:
     U: np.ndarray            # shape (len(x_grid), len(lam_grid))
     problem: StraighteningProblem
     F: Callable
-    degenerate: bool         # |c| below threshold: algebraic U = F case
 
     def _from(self, x, lam, lam_ref, u_ref):
         """U at (x, lam), 1-d arrays, continued from u_ref at lam_ref (an array)."""
@@ -216,8 +223,6 @@ class StraighteningSolution:
 
     def _at(self, x, lam):
         """U at the points (x, lam): the integral from lam_b, where U = 0."""
-        if self.degenerate:
-            return _field(self.F, x, lam)
         return self._from(x, lam, np.full(lam.shape, self.problem.lam_b), 0.0)
 
     def evaluate(self, x: float, lam: float) -> float:
@@ -226,14 +231,10 @@ class StraighteningSolution:
 
     def ulam(self, x: float, lam: float) -> float:
         """U_lam from the equation itself: (F - U) / c."""
-        if self.degenerate:
-            raise ValueError("U_lam is not determined by the degenerate (c=0) equation")
         return (float(self.F(x, lam)) - self.evaluate(x, lam)) / self.problem.c
 
     def residual_check(self) -> float:
         """max |U + c U_lam - F| over the grid, U_lam by central FD from each node."""
-        if self.degenerate:
-            return 0.0
         X, L = (v.ravel() for v in np.meshgrid(self.x_grid, self.lam_grid, indexing="ij"))
         U = self.U.ravel()
         hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
@@ -269,10 +270,6 @@ def straightening_solve(prob: StraighteningProblem, F: Callable, x_grid,
     if abs(lam_grid[0] - prob.lam_b) > 1e-12 * max(1.0, abs(prob.lam_b)):
         raise ValueError("lam_grid must start at the boundary lam_b")
     c = prob.c
-    if abs(c) < 1e-12:
-        # Degenerate equation: U = F pointwise, no lam propagation.
-        U = np.array(_field(F, x_grid[:, None], lam_grid))
-        return StraighteningSolution(x_grid, lam_grid, U, prob, F, True)
     X, A = (v.ravel() for v in np.meshgrid(x_grid, lam_grid[:-1], indexing="ij"))
     B = np.tile(lam_grid[1:], x_grid.size)
     cells = _weighted(lambda s, i: _field(F, X[i], s), c, A, B).reshape(x_grid.size, -1)
@@ -280,7 +277,7 @@ def straightening_solve(prob: StraighteningProblem, F: Callable, x_grid,
     U = np.zeros((x_grid.size, lam_grid.size))
     for k in range(1, lam_grid.size):
         U[:, k] = decay[k - 1] * U[:, k - 1] + cells[:, k - 1] / c
-    return StraighteningSolution(x_grid, lam_grid, U, prob, F, False)
+    return StraighteningSolution(x_grid, lam_grid, U, prob, F)
 
 
 # ---------------------------------------------------------------------
@@ -294,32 +291,31 @@ class ConstantFieldReport:
     a scaled mu_defect."""
 
     solution: StraighteningSolution
-    traj: Trajectory
     f_line: np.ndarray          # cumulative ∫ lam dx along the extremal
     pde_residual_max: float
     ydot_max_err: float         # max |ydot - a| on the mapped motion
     mu_defect: float            # max |lam - U_x - c| (compatibility diagnostic)
     energy_mismatch: float      # |lam0.f(x0) - a c|, a c the energy level h
-    boundary_note: str
 
 
 def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
-                             x0, lam0, t1: float = 1.0, step: float = 1e-3,
-                             t0: float = 0.0) -> ConstantFieldReport:
-    """Synthesize U that straightens an autonomous scalar system.
+                             traj: Trajectory) -> ConstantFieldReport:
+    """Synthesize U that straightens an autonomous scalar system along traj,
+    an extremal of sys that the caller marched (integrate, or samples built
+    by hand, whose xdot then comes from one f call per sample).
 
     Builds F(x, lam) = ∫ lam dx + c (y0 - x) with the line integral taken
-    along the system's own extremal from (x0, lam0, t0) to t1 (for a frozen
-    field every grid x is its own extremal and the integral vanishes), solves
-    the straightening PDE on a fixed 101 x 101 grid (x over the extremal's
-    range, or x0 +- 1 when frozen; lam over [lam_b, lam_b + 2]), and
-    reports how well the mapped motion achieves ydot = a and mu = c.
+    along traj, solves the straightening PDE on a fixed 101 x 101 grid (x
+    over the extremal's range, lam over [lam_b, lam_b + 2]), and reports how
+    well the mapped motion achieves ydot = a and mu = c.  When the extremal
+    is at rest (x constant, e.g. xdot = x at x0 = 0) x spans x0 +- 1 and F
+    takes the line integral as zero for every x, which is exact on the line
+    x = x0 only, and everywhere only when the field vanishes everywhere.
     """
     if not sys.autonomous:
         raise ValueError("constant_field_reduction requires an autonomous system")
     if sys.dim != 1:
         raise ValueError("constant_field_reduction handles n=1 only")
-    traj = integrate(sys, PhaseState(x0, lam0, t0), t1, step)
     ts, xs = traj.t, traj.x[:, 0]
     c, a, y0 = prob.c, prob.a, prob.y0
 
@@ -330,7 +326,7 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
 
     frozen = bool(np.max(np.abs(xs - xs[0])) < 1e-12)
     if frozen:
-        # every x sits on its own frozen extremal; the line integral is zero
+        # the extremal sits at x0; the line integral along it is zero
         F = lambda x, lam: c * (y0 - x)
         x_grid = np.linspace(xs[0] - 1.0, xs[0] + 1.0, 101)
     else:
@@ -357,12 +353,8 @@ def constant_field_reduction(prob: StraighteningProblem, sys: DynamicSystem,
     mu_defect = float(np.max(np.abs(mus - c)))
     ydots = np.gradient(ys, ts[idx])
     ydot_max_err = float(np.max(np.abs(ydots - a)))
-
-    note = (f"boundary U(x, lam_b)=0 imposed at lam_b={prob.lam_b} "
-            "(reference multiplier; identity-map limit)")
-    return ConstantFieldReport(solution=sol, traj=traj, f_line=f_line,
+    return ConstantFieldReport(solution=sol, f_line=f_line,
                                pde_residual_max=pde_residual,
                                ydot_max_err=ydot_max_err,
                                mu_defect=mu_defect,
-                               energy_mismatch=energy_mismatch,
-                               boundary_note=note)
+                               energy_mismatch=energy_mismatch)

@@ -315,6 +315,29 @@ def test_straightening_needs_nonzero_lam0(tmp_path, capsys):
                     output_dir=str(tmp_path / "out"))
     assert main(["run", "--config", cfg]) == 2
     assert "away from zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()   # rejected before the march
+
+
+@pytest.mark.parametrize("state", [{"x0": [1e15]}, {"lam0": [2e14]}, {"x0": [-1e14]}])
+def test_straightening_state_beyond_its_grids_is_a_config_error(tmp_path, capsys, state):
+    # the 0.02-step grids around x0 and lam0 would repeat nodes; checked
+    # before the march, so nothing is written
+    cfg = write_cfg(tmp_path, scenario="straightening", output_dir=str(tmp_path / "out"),
+                    **state)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: straightening scenario needs |x0[0]| and |lam0[0]| below 1e14\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["verify"], ["sweep", "--param", "step",
+                                                        "--values", "0.01"]])
+def test_sigma_whose_square_overflows_is_a_config_error(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, scenario="ballistic", sigma=1e200, output_dir=str(tmp_path / "out"))
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sigma=1e+200 is too large: sigma^2 overflows\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, _central_diff_t,
-                               _cumtrapz, _subsample)
+from canomap.phasecore import (DomainError, DynamicSystem, PhaseState, Trajectory,
+                               _central_diff_t, _cumtrapz, _subsample)
 from canomap.hamilton import canonical_rhs, hamiltonian, integrate
 from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
@@ -73,6 +73,14 @@ def test_radius_guard_truncates_infall():
 def test_sigma_validated():
     for sigma in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="^sigma must be positive and finite$"):
+            ballistic_system(sigma)
+
+
+def test_sigma_whose_square_overflows_is_a_value_error():
+    # float ** 2 raises OverflowError beyond sqrt(float max), about 1.34e154
+    assert np.isfinite(ballistic_system(1.34e154).f(np.array([0.0, 1.0, 1.0, 0.0]), 0.0)).all()
+    for sigma in (1.35e154, 1e200, np.finfo(float).max):
+        with pytest.raises(ValueError, match="sigma\\^2 overflows$"):
             ballistic_system(sigma)
 
 
@@ -208,15 +216,12 @@ def test_off_grid_evaluation_and_ulam():
     assert sol.ulam(0.0, 1.25) == pytest.approx(np.exp(-1.25), abs=1e-9)
 
 
-def test_degenerate_multiplier_flag():
-    prob = StraighteningProblem(c=0.0, a=2.0, y0=1.0, lam_b=0.0)
-    sol = straightening_solve(prob, lambda x, lam: x + lam,
-                              np.array([0.5]), np.linspace(0, 1, 11))
-    assert sol.degenerate
-    assert sol.U[0, 3] == 0.5 + 0.3
-    assert sol.residual_check() == 0.0
-    with pytest.raises(ValueError, match="not determined"):
-        sol.ulam(0.5, 0.3)
+def test_multiplier_target_must_be_nonzero():
+    # U + c U_lam = F is solved along lam, which c = 0 leaves undetermined
+    for c in (0.0, 1e-13, -1e-13):
+        with pytest.raises(ValueError, match="^c must be nonzero"):
+            StraighteningProblem(c=c, a=2.0, y0=1.0, lam_b=0.0)
+    assert StraighteningProblem(c=1e-12, a=2.0, y0=1.0, lam_b=0.0).c == 1e-12
 
 
 def test_problem_and_grid_validation():
@@ -356,18 +361,6 @@ def test_point_evaluation_does_not_read_the_grid(c):
     assert np.isnan(blind.residual_check())
 
 
-def test_degenerate_straightening_is_the_forcing_everywhere():
-    prob = StraighteningProblem(c=0.0, a=0.0, y0=0.0, lam_b=0.5)
-    x_grid, lam_grid = STRAIGHTENING_GRIDS["tests"]
-    F = lambda x, lam: x + lam
-    sol = straightening_solve(prob, F, x_grid, lam_grid)
-    assert np.array_equal(sol.U, x_grid[:, None] + lam_grid)
-    assert sol.residual_check() == 0.0
-    for x in (x_grid[4], 0.123):
-        for lam in (0.5, 0.81, 0.1, 5.0):
-            assert sol.evaluate(x, lam) == x + lam
-
-
 NONFINITE = """
 import json, resource
 cap = 1_500_000_000   # bytes of address space: a runaway refinement raises MemoryError
@@ -414,15 +407,37 @@ def test_forcing_of_the_wrong_shape_is_rejected():
 # constant-drift reduction end to end
 # ---------------------------------------------------------------------
 
+def extremal(sys, x0, lam0, t1=1.0, step=1e-3):
+    return integrate(sys, PhaseState(x0, lam0, 0.0), t1, step)
+
+
 def test_reduction_frozen_field_is_exact():
     prob = StraighteningProblem(c=0.7, a=0.0, y0=1.5, lam_b=0.7)
-    rep = constant_field_reduction(prob, scalar_system(), [0.5], [0.7])
+    rep = constant_field_reduction(prob, scalar_system(), extremal(scalar_system(), [0.5], [0.7]))
     assert rep.pde_residual_max < 1e-8
     assert rep.ydot_max_err < 1e-6
     assert rep.mu_defect < 1e-6
     assert rep.energy_mismatch == 0.0
     assert np.all(rep.f_line == 0.0)
-    assert "lam_b=0.7" in rep.boundary_note
+
+
+def test_reduction_of_a_hand_built_rest_point_matches_the_march():
+    # a Trajectory built by hand carries no system, so the reduction calls f
+    # once per sample; at a rest point every reported number is the same
+    calls = []
+    rest = scalar_system(lambda x, t: calls.append(t) or x - 0.5)   # at rest at x = 0.5
+    prob = StraighteningProblem(c=0.7, a=0.2, y0=1.5, lam_b=0.7)
+    marched = constant_field_reduction(prob, rest, extremal(rest, [0.5], [0.7]))
+    calls.clear()
+    t = np.linspace(0.0, 1.0, 1001)
+    by_hand = constant_field_reduction(
+        prob, rest, Trajectory(t, np.full((1001, 1), 0.5), np.full((1001, 1), 0.7)))
+    assert len(calls) == 1001
+    for name in ("pde_residual_max", "ydot_max_err", "mu_defect", "energy_mismatch"):
+        assert getattr(by_hand, name) == getattr(marched, name), name
+    assert marched.energy_mismatch == pytest.approx(0.14, abs=1e-15)
+    assert np.array_equal(by_hand.f_line, marched.f_line)
+    assert np.array_equal(by_hand.solution.U, marched.solution.U)
 
 
 def test_reduction_default_grids_are_the_cli_grids():
@@ -430,7 +445,8 @@ def test_reduction_default_grids_are_the_cli_grids():
     # differ in the last bit; the straightening scenario uses the latter
     x0, lam0 = 0.3, 1.3
     prob = StraighteningProblem(c=lam0, a=0.0, y0=x0 + 1.0, lam_b=lam0)
-    sol = constant_field_reduction(prob, scalar_system(), [x0], [lam0]).solution
+    sol = constant_field_reduction(prob, scalar_system(),
+                                   extremal(scalar_system(), [x0], [lam0])).solution
     assert np.array_equal(sol.lam_grid, np.linspace(lam0, lam0 + 2.0, 101))
     assert np.array_equal(sol.x_grid, np.linspace(x0 - 1.0, x0 + 1.0, 101))
 
@@ -439,15 +455,16 @@ def test_reduction_moving_extremal_diagnostics():
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
     prob = StraighteningProblem(c=0.5, a=1.0, y0=2.0, lam_b=0.1)
-    rep = constant_field_reduction(prob, lin, [1.0], [0.5])
+    traj = extremal(lin, [1.0], [0.5])
+    rep = constant_field_reduction(prob, lin, traj)
     # the PDE itself is solved tightly ...
     assert rep.pde_residual_max < 1e-8
     # ... the energy level is consistent, and the line integral accumulates
     # H * t = 0.5 t along the extremal
     assert rep.energy_mismatch < 1e-12
     assert rep.f_line[-1] == pytest.approx(0.5, rel=1e-6)
-    hs = np.array([hamiltonian(lin, s) for s in rep.traj])
-    assert np.array_equal(rep.f_line, _cumtrapz(rep.traj.t, hs))
+    hs = np.array([hamiltonian(lin, s) for s in traj])
+    assert np.array_equal(rep.f_line, _cumtrapz(traj.t, hs))
     # mapped-motion defects are genuinely O(0.1) here: only a frozen field
     # sits entirely on the boundary where the reduction is exact
     assert rep.ydot_max_err < 1.0
@@ -460,9 +477,10 @@ def test_reduction_u_x_is_the_hand_written_difference_of_u():
     lin = DynamicSystem(dim=1, f=lambda x, t: x,
                         jac=lambda x, t: np.eye(1), autonomous=True)
     prob = StraighteningProblem(c=0.5, a=1.0, y0=2.0, lam_b=0.1)
-    rep = constant_field_reduction(prob, lin, [1.0], [0.5])
-    sol, idx = rep.solution, _subsample(rep.traj, 41)
-    ts, xs, lams = rep.traj.t[idx], rep.traj.x[idx, 0], rep.traj.lam[idx, 0]
+    traj = extremal(lin, [1.0], [0.5])
+    rep = constant_field_reduction(prob, lin, traj)
+    sol, idx = rep.solution, _subsample(traj, 41)
+    ts, xs, lams = traj.t[idx], traj.x[idx, 0], traj.lam[idx, 0]
     ux = np.array([_central_diff_t(lambda v: sol.evaluate(v, lam), x) for x, lam in zip(xs, lams)])
     ulam = np.array([sol.ulam(x, lam) for x, lam in zip(xs, lams)])
     assert rep.mu_defect == float(np.max(np.abs(lams - ux - 0.5))) > 0.0
@@ -474,12 +492,13 @@ def test_reduction_rejects_bad_inputs():
     driven = DynamicSystem(dim=1, f=lambda x, t: np.ones(1),
                            jac=lambda x, t: np.zeros((1, 1)), autonomous=False)
     with pytest.raises(ValueError, match="autonomous"):
-        constant_field_reduction(prob, driven, [1.0], [0.5])
+        constant_field_reduction(prob, driven, extremal(driven, [1.0], [0.5]))
     # a drive mis-flagged as autonomous produces a turning point, which the
     # line-integral parameterization must refuse
     wobble = DynamicSystem(dim=1, f=lambda x, t: np.array([np.cos(3.0 * t)]),
                            jac=lambda x, t: np.zeros((1, 1)), autonomous=True)
     with pytest.raises(ValueError, match="not monotone"):
-        constant_field_reduction(prob, wobble, [1.0], [0.5])
+        constant_field_reduction(prob, wobble, extremal(wobble, [1.0], [0.5]))
     with pytest.raises(ValueError, match="^constant_field_reduction handles n=1 only$"):
-        constant_field_reduction(prob, null_system2(), [1.0, 1.0], [0.5, 0.5])
+        constant_field_reduction(prob, null_system2(),
+                                 extremal(null_system2(), [1.0, 1.0], [0.5, 0.5]))

@@ -60,6 +60,9 @@ CASES = {
     # c = lam0 < 0: the weight is heavier at each cell's start
     "straightening-backward": {"scenario": "straightening", "t1": 0.5, "step": 0.01,
                                "x0": [0.2], "lam0": [-0.8]},
+    # lam0 = c too close to zero: run and sweep exit 2 before the march and
+    # write nothing, while verify checks the field's derivatives and exits 0
+    "straightening-lam0-zero": {"scenario": "straightening", "lam0": [1e-9]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
