@@ -30,7 +30,7 @@ from .phasecore import (DomainError, DynamicSystem, PhaseState, _is_int, _subsam
                         zero_controlling_function, verify_derivatives)
 # hamiltonian and apply_map are unused here but stay importable:
 # perfbench/tracing.py patches canomap.cli.hamiltonian and .apply_map.
-from .hamilton import canonical_rhs, energy_drift, hamiltonian, integrate
+from .hamilton import _BLOWUP_LIMIT, canonical_rhs, energy_drift, hamiltonian, integrate
 from .mapping import _CRITERION_VARIANTS, MappingSpec, _images, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
                          poincare_cartan_loop, symplectic_test)
@@ -282,9 +282,11 @@ SCENARIOS = {
         cloud=_ballistic_cloud,
         extras=_ballistic_conservation),
     # The verdict comes from the straightening PDE solved through (x0, lam0).
+    # The lift is (f, (-A^T) lam) bit for bit: +0.0 at any lam, not -0.0 * lam.
     "straightening": Scenario(
         system=lambda cfg: DynamicSystem(dim=1, f=lambda x, t: np.zeros(1),
-                                         jac=lambda x, t: np.zeros((1, 1)), autonomous=True),
+                                         jac=lambda x, t: np.zeros((1, 1)), autonomous=True,
+                                         lift=lambda x, lam, t: [0.0, 0.0]),
         n=1,
         basis="pde"),
 }
@@ -356,8 +358,8 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
         if abs(lam0[0]) < 1e-6:
             raise ConfigError("straightening scenario needs lam0[0] away from zero "
                               "(it doubles as the multiplier target c)")
-        if max(abs(x0[0]), abs(lam0[0])) >= 1e14:   # 0.02-step grids around them repeat nodes
-            raise ConfigError("straightening scenario needs |x0[0]| and |lam0[0]| below 1e14")
+        if max(abs(x0[0]), abs(lam0[0])) > _BLOWUP_LIMIT:   # integrate would truncate at once
+            raise ConfigError("straightening scenario needs |x0[0]| and |lam0[0]| at most 1e12")
     os.makedirs(out_dir, exist_ok=True)
     if scenario.control is not None:
         spec = scenario.control(cfg.n)[1]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canomap import cli, scenarios
+from canomap import cli, hamilton, scenarios
 from canomap.cli import (ConfigError, RunConfig, _write_csv, _write_json, main, run,
                          sweep, verify)
 from canomap.hamilton import hamiltonian, integrate
-from canomap.phasecore import PhaseState
+from canomap.phasecore import PhaseState, verify_derivatives
 from canomap.scenarios import ballistic_system
 
 
@@ -318,15 +319,17 @@ def test_straightening_needs_nonzero_lam0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()   # rejected before the march
 
 
-@pytest.mark.parametrize("state", [{"x0": [1e15]}, {"lam0": [2e14]}, {"x0": [-1e14]}])
+@pytest.mark.parametrize("state", [{"x0": [1e15]}, {"lam0": [2e14]}, {"x0": [-1e14]},
+                                   {"x0": [9.99e13]}, {"lam0": [-2e12]}])
 def test_straightening_state_beyond_its_grids_is_a_config_error(tmp_path, capsys, state):
-    # the 0.02-step grids around x0 and lam0 would repeat nodes; checked
-    # before the march, so nothing is written
+    # integrate's blow-up guard would truncate the march at its first step
+    # (and beyond 1e14 the 0.02-step grids repeat nodes); checked before the
+    # march, so nothing is written
     cfg = write_cfg(tmp_path, scenario="straightening", output_dir=str(tmp_path / "out"),
                     **state)
     assert main(["run", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
-        "config error: straightening scenario needs |x0[0]| and |lam0[0]| below 1e14\n")
+        "config error: straightening scenario needs |x0[0]| and |lam0[0]| at most 1e12\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -413,10 +416,59 @@ def test_verify_system_only_scenarios(tmp_path, capsys, scenario):
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     pat = re.compile(r"^sys\.\w+: max rel err \d\.\d{3}e[+-]\d{2} OK$")
-    # the ballistic system supplies a lift, checked against f and jac
-    lifted = ["sys.lift"] if scenario == "ballistic" else []
-    assert [ln.split(":")[0] for ln in lines] == ["sys.ft", "sys.jac"] + lifted
+    # both systems supply a lift, checked against f and jac
+    assert [ln.split(":")[0] for ln in lines] == ["sys.ft", "sys.jac", "sys.lift"]
     assert all(pat.fullmatch(ln) for ln in lines)
+
+
+def _straightening_system(lift=None):
+    system = cli.SCENARIOS["straightening"].system(RunConfig(scenario="straightening"))
+    return system if lift is None else dataclasses.replace(system, lift=lift)
+
+
+def _lift_bit_differences(system):
+    """Where system's lift and the array route of the same system built
+    without it, (f, (-A^T) lam), differ in any bit, signed zeros included:
+    _stage at lam of both signs, zero and -0.0, and integrate's columns."""
+    plain = dataclasses.replace(system, lift=None)
+    lifted, arrays = hamilton._stage(system), hamilton._stage(plain)
+    bits = lambda k: struct.pack(f"{len(k)}d", *k)
+    lams = (0.7, -0.7, 0.0, -0.0, 1e12, -5e-324)
+    diffs = [("stage", x, lam) for x in (0.3, -0.3) for lam in lams
+             if bits(lifted([x, lam], 0.1)) != bits(arrays([x, lam], 0.1))]
+    for lam in lams[:4]:
+        a, b = (integrate(s, PhaseState([0.3], [lam], 0.0), 0.5, 0.01) for s in (system, plain))
+        diffs += [(col, 0.3, lam) for col in ("x", "lam", "xdot", "lamdot")
+                  if not (np.array_equal(getattr(a, col), getattr(b, col)) and np.array_equal(
+                      np.signbit(getattr(a, col)), np.signbit(getattr(b, col))))]
+    return diffs
+
+
+def test_straightening_lift_is_the_array_route_bit_for_bit():
+    system = _straightening_system()
+    assert system.lift is not None
+    assert _lift_bit_differences(system) == []
+
+
+@pytest.mark.parametrize("lift, exit_code, caught", [
+    # an offset lamdot: verify's lift block fails
+    (lambda x, lam, t: [0.0, 1e-3], 1, ("lamdot", 0.3, 0.7)),
+    # lamdot = -0.0 for lam > 0, where (-A^T) lam is +0.0: verify reads 0
+    # error, and only the bit comparison sees it
+    (lambda x, lam, t: [0.0, -0.0 * lam[0]], 0, ("stage", 0.3, 0.7)),
+], ids=["offset", "signed-zero"])
+def test_a_wrong_straightening_lift_is_caught(tmp_path, capsys, monkeypatch, lift, exit_code,
+                                              caught):
+    mutant = _straightening_system(lift)
+    assert caught in _lift_bit_differences(mutant)
+    rep = verify_derivatives(mutant, [PhaseState([0.3], [0.7], 0.0)])
+    assert rep.failing == (("lift",) if exit_code else ())
+    monkeypatch.setitem(cli.SCENARIOS, "straightening", dataclasses.replace(
+        cli.SCENARIOS["straightening"], system=lambda cfg: mutant))
+    assert main(["verify", "--config", write_cfg(tmp_path, scenario="straightening")]) == exit_code
+    lift_line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert lift_line.startswith("sys.lift: ")
+    assert lift_line.endswith(" FAIL" if exit_code else "max rel err 0.000e+00 OK")
 
 
 # ---------------------------------------------------------------------

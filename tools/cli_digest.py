@@ -63,6 +63,9 @@ CASES = {
     # lam0 = c too close to zero: run and sweep exit 2 before the march and
     # write nothing, while verify checks the field's derivatives and exits 0
     "straightening-lam0-zero": {"scenario": "straightening", "lam0": [1e-9]},
+    # x0 beyond integrate's blow-up limit (1e12): run and sweep exit 2 before
+    # the march and write nothing, where the march would truncate at once
+    "straightening-at-guard": {"scenario": "straightening", "x0": [2e12]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
