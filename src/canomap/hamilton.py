@@ -11,6 +11,7 @@ the energy diagnostics quantify how well dH/dt = lam . f_t holds discretely.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -31,14 +32,27 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
-# _rk4_path's ops (axpy, combine, bounded, pack): for an array z0, or a float list
+# _rk4_path's ops (axpy, combine, bounded, pack) for an array z0; _floats(m) for a float list
 _ARRAYS = (lambda z, a, k: z + a * k,
            lambda z, c, k1, k2, k3, k4: z + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
            lambda z: np.maximum.reduce(np.abs(z), axis=None) <= _BLOWUP_LIMIT, np.ndarray.tobytes)
-_FLOATS = (lambda z, a, k: [u + a * v for u, v in zip(z, k)],
-           lambda z, c, *ks: [u + c * (a + 2.0 * b + 2.0 * d + e) for u, a, b, d, e in zip(z, *ks)],
-           lambda z: all(map(_BLOWUP_LIMIT.__ge__, map(abs, z))),
-           lambda z: struct.pack("d" * len(z), *z))
+
+
+@functools.cache
+def _floats(m: int):
+    """_ARRAYS's ops for one state of m floats, each written out element by
+    element (no loop, no zip) and compiled once per m.  Bitwise _ARRAYS: combine
+    sums in numpy's order, and bounded tests every position for a NaN or inf."""
+    each = lambda form, sep=", ": sep.join(form.format(i=i) for i in range(m))
+    src = (f"def axpy(z, a, k):\n    return [{each('z[{i}] + a * k[{i}]')}]\n"
+           f"def combine(z, c, a, b, d, e):\n    return "
+           f"[{each('z[{i}] + c * (a[{i}] + 2.0 * b[{i}] + 2.0 * d[{i}] + e[{i}])')}]\n"
+           f"def bounded(z):\n    return "
+           f"{each('abs(z[{i}]) <= ' + repr(_BLOWUP_LIMIT), ' and ')}\n")
+    ops = {}
+    exec(compile(src, f"<canomap.hamilton._floats m={m}>", "exec"), ops)
+    pack = struct.Struct(f"{m}d").pack
+    return ops["axpy"], ops["combine"], ops["bounded"], lambda z: pack(*z)
 
 
 def hamiltonian(sys: DynamicSystem, s: PhaseState) -> float:
@@ -162,25 +176,28 @@ def _rk4_path(rhs, z0, times, last: bool = False, stages: bool = True):
     each next one (a _grid, or a trajectory's own times).
 
     z0 is a float array (_ARRAYS), any shape (a stack's rows each follow the
-    flat march bitwise), or one state's float list (_FLOATS): cheaper at that
-    size, bitwise alike (numpy's order), and bounded sees any NaN, unlike max().
+    flat march bitwise), or one state's list of m floats (_floats(m): ops
+    generated with each element written out, no numpy call or Python loop per
+    op; bitwise alike, and bounded sees a NaN in any position, unlike max()).
 
     Returns (ts, zs, diagnostic, ks) where diagnostic is None on success and
     a dict describing the truncation point if the state blew up (any
     component beyond 1e12 in magnitude, a non-finite value, or a DomainError
-    from the field).  zs stacks every sample and ks, with stages, each step's
-    first stage rhs(zs[i], ts[i]); with last, ts and zs keep only the last
-    finite sample and ks none.  zs (read-only) and ks are gathered as raw
-    bytes rather than one object per step.
+    from the field); a z0 already beyond 1e12 truncates at the first time,
+    before the field is called.  zs stacks every sample and ks, with stages,
+    each step's first stage rhs(zs[i], ts[i]); with last, ts and zs keep only
+    the last finite sample and ks none.  zs (read-only) and ks are gathered
+    as raw bytes rather than one object per step.
     """
-    axpy, combine, bounded, pack = _FLOATS if isinstance(z0, list) else _ARRAYS
+    axpy, combine, bounded, pack = _floats(len(z0)) if isinstance(z0, list) else _ARRAYS
     times = iter(times)
     t = next(times)
     ts = [t]
     z = z0
     zs, ks = bytearray(pack(z)), bytearray()
-    diag = None
-    for t_next in times:
+    blown = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
+    diag = None if bounded(z) else blown
+    for t_next in times if diag is None else ():
         h = t_next - t          # the increment of the stored t, not the nominal step
         hh = 0.5 * h            # 0.5 * h * k is (0.5 * h) * k: the same bits
         try:
@@ -194,7 +211,7 @@ def _rk4_path(rhs, z0, times, last: bool = False, stages: bool = True):
         z = combine(z, h / 6.0, k1, k2, k3, k4)
         t = t_next
         if not bounded(z):
-            diag = {"truncated": True, "t_truncated": t, "reason": "state magnitude exceeded 1e12"}
+            diag = dict(blown, t_truncated=t)
             break
         if last:
             ts, zs = [t], pack(z)

@@ -267,6 +267,18 @@ def test_truncated_orbit_keeps_its_exit_stderr_and_trajectory(tmp_path, capsys):
     assert not (out / "canonicity.csv").exists()
 
 
+def test_a_start_beyond_the_blowup_limit_truncates_at_t0(tmp_path, capsys):
+    # the march tests its start against the 1e12 bound, so it takes no step
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="linear", x0=[1e13], t1=0.1, step=0.01,
+                    output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: trajectory truncated at t=0.0 (state magnitude exceeded 1e12)\n")
+    assert read_rows(out / "trajectory.csv") == [["t", "x_1", "lam_1", "H"],
+                                                 ["0", "10000000000000", "1", "10000000000000"]]
+
+
 def test_adjoint_agreement_sees_a_wrong_sign_in_the_lift(tmp_path, monkeypatch):
     # the march and the hand-written adjoint both come from the ballistic
     # lift, so adjoint_agreement can fail only because it reads the jac form
@@ -322,7 +334,7 @@ def test_straightening_needs_nonzero_lam0(tmp_path, capsys):
 @pytest.mark.parametrize("state", [{"x0": [1e15]}, {"lam0": [2e14]}, {"x0": [-1e14]},
                                    {"x0": [9.99e13]}, {"lam0": [-2e12]}])
 def test_straightening_state_beyond_its_grids_is_a_config_error(tmp_path, capsys, state):
-    # integrate's blow-up guard would truncate the march at its first step
+    # integrate's blow-up guard would truncate the march at its start
     # (and beyond 1e14 the 0.02-step grids repeat nodes); checked before the
     # march, so nothing is written
     cfg = write_cfg(tmp_path, scenario="straightening", output_dir=str(tmp_path / "out"),

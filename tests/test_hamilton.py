@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from canomap import hamilton
@@ -498,6 +499,80 @@ def test_energy_drift_names_the_first_non_finite_sample():
     assert str(got.value) == str(want.value) == "non-finite Hamiltonian at x=[0.6], t=0.1"
     with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=1$"):
         energy_drift(linear_system(n=2), traj)
+
+
+# ---------------------------------------------------------------------
+# The generated float ops of one state against the array ops
+# ---------------------------------------------------------------------
+
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         1e12, -1e12, math.nextafter(1e12, math.inf), -math.nextafter(1e12, math.inf)]
+_VALUES = st.sampled_from(_EDGE) | st.floats(allow_nan=False, allow_infinity=False)
+_SIZES = [*range(1, 13), 200]
+_PIN = dict(data=st.data(), m=st.sampled_from(_SIZES), a=_VALUES, c=_VALUES)
+
+
+def _mismatches(ops, z, a, c, ks):
+    """The names of the ops in ops (axpy, combine, bounded, pack of one state)
+    whose result differs, in bytes, from _ARRAYS's on the same values."""
+    axpy, combine, bounded, pack = ops
+    ref = hamilton._ARRAYS
+    lists = [z.tolist()] + [k.tolist() for k in ks]
+    got = {"axpy": pack(axpy(lists[0], a, lists[1])),
+           "combine": pack(combine(lists[0], c, *lists[1:])),
+           "bounded": bounded(lists[0]), "pack": pack(lists[0])}
+    with np.errstate(over="ignore", invalid="ignore"):   # Python floats overflow silently
+        want = {"axpy": ref[3](ref[0](z, a, ks[0])), "combine": ref[3](ref[1](z, c, *ks)),
+                "bounded": bool(ref[2](z)), "pack": ref[3](z)}
+    return [name for name in got if got[name] != want[name]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_PIN)
+def test_generated_float_ops_are_bitwise_the_array_ops(data, m, a, c):
+    z, *ks = data.draw(arrays(np.float64, (5, m), elements=_VALUES))
+    assert _mismatches(hamilton._floats(m), z, a, c, ks) == []
+
+
+@pytest.mark.parametrize("m", _SIZES)
+def test_generated_bounded_sees_every_position(m):
+    bounded = hamilton._floats(m)[2]
+    for value, inside in [(math.nan, False), (math.inf, False), (-math.inf, False),
+                          (1e12, True), (-1e12, True), *((v, False) for v in _EDGE[-2:])]:
+        for i in range(m):
+            z = [0.5] * m
+            z[i] = value
+            assert bounded(z) is inside and bool(hamilton._ARRAYS[2](np.array(z))) is inside
+
+
+def test_a_combine_summed_in_another_order_breaks_the_pin(monkeypatch):
+    # (k1 + 2 k2) + (2 k3 + k4) in place of numpy's ((k1 + 2 k2) + 2 k3) + k4
+    regrouped = lambda z, c, *ks: [u + c * ((p + 2.0 * q) + (2.0 * r + s))
+                                   for u, p, q, r, s in zip(z, *ks)]
+    real = hamilton._floats
+    monkeypatch.setattr(hamilton, "_floats", lambda m: (real(m)[0], regrouped, *real(m)[2:]))
+    # the same search, unshrunk and unrecorded
+    search = settings(max_examples=300, deadline=None, phases=[Phase.generate], database=None)
+    inner = test_generated_float_ops_are_bitwise_the_array_ops.hypothesis.inner_test
+    pin = given(**_PIN)(search(inner))
+    with pytest.raises(AssertionError, match=r"\['combine'\] == \[\]"):
+        pin()
+
+
+def test_generated_ops_are_compiled_once_per_size_under_their_origin():
+    assert hamilton._floats(8) is hamilton._floats(8)
+    assert hamilton._floats(8)[1].__code__.co_filename == "<canomap.hamilton._floats m=8>"
+
+
+@pytest.mark.parametrize("z0", [[1e13, 1.0], np.array([[1.0, 1.0], [1.0, -1e13]])],
+                         ids=["one-state", "stack"])
+def test_a_start_beyond_the_bound_truncates_before_any_step(z0):
+    calls = []
+    ts, zs, diag, ks = _rk4_path(lambda z, t: calls.append(t) or z, z0, _grid(0.0, 0.1, 0.01))
+    assert calls == [] and ts == [0.0] and ks.size == 0
+    assert diag == {"truncated": True, "t_truncated": 0.0,
+                    "reason": "state magnitude exceeded 1e12"}
+    assert zs.tobytes() == np.array(z0, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("t1", [0.95, 40.0])   # the second march blows up

@@ -82,6 +82,28 @@ SYSTEMS = {
 }
 
 
+def _ring_field(x, t):
+    return -0.5 * x + 0.3 * np.roll(x, -1) + 0.1 * t * np.sin(x)
+
+
+def _ring_jac(x, t):
+    return 0.3 * np.roll(np.eye(len(x)), 1, axis=1) + np.diag(0.1 * t * np.cos(x) - 0.5)
+
+
+def _ring(lifted):
+    """A wide state, 2n = 200: each x_i driven by its neighbour x_{i+1}, with
+    or without a lift, which is its jac form (f, (-A^T) lam) bit for bit."""
+    sys_ = DynamicSystem(dim=100, f=_ring_field, jac=_ring_jac)
+    if lifted:
+        jac_form = _ref_lift(sys_)
+        sys_ = dataclasses.replace(
+            sys_, lift=lambda x, lam, t: jac_form(np.array(x + lam), t).tolist())
+    return sys_, PhaseState(np.linspace(-1.0, 1.0, 100), np.cos(np.arange(100.0)), 0.0)
+
+
+WIDE = {"ring-100": lambda: _ring(False), "ring-100-lift": lambda: _ring(True)}
+
+
 def _loop(M=6):
     theta = 2.0 * np.pi * np.arange(M) / M
     verts = [PhaseState([0.4 + 0.5 * np.cos(a), -0.2 + 0.3 * np.sin(a)],
@@ -90,25 +112,25 @@ def _loop(M=6):
     return tuple(verts + [verts[0]])
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", [*SYSTEMS, *WIDE])
 def test_integrate_equals_the_reference_march(name):
-    sys_ = SYSTEMS[name]()
-    grid = list(_grid(0.0, T1, STEP))
+    sys_, s0 = (SYSTEMS[name](), S0) if name in SYSTEMS else WIDE[name]()
+    n, grid = sys_.dim, list(_grid(0.0, T1, STEP))
     lift = _ref_lift(sys_)
-    zs, ks, t_stop = _ref_march(lift, S0.z(), grid)
-    traj = integrate(sys_, S0, T1, STEP)
+    zs, ks, t_stop = _ref_march(lift, s0.z(), grid)
+    traj = integrate(sys_, s0, T1, STEP)
     assert (t_stop is None) == (name != "domain-error-mid-step")
     if t_stop is not None:
         assert t_stop == 0.3 and traj.meta["t_truncated"] == t_stop
         assert traj.meta["reason"].startswith("no field at t=0.32")
     assert traj.t.tolist() == grid[:len(zs)]
-    assert traj.x.tobytes() == zs[:, :2].tobytes()
-    assert traj.lam.tobytes() == zs[:, 2:].tobytes()
+    assert traj.x.tobytes() == zs[:, :n].tobytes()
+    assert traj.lam.tobytes() == zs[:, n:].tobytes()
     K = np.vstack([ks, lift(zs[-1], traj.t[-1])])
-    assert traj.xdot.tobytes() == K[:, :2].tobytes()
-    assert traj.lamdot.tobytes() == K[:, 2:].tobytes()
-    xdot, lamdot = canonical_rhs(sys_, S0)
-    assert np.concatenate((xdot, lamdot)).tobytes() == lift(S0.z(), S0.t).tobytes()
+    assert traj.xdot.tobytes() == K[:, :n].tobytes()
+    assert traj.lamdot.tobytes() == K[:, n:].tobytes()
+    xdot, lamdot = canonical_rhs(sys_, s0)
+    assert np.concatenate((xdot, lamdot)).tobytes() == lift(s0.z(), s0.t).tobytes()
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -36,6 +36,8 @@ CASES = {
     "linear": {"scenario": "linear", "t1": 0.5, "step": 0.01, "emit_gnuplot": True},
     "linear-n2": {"scenario": "linear", "n": 2, "t1": 0.5, "step": 0.01,
                   "map_variant": "Cross220", "lam0": [0.5, -1.0]},
+    # 2n = 80: one state of 80 floats, far wider than the other cases' march
+    "linear-n40": {"scenario": "linear", "n": 40, "t1": 0.5, "step": 0.01},
     "rotation": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 3},
     "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
     "rotation-wide": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 5,
