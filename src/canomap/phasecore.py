@@ -107,7 +107,9 @@ def _cumtrapz(ts: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _subsample(traj, count: int) -> np.ndarray:
     """Indices of up to count samples of traj, evenly spread, first and last included."""
-    return np.unique(np.linspace(0, len(traj) - 1, count).astype(int))
+    idx = np.linspace(0, len(traj) - 1, count).astype(int)
+    # idx never decreases, so repeats are neighbours; np.unique would import numpy.ma
+    return idx[np.diff(idx, prepend=-1) > 0]
 
 
 # =====================================================================

@@ -17,8 +17,9 @@ from canomap import cli, hamilton, scenarios
 from canomap.cli import (ConfigError, RunConfig, _write_csv, _write_json, main, run,
                          sweep, verify)
 from canomap.hamilton import hamiltonian, integrate
-from canomap.phasecore import PhaseState, verify_derivatives
-from canomap.scenarios import ballistic_system
+from canomap.mapping import MappingSpec
+from canomap.phasecore import ControllingFunction, PhaseState, verify_derivatives
+from canomap.scenarios import ballistic_system, rotation_example
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +62,18 @@ def test_rotation_run_is_canonical(tmp_path, capsys):
     assert inv["symplectic_defect_max"] < 1e-9
     for artifact in ("trajectory.csv", "canonicity.csv", "invariants.json"):
         assert (out / artifact).exists()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rotation_image_error_flags_a_wrong_map(n):
+    # the stdlib cloud still catches a map that is not the quarter-turn
+    cf, spec = rotation_example(dim=n)
+    off = ControllingFunction(n, cf.u, ux=cf.ux, ulam=lambda x, lam, t: 1.01 * (lam + x))
+    err = lambda s: cli._rotation_image_error(RunConfig(scenario="rotation", n=n, seed=3),
+                                              None, s, None)["rotation_image_error"]
+    assert err(spec) == 0.0
+    assert err(MappingSpec("Std116", cf)) > 1e-3
+    assert err(MappingSpec("Cross220", off)) > 1e-3
 
 
 def test_ballistic_defaults_to_four_dimensions(tmp_path):
@@ -186,6 +199,17 @@ def test_wrongly_typed_field_is_a_config_error(tmp_path, capsys, fields, name):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed, argv", [(-1, ["run"]), (-1, ["verify"]),
+                                        (0, ["sweep", "--param", "seed", "--values", "-1"])])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, seed, argv):
+    # caught before anything is written, not as a traceback from the cloud
+    cfg = write_cfg(tmp_path, scenario="rotation", t1=0.1, step=0.01, seed=seed,
+                    output_dir=str(tmp_path / "out"))
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
     assert not (tmp_path / "out").exists()
 
 

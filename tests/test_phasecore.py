@@ -4,10 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canomap.phasecore import (_FD_RULE, ControllingFunction, DynamicSystem, PhaseState,
-                               Trajectory, _central_diff_t, _central_diff_x,
+                               Trajectory, _central_diff_t, _central_diff_x, _subsample,
                                verify_derivatives, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.mapping import synthesize_ulam
@@ -451,3 +451,19 @@ def test_closure_results_follow_the_one_shape_rule():
 def test_cf_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         verify_derivatives(quadratic_cf(), [PhaseState([1.0, 1.0], [1.0, 1.0], 0.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5001), st.integers(1, 60))
+@example(1, 1)
+@example(1, 60)
+@example(5, 60)
+@example(59, 60)
+@example(5001, 41)
+def test_subsample_is_the_unique_of_its_linspace(N, count):
+    # the former definition, np.unique of the truncated linspace, is the
+    # reference; for N < count the linspace repeats indices
+    want = np.unique(np.linspace(0, N - 1, count).astype(int))
+    got = _subsample(range(N), count)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

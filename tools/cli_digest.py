@@ -42,6 +42,8 @@ CASES = {
     "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
     "rotation-wide": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 5,
                       "loop_vertices": 200, "x0": [0.7], "lam0": [-1.3]},
+    # seed < 0: run, sweep and verify exit 2 before anything is written
+    "rotation-negseed": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": -1},
     "ballistic": {"scenario": "ballistic", "t1": 1.0, "step": 0.01,
                   "x0": [0.0, 1.1, 1.0, 0.0], "emit_gnuplot": True},
     "ballistic-fall": {"scenario": "ballistic", "t1": 2.0, "step": 0.01,
