@@ -92,8 +92,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {what}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError("output_dir must be a string")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError("output_dir must be a nonempty string")
         if not isinstance(self.emit_gnuplot, bool):
             raise ConfigError("emit_gnuplot must be true or false")
         if self.step <= 0:
@@ -139,7 +139,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or UnicodeDecodeError for bytes not UTF-8
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -217,22 +217,21 @@ def _linear_system(cfg):
 
 
 def _uniform_cloud(rng, cfg):
-    n = cfg.n
-    return [PhaseState(rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n),
-                       rng.uniform(cfg.t0, cfg.t1)) for _i in range(20)]
+    box = lambda: [rng.uniform(-2.0, 2.0) for _j in range(cfg.n)]
+    return [PhaseState(box(), box(), rng.uniform(cfg.t0, cfg.t1)) for _i in range(20)]
 
 
 def _ballistic_cloud(rng, cfg):
     """A box of prograde states clear of the r = 0 guard."""
     return [PhaseState([rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5),
                         rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.0)],
-                       rng.uniform(-1.0, 1.0, size=4), rng.uniform(cfg.t0, cfg.t1))
+                       [rng.uniform(-1.0, 1.0) for _j in range(4)], rng.uniform(cfg.t0, cfg.t1))
             for _i in range(20)]
 
 
 def _rotation_image_error(cfg, system, spec, traj):
     """Max distance of a seeded cloud's image from the exact quarter-turn.
-    stdlib random draws the cloud: numpy.random is not imported on the run path."""
+    stdlib random draws every cloud: no command imports numpy.random."""
     rng = random.Random(int(cfg.seed))
     X, L = np.hsplit(np.reshape([rng.uniform(-2.0, 2.0) for _i in range(200 * cfg.n)],
                                 (100, -1)), 2)
@@ -263,7 +262,7 @@ class Scenario:
     n: Optional[int] = None              # required dimension (None: any n)
     state: Callable = lambda n: ([1.0] * n, [1.0] * n)   # n -> default (x0, lam0)
     control: Optional[Callable] = None   # n -> (cf, spec) replacing the zero U
-    cloud: Callable = _uniform_cloud     # (rng, cfg) -> verify sample points
+    cloud: Callable = _uniform_cloud     # (random.Random, cfg) -> verify sample points
     basis: str = "canonicity"            # canonicity | symplectic | pde
     extras: Optional[Callable] = None    # (cfg, system, spec, traj) -> diagnostics
 
@@ -444,7 +443,7 @@ def verify(cfg: RunConfig) -> int:
     """Derivative cross-checks for the scenario's system and controlling
     function on a seeded point cloud; prints one line per block."""
     scenario = SCENARIOS[cfg.validate().scenario]
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(int(cfg.seed))
     checks = [("sys", scenario.system(cfg))]
     if scenario.control is not None:
         checks.append(("cf", scenario.control(cfg.n)[0]))
@@ -494,7 +493,7 @@ def main(argv=None) -> int:
             values = [v for v in (tok.strip() for tok in args.values.split(",")) if v]
             return sweep(cfg, args.param, values)
         return verify(cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -72,9 +72,13 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
     _shaped.  With stack, the lift at a stack Z (M, 2n) sharing t, each row
     bitwise its single state: a vectorized sys is called once on the (M, n)
     stack (a constant (n, n) jac goes on as (1, n, n), which _mv broadcasts),
-    any other once per row.  Not -(A^T lam): that flips signed zeros.  The
-    lift sys.lift replaces f and jac: one call per state or row, of 2n values."""
+    any other row by row through its one-state stage.  Not -(A^T lam): that
+    flips signed zeros.  The lift sys.lift replaces f and jac: one call per
+    state, of 2n values."""
     n, f, vec, mat = sys.dim, sys.f, (sys.dim,), (sys.dim, sys.dim)
+    if stack and not sys.vectorized:
+        one = _stage(sys)
+        return lambda Z, t: np.array([one(z, t) for z in Z.tolist()], float)
     if mdot is None and sys.lift is not None:
         fused, m = sys.lift, 2 * n
 
@@ -82,19 +86,11 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
             if len(k := fused(z[:n], z[n:], t)) != m:
                 raise ValueError(f"lift returned {len(k)} values, expected 2n = {m}")
             return k
-        return (lambda Z, t: np.array([one(z, t) for z in Z.tolist()], float)) if stack else one
+        return one
     jac = sys.jac if sys.jac is not None else sys.jac_at
-    if not stack:
-        one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
-        tail = (lambda A, lam: (-A.T) @ lam) if mdot is None else (
-            lambda A, m: mdot(A, m.reshape(mat)).ravel())
-
-        def rhs(z, t):
-            x = z[one]
-            return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
-        return rhs if mdot is not None else (lambda z, t: rhs(np.array(z), t).tolist())
-    if sys.vectorized:
-        def rows(X, t):
+    if stack:   # sys is vectorized: one call each of f and jac on the (M, n) stack
+        def lift(Z, t):
+            X = Z[:, :n]
             F = np.asarray(f(X, t), dtype=float)
             if F.shape != X.shape:
                 raise ValueError(f"vectorized f returned shape {F.shape}, expected {X.shape}")
@@ -102,15 +98,17 @@ def _stage(sys: DynamicSystem, mdot=None, stack: bool = False):
             if A.shape not in (mat, (len(X),) + mat):
                 raise ValueError(f"vectorized jac returned shape {A.shape}, "
                                  f"expected {(len(X),) + mat} or {mat}")
-            return F, A.reshape((-1,) + mat)
-    else:
-        rows = lambda X, t: (np.array([_shaped(f(x, t), vec) for x in X]),
-                             np.array([_shaped(jac(x, t), mat) for x in X]))
+            return np.concatenate((F, _mv(-np.swapaxes(A.reshape((-1,) + mat), 1, 2), Z[:, n:])),
+                                  axis=1)
+        return lift
+    one = (None, slice(n)) if sys.vectorized else slice(n)   # x as f and jac take it
+    tail = (lambda A, lam: (-A.T) @ lam) if mdot is None else (
+        lambda A, m: mdot(A, m.reshape(mat)).ravel())
 
-    def lift(Z, t):
-        F, A = rows(Z[:, :n], t)
-        return np.concatenate((F, _mv(-np.swapaxes(A, 1, 2), Z[:, n:])), axis=1)
-    return lift
+    def rhs(z, t):
+        x = z[one]
+        return np.concatenate((_shaped(f(x, t), vec), tail(_shaped(jac(x, t), mat), z[n:])))
+    return rhs if mdot is not None else (lambda z, t: rhs(np.array(z), t).tolist())
 
 
 def canonical_rhs(sys: DynamicSystem, s: PhaseState):

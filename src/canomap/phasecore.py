@@ -140,7 +140,7 @@ class DynamicSystem:
         one (n, n) array when it does not depend on x.
         Single-state calls pass a (1, n) stack.  Requires jac, since there
         are no batched finite differences.  Without the flag, a march over
-        a stack (hamilton._stage) calls f and jac once per row.
+        a stack (hamilton._stage) takes each row through the one-state stage.
     lift : callable, optional
         (x, lam, t) -> the 2n floats (f, -A^T lam), with x and lam float
         sequences; integrate and flow_loop march it in place of f and jac, jac

@@ -232,6 +232,42 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
+_SWEEP = ["sweep", "--param", "step", "--values", "0.01,0.005"]
+
+
+@pytest.mark.parametrize("argv", [["run"], ["verify"], _SWEEP], ids=["run", "verify", "sweep"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, argv):
+    # UnicodeDecodeError, like JSONDecodeError, is a ValueError of json.load
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main([argv[0], "--config", str(bad), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {str(bad)!r} is not valid JSON: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output_dir, argv, err", [
+    ("", ["run"], r"output_dir must be a nonempty string"),
+    ("", _SWEEP, r"output_dir must be a nonempty string"),
+    ("", ["verify"], r"output_dir must be a nonempty string"),
+    ("a-file", ["run"], r"\[Errno \d+\] File exists: 'a-file'"),
+    ("a-file", _SWEEP, r"\[Errno \d+\] Not a directory: 'a-file/step=0\.01'"),
+], ids=["empty-run", "empty-sweep", "empty-verify", "file-run", "file-sweep"])
+def test_an_unusable_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, output_dir,
+                                                   argv, err):
+    # "" is refused by validate; a file in place of the directory fails in
+    # os.makedirs.  Either way nothing is written, in the working directory
+    # or over the file, and one line is printed, not a traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("kept", encoding="utf-8")
+    cfg = write_cfg(tmp_path, scenario="linear", t1=0.1, step=0.01, output_dir=output_dir)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"config error: {err}\n", stderr)
+    assert sorted(os.listdir(tmp_path)) == ["a-file", "cfg.json"]
+    assert (tmp_path / "a-file").read_text(encoding="utf-8") == "kept"
+
+
 @pytest.mark.parametrize("argv", [[], ["run"], ["walk", "--config", "cfg.json"],
                                   ["sweep", "--config", "cfg.json", "--param", "step"]])
 def test_bad_arguments_exit_2(capsys, argv):

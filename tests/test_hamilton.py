@@ -318,6 +318,21 @@ def test_fundamental_matrix_scalar_exponentials():
     assert np.max(np.abs(D.values[:, 0, 0] - np.exp(a * ts))) < 1e-10
 
 
+@pytest.mark.parametrize("trace", [0.6, -0.6])
+def test_min_abs_det_is_liouvilles_smaller_end(trace):
+    # Liouville, for a constant A: det D(t) = e^{tr A (t - t0)} and
+    # det B(t) = e^{-tr A (t - t0)}, both monotone, so min |det| is the smaller
+    # end value; for each sign of tr A one kind has it at the last sample
+    A = np.array([[0.5 * trace + 0.2, 1.0], [-0.4, 0.5 * trace - 0.2]])
+    sys_ = DynamicSystem(dim=2, f=lambda x, t: A @ x, jac=lambda x, t: A, autonomous=True)
+    t0, t1 = 0.3, 1.5
+    traj = integrate(sys_, PhaseState([1.0, 0.5], [0.3, -0.8], t0), t1, 1e-3)
+    for kind, sign in (("B", -1.0), ("D", 1.0)):
+        ends = np.exp(sign * trace * np.array([0.0, t1 - t0]))
+        fm = fundamental_matrix(sys_, traj, kind)
+        assert fm.min_abs_det == pytest.approx(ends.min(), rel=1e-10, abs=0.0)
+
+
 def test_fundamental_matrix_duality_and_multiplier_transport():
     sysr = rotation_field()
     lam0 = np.array([0.8, -0.3])

@@ -37,9 +37,9 @@ def test_the_cli_is_not_re_exported():
 
 def test_the_import_loads_neither_numpy_polynomial_nor_sympy(tmp_path):
     # the quadrature's nodes are literals and the symbolic checks live in the
-    # tests, so importing the package and its CLI stays light; and a run or a
-    # sweep imports nothing more, so no verdict pays a lazy import (np.unique
-    # loads numpy.ma, np.random numpy.random and hashlib)
+    # tests, so importing the package and its CLI stays light; and a run, a
+    # sweep or a verify imports nothing more, so no verdict pays a lazy import
+    # (np.unique loads numpy.ma, np.random numpy.random and hashlib)
     code = """import json, os, sys, canomap, canomap.cli as cli
 heavy = ('numpy.polynomial', 'sympy', 'numpy.ma', 'numpy.random')
 loaded = [m for m in heavy if m in sys.modules]
@@ -51,6 +51,7 @@ for name in cli.SCENARIOS:
         json.dump({'scenario': name, 't1': 0.05, 'step': 0.01,
                    'output_dir': os.path.join(sys.argv[1], name)}, fh)
     codes.append(cli.main(['run', '--config', path]))
+    codes.append(cli.main(['verify', '--config', path]))
 codes.append(cli.main(['sweep', '--config', path, '--param', 'seed', '--values', '1,2']))
 print(json.dumps([loaded, codes, sorted(set(sys.modules) - before)]))
 """
@@ -61,5 +62,5 @@ print(json.dumps([loaded, codes, sorted(set(sys.modules) - before)]))
     assert proc.returncode == 0, proc.stderr
     loaded, codes, imported = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert codes == [0] * (len(cli.SCENARIOS) + 1)
+    assert codes == [0] * (2 * len(cli.SCENARIOS) + 1)
     assert imported == []

@@ -20,10 +20,12 @@ differing `.json` artifact it lists the top-level keys the tree lost and
 gained, and each key whose value changed as `old -> new` (a nested value by
 its key alone); under a differing `.csv` artifact, each column that changed,
 with its largest absolute change where both trees wrote the same number of
-numeric cells.  So a declared re-baseline can be audited key by key and
-column by column.
+numeric cells; under a differing `stdout` or `stderr` stream, the lines it
+lost (`- `) and gained (`+ `).  So a declared re-baseline can be audited key
+by key, column by column and line by line.
 """
 import csv
+import difflib
 import hashlib
 import io
 import json
@@ -93,7 +95,7 @@ def digest(root):
     sha = lambda data: hashlib.sha256(data).hexdigest()
     env = {k: v for k, v in os.environ.items() if k != "CANOMAP_OUT"}
     src = os.path.join(os.path.abspath(root), "src")
-    lines, docs = [], {}   # docs: tag -> parsed content of each .json artifact
+    lines, docs = [], {}   # docs: tag -> parsed content of each stream and artifact
 
     def record(tag, args, tmp, pythonpath):
         """Run the interpreter on args in tmp, then digest its exit code,
@@ -102,8 +104,10 @@ def digest(root):
         out = os.path.join(tmp, "out")
         proc = subprocess.run([sys.executable, "-B", *args], capture_output=True, cwd=tmp,
                               env=dict(env, PYTHONPATH=pythonpath))
-        lines.extend([f"{tag} exit {proc.returncode}", f"{tag} stdout {sha(proc.stdout)}",
-                      f"{tag} stderr {sha(proc.stderr)}"])
+        lines.append(f"{tag} exit {proc.returncode}")
+        for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            lines.append(f"{tag} {stream} {sha(data)}")
+            docs[f"{tag} {stream}"] = data.decode(errors="replace").splitlines()
         for dirpath, _dirs, files in sorted(os.walk(out)):
             for name in sorted(files):
                 with open(os.path.join(dirpath, name), "rb") as fh:
@@ -168,6 +172,11 @@ def column_changes(old, new):
     return out
 
 
+def line_changes(old, new):
+    """The lines lost (`- `) and gained (`+ `) from the list old to new."""
+    return [line for line in difflib.ndiff(old, new) if line[:2] in ("- ", "+ ")]
+
+
 if __name__ == "__main__":
     roots = sys.argv[1:]
     if not roots:
@@ -180,7 +189,7 @@ if __name__ == "__main__":
     for root, (lines, docs) in zip(roots, results):
         if root in bad:
             # one line per tag (case, command, artifact) whose digest differs,
-            # and under a JSON artifact one line per key that differs
+            # and under it what differs: JSON keys, CSV columns or stream lines
             first, this = (dict(line.rsplit(" ", 1) for line in ls) for ls in (lines0, lines))
             for tag in sorted(set(first) | set(this)):
                 if first.get(tag) != this.get(tag):
@@ -190,6 +199,9 @@ if __name__ == "__main__":
                             print(f"    {line}")
                     elif tag.endswith(".csv"):
                         for line in column_changes(docs0.get(tag, {}), docs.get(tag, {})):
+                            print(f"    {line}")
+                    elif tag.endswith(("stdout", "stderr")):
+                        for line in line_changes(docs0.get(tag, []), docs.get(tag, [])):
                             print(f"    {line}")
             print(f"DIFFERS from {roots[0]}: {root}")
     if len(roots) > 1 and not bad:
