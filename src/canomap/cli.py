@@ -84,12 +84,12 @@ class RunConfig:
 
     def validate(self):
         scenario = _scenario(self.scenario)
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ConfigError("n must be a positive integer")
         for name, kind in _SWEEP_PARAMS.items():
             ok, what = (_is_real, "a finite number") if kind is float else (_is_int, "an integer")
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {what}")
+        if self.n < 1:
+            raise ConfigError("n must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if not (isinstance(self.output_dir, str) and self.output_dir):
@@ -177,11 +177,12 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, flat: dict):
-    """Write one flat object, keys sorted, one per line: a float at 17
-    significant digits (NaN as nan), a string as JSON, None as null."""
+    """Write one flat object, keys sorted, one per line: a finite float at
+    17 significant digits, a string as JSON, None and a non-finite float as
+    null."""
     def text(v):
         if isinstance(v, (float, np.floating)):
-            return _fmt(v)
+            return _fmt(v) if math.isfinite(v) else "null"
         if isinstance(v, str) or v is None:   # None is null
             return json.dumps(v)
         raise TypeError(f"cannot serialize {type(v)!r}")
@@ -261,7 +262,7 @@ class Scenario:
     system: Callable                     # cfg -> DynamicSystem; rejects bad parameters
     n: Optional[int] = None              # required dimension (None: any n)
     state: Callable = lambda n: ([1.0] * n, [1.0] * n)   # n -> default (x0, lam0)
-    control: Optional[Callable] = None   # n -> (cf, spec) replacing the zero U
+    control: Optional[Callable] = None   # n -> MappingSpec replacing the zero U
     cloud: Callable = _uniform_cloud     # (random.Random, cfg) -> verify sample points
     basis: str = "canonicity"            # canonicity | symplectic | pde
     extras: Optional[Callable] = None    # (cfg, system, spec, traj) -> diagnostics
@@ -311,11 +312,8 @@ def _pde_verdict(cfg, system, traj):
     x0, lam0 = traj.x[0, 0], traj.lam[0, 0]
     prob = StraighteningProblem(c=lam0, a=0.0, y0=x0 + 1.0, lam_b=lam0)
     red = constant_field_reduction(prob, system, traj)
-    ok = red.pde_residual_max < 1e-8 and red.ydot_max_err < 1e-6 and red.mu_defect < 1e-6
-    verdict = "canonical" if ok else "violated"
     inv = {
         "scenario": cfg.scenario,
-        "verdict": verdict,
         "pde_residual_max": red.pde_residual_max,
         "ydot_max_err": red.ydot_max_err,
         "mu_defect": red.mu_defect,
@@ -324,6 +322,12 @@ def _pde_verdict(cfg, system, traj):
                     "(reference multiplier; identity-map limit)",
         "loop_drift": None,
     }
+    gates = {"pde_residual_max": 1e-8, "ydot_max_err": 1e-6, "mu_defect": 1e-6}
+    bad = [k for k in gates if not math.isfinite(inv[k])]
+    if bad:   # no verdict rests on a quantity that is not a number
+        print(f"numerical failure: {', '.join(bad)} not finite", file=sys.stderr)
+    ok = all(inv[k] < tol for k, tol in gates.items())
+    inv["verdict"] = verdict = "degenerate" if bad else "canonical" if ok else "violated"
     return verdict, red.pde_residual_max, inv
 
 
@@ -365,7 +369,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
             raise ConfigError("straightening scenario needs |x0[0]| and |lam0[0]| at most 1e12")
     os.makedirs(out_dir, exist_ok=True)
     if scenario.control is not None:
-        spec = scenario.control(cfg.n)[1]
+        spec = scenario.control(cfg.n)
     else:
         spec = MappingSpec(cfg.map_variant, zero_controlling_function(cfg.n))
     traj = integrate(system, PhaseState(x0, lam0, cfg.t0), cfg.t1, cfg.step)
@@ -417,17 +421,17 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
     if not values:
         raise ConfigError("sweep needs a nonempty --values list")
     caster = _SWEEP_PARAMS[param]
-    base = _resolve_out(cfg)
-    rows = []
+    subs = []   # every value is cast and validated before the first run writes
     for token in values:
         try:
             value = caster(token)
         except ValueError:
             raise ConfigError(f"cannot parse {token!r} as {caster.__name__} for {param!r}")
-        sub = replace(cfg, **{param: value}).validate()
-        sub.tolerances = dict(cfg.tolerances)
-        sub_dir = os.path.join(base, f"{param}={token}")
-        out = _execute(sub, sub_dir)
+        subs.append((token, replace(cfg, **{param: value}).validate()))
+    base = _resolve_out(cfg)
+    rows = []
+    for token, sub in subs:
+        out = _execute(sub, os.path.join(base, f"{param}={token}"))
         print(f"{param}={token}: VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
         rows.append([token, out.verdict, _fmt(out.max_residual),
                      _fmt(out.energy_drift), _verdict_exit(out.verdict)])
@@ -446,7 +450,7 @@ def verify(cfg: RunConfig) -> int:
     rng = random.Random(int(cfg.seed))
     checks = [("sys", scenario.system(cfg))]
     if scenario.control is not None:
-        checks.append(("cf", scenario.control(cfg.n)[0]))
+        checks.append(("cf", scenario.control(cfg.n).cf))
     pts = scenario.cloud(rng, cfg)
     ok = True
     for prefix, obj in checks:

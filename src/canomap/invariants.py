@@ -29,7 +29,6 @@ __all__ = [
     "poincare_cartan_loop",
     "ActionRecord",
     "action_function",
-    "HJResult",
     "hj_residual_U",
     "hj_residual_H",
 ]
@@ -192,23 +191,16 @@ def action_function(sys: DynamicSystem, traj: Trajectory) -> ActionRecord:
 # Hamilton-Jacobi residuals
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HJResult:
-    max_residual: float
-    series: np.ndarray
-
-
-def _hj_residual(cf, K: Callable, points: Sequence[PhaseState]) -> HJResult:
+def _hj_residual(cf, K: Callable, points: Sequence[PhaseState]) -> np.ndarray:
     """Pointwise |U_t + K(s)| over points, U_t from cf."""
     if not points:
         raise ValueError("points must be nonempty")
     for s in points:
         _require_dim(cf, s)
-    series = np.array([abs(cf.ut(s.x, s.lam, s.t) + K(s)) for s in points])
-    return HJResult(float(np.max(series)), series)
+    return np.array([abs(cf.ut(s.x, s.lam, s.t) + K(s)) for s in points])
 
 
-def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) -> HJResult:
+def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) -> np.ndarray:
     """Pointwise residual |U_t − G(x + U_lam, lam − U_x, t)| (Std116 image),
     with U = spec.cf.
 
@@ -219,6 +211,6 @@ def hj_residual_U(G: Callable, spec: MappingSpec, points: Sequence[PhaseState]) 
     return _hj_residual(spec.cf, lambda s: -float(G(*_images(spec, s.t, s.x, s.lam), s.t)), points)
 
 
-def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> HJResult:
+def hj_residual_H(cf, sys: DynamicSystem, points: Sequence[PhaseState]) -> np.ndarray:
     """Pointwise residual |U_t + lam·f(x, t)| (old-variable Hamiltonian)."""
     return _hj_residual(cf, lambda s: hamiltonian(sys, s), points)

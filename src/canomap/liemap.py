@@ -8,8 +8,6 @@ reconstructs the flow to first order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phasecore import ControllingFunction, DomainError, DynamicSystem, PhaseState, _is_int, _require_dim
@@ -17,29 +15,11 @@ from .hamilton import _BLOWUP_LIMIT
 from .mapping import _FORM
 
 __all__ = [
-    "Generator",
     "hamiltonian_field",
     "poisson_bracket",
     "infinitesimal_step",
     "compose_flow",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Generator:
-    """A scalar field paired with a small parameter eps != 0."""
-
-    field: ControllingFunction
-    eps: float
-
-    def __post_init__(self):
-        if callable(self.eps):
-            raise TypeError("eps must be a number; generators nonlinear in the "
-                            "small parameter are not supported")
-        eps = float(self.eps)
-        if eps == 0.0 or not np.isfinite(eps):
-            raise ValueError("eps must be finite and nonzero")
-        object.__setattr__(self, "eps", eps)
 
 
 def hamiltonian_field(sys: DynamicSystem) -> ControllingFunction:
@@ -62,14 +42,19 @@ def poisson_bracket(psi: ControllingFunction, omega: ControllingFunction,
                  - np.dot(psi.ulam(*args), omega.ux(*args)))
 
 
-def infinitesimal_step(gen: Generator, s: PhaseState):
+def infinitesimal_step(field: ControllingFunction, eps: float, s: PhaseState):
     """(y, mu) = (x + Omega_lam eps, lam - Omega_x eps), the Std116 row of
-    mapping._FORM with U = eps Omega."""
-    cf = gen.field
-    _require_dim(cf, s)
+    mapping._FORM with U = eps Omega; eps is a finite nonzero number."""
+    if callable(eps):
+        raise TypeError("eps must be a number; generators nonlinear in the "
+                        "small parameter are not supported")
+    eps = float(eps)
+    if not 0.0 < abs(eps) < np.inf:
+        raise ValueError("eps must be finite and nonzero")
+    _require_dim(field, s)
     a, gy, b, gmu = _FORM["Std116"](1, -1)
-    return (s.x + a * gen.eps * getattr(cf, gy)(s.x, s.lam, s.t),
-            s.lam + b * gen.eps * getattr(cf, gmu)(s.x, s.lam, s.t))
+    return (s.x + a * eps * getattr(field, gy)(s.x, s.lam, s.t),
+            s.lam + b * eps * getattr(field, gmu)(s.x, s.lam, s.t))
 
 
 def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -> PhaseState:
@@ -85,10 +70,9 @@ def compose_flow(field: ControllingFunction, s0: PhaseState, T: float, N: int) -
     if T == 0.0:
         return s0
     eps = T / N
-    gen = Generator(field, eps)
     s = s0
     for i in range(N):
-        y, mu = infinitesimal_step(gen, s)
+        y, mu = infinitesimal_step(field, eps, s)
         if not (np.abs(y).max() <= _BLOWUP_LIMIT and np.abs(mu).max() <= _BLOWUP_LIMIT):
             raise DomainError(f"flow composition blew up at step {i + 1}/{N}")
         t = s.t + eps   # y and mu are finite: they passed the blow-up check

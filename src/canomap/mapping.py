@@ -393,7 +393,6 @@ def synthesize_lambda0_cross(sys: DynamicSystem, cf: ControllingFunction, x0, la
 class UlamSynthesis:
     cf: ControllingFunction
     ulam_series: np.ndarray    # U_lam at each trajectory sample
-    propagator: object         # FundamentalMatrix, kind D
 
 
 def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesis:
@@ -423,8 +422,7 @@ def synthesize_ulam(sys: DynamicSystem, traj: Trajectory, ulam0) -> UlamSynthesi
         ulamt=lambda x, lam, t: sys.jac_at(x, t) @ dvec(t),
         **_zero_blocks(n, ("ux", "uxlam", "uxx", "ulamlam", "uxt")),
     )
-    ulam_series = D.values @ ulam0
-    return UlamSynthesis(cf=cf, ulam_series=ulam_series, propagator=D)
+    return UlamSynthesis(cf=cf, ulam_series=D.values @ ulam0)
 
 
 # ---------------------------------------------------------------------

@@ -120,7 +120,7 @@ def make_ballistic_adjoint(sigma: float) -> Callable[[PhaseState], np.ndarray]:
 
 def rotation_example(u_t: Optional[Callable[[float], float]] = None,
                      dim: int = 1):
-    """U = |lam|^2/2 - |x|^2/2 + lam.x + u(t) and its Cross220 spec.
+    """The Cross220 spec of U = |lam|^2/2 - |x|^2/2 + lam.x + u(t).
 
     The cross mapping y = x + U_x, mu = lam - U_lam sends (x, lam) to
     (lam, -x) exactly — a quarter-turn of the phase plane — for every
@@ -139,7 +139,7 @@ def rotation_example(u_t: Optional[Callable[[float], float]] = None,
         uxlam=E, uxx=-E, ulamlam=E,
         **_zero_blocks(n, ("uxt", "ulamt")),
     )
-    return cf, MappingSpec("Cross220", cf)
+    return MappingSpec("Cross220", cf)
 
 
 # ---------------------------------------------------------------------
@@ -239,7 +239,9 @@ class StraighteningSolution:
         U = self.U.ravel()
         hi, lo = L + _RESIDUAL_FD_H, L - _RESIDUAL_FD_H
         u_hi, u_lo = self._from(X, hi, L, U), self._from(X, lo, L, U)
-        res = U + self.problem.c * ((u_hi - u_lo) / (hi - lo)) - _field(self.F, X, L)
+        # NaN, with no warning, where L +- h rounds to L (|L| near 1e12)
+        slope = np.divide(u_hi - u_lo, hi - lo, out=np.full(L.shape, np.nan), where=hi != lo)
+        res = U + self.problem.c * slope - _field(self.F, X, L)
         return float(np.max(np.abs(res), initial=0.0))
 
 

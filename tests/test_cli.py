@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +68,8 @@ def test_rotation_run_is_canonical(tmp_path, capsys):
 @pytest.mark.parametrize("n", [1, 2])
 def test_rotation_image_error_flags_a_wrong_map(n):
     # the stdlib cloud still catches a map that is not the quarter-turn
-    cf, spec = rotation_example(dim=n)
+    spec = rotation_example(dim=n)
+    cf = spec.cf
     off = ControllingFunction(n, cf.u, ux=cf.ux, ulam=lambda x, lam, t: 1.01 * (lam + x))
     err = lambda s: cli._rotation_image_error(RunConfig(scenario="rotation", n=n, seed=3),
                                               None, s, None)["rotation_image_error"]
@@ -405,6 +407,27 @@ def test_straightening_state_beyond_its_grids_is_a_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lam0", [1e12, -1e12])
+def test_straightening_at_the_guard_is_degenerate_not_nan(tmp_path, capsys, lam0):
+    # residual_check's lam0 +- 1e-5 rounds to lam0, so pde_residual_max is
+    # NaN: no verdict rests on it, no warning is raised, and invariants.json
+    # holds null, which any JSON parser reads, in place of a bare nan
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario="straightening", lam0=[lam0], output_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr() == ("VERDICT=degenerate max_residual=nan\n",
+                                   "numerical failure: pde_residual_max not finite\n")
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    inv = json.loads((out / "invariants.json").read_text(encoding="utf-8"),
+                     parse_constant=refuse)
+    assert inv["verdict"] == "degenerate" and inv["pde_residual_max"] is None
+
+
 @pytest.mark.parametrize("argv", [["run"], ["verify"], ["sweep", "--param", "step",
                                                         "--values", "0.01"]])
 def test_sigma_whose_square_overflows_is_a_config_error(tmp_path, capsys, argv):
@@ -460,6 +483,20 @@ def test_sweep_rejects_bad_requests(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "step",
                  "--values", "fast"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, err", [
+    ("0.01,-1", "step must be positive"),
+    ("0.01,fast", "cannot parse 'fast' as float for 'step'"),
+], ids=["invalid", "unparsable"])
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, monkeypatch, capsys,
+                                                        values, err):
+    # a bad later value is refused before the good first one writes anything
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, scenario="linear", t1=0.1, step=0.01, output_dir="out")
+    assert main(["sweep", "--config", cfg, "--param", "step", "--values", values]) == 2
+    assert capsys.readouterr() == ("", f"config error: {err}\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 # ---------------------------------------------------------------------
@@ -580,7 +617,10 @@ def test_invariants_writer_bytes(tmp_path):
     _write_json(path, {"b": 0.1, "a": None, "c": "x"})
     assert path.read_bytes() == b'{\n  "a": null,\n  "b": 0.10000000000000001,\n  "c": "x"\n}\n'
     _write_json(path, {"nan": float("nan"), "np": np.float64(-2.5), "s": 'say "hi"'})
-    assert path.read_bytes() == b'{\n  "nan": nan,\n  "np": -2.5,\n  "s": "say \\"hi\\""\n}\n'
+    assert path.read_bytes() == b'{\n  "nan": null,\n  "np": -2.5,\n  "s": "say \\"hi\\""\n}\n'
+    # a non-finite float is null, so the file stays JSON that any parser reads
+    _write_json(path, {"a": np.float64(np.inf), "b": -np.inf})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": null\n}\n'
 
 
 @pytest.mark.parametrize("value", [True, 1, [1.0], {"a": 1.0}],

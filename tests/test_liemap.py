@@ -7,8 +7,8 @@ from canomap.phasecore import (ControllingFunction, DomainError, DynamicSystem,
                                PhaseState, zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.invariants import symplectic_test
-from canomap.liemap import (Generator, compose_flow, hamiltonian_field,
-                            infinitesimal_step, poisson_bracket)
+from canomap.liemap import (compose_flow, hamiltonian_field, infinitesimal_step,
+                            poisson_bracket)
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -74,8 +74,7 @@ def test_bracket_and_step_state_the_library_dimension_message():
     with pytest.raises(ValueError, match="^dimension mismatch: controlling function n=2, state n=1$"):
         poisson_bracket(coord_field(0, 1), momentum_field(0, 2), PhaseState([0.0], [0.0], 0.0))
     with pytest.raises(ValueError, match="^dimension mismatch: controlling function n=1, state n=2$"):
-        infinitesimal_step(Generator(coord_field(0, 1), 0.1),
-                           PhaseState([0.0, 0.0], [0.0, 0.0], 0.0))
+        infinitesimal_step(coord_field(0, 1), 0.1, PhaseState([0.0, 0.0], [0.0, 0.0], 0.0))
 
 
 def test_fd_backed_scalar_field():
@@ -85,7 +84,7 @@ def test_fd_backed_scalar_field():
     # {x, om} = om_lam = x and {lam, om} = -om_x = -lam, through the FD rule
     assert poisson_bracket(coord_field(0), om, s) == pytest.approx(1.5, rel=1e-9)
     assert poisson_bracket(momentum_field(0), om, s) == pytest.approx(-2.5, rel=1e-9)
-    y, mu = infinitesimal_step(Generator(om, 0.1), s)
+    y, mu = infinitesimal_step(om, 0.1, s)
     assert y[0] == pytest.approx(1.65, rel=1e-9)
     assert mu[0] == pytest.approx(2.25, rel=1e-9)
 
@@ -110,7 +109,7 @@ def test_constant_generator_is_identity():
                              ux=lambda x, lam, t: np.zeros(1),
                              ulam=lambda x, lam, t: np.zeros(1))
     s = PhaseState([1.2], [-0.4], 0.0)
-    y, mu = infinitesimal_step(Generator(om, 0.1), s)
+    y, mu = infinitesimal_step(om, 0.1, s)
     assert np.array_equal(y, s.x) and np.array_equal(mu, s.lam)
 
 
@@ -118,7 +117,7 @@ def test_bilinear_generator_step():
     om = ControllingFunction(1, lambda x, lam, t: float(lam[0] * x[0]),
                              ux=lambda x, lam, t: lam.copy(),
                              ulam=lambda x, lam, t: x.copy())
-    y, mu = infinitesimal_step(Generator(om, 0.01), PhaseState([1.0], [1.0], 0.0))
+    y, mu = infinitesimal_step(om, 0.01, PhaseState([1.0], [1.0], 0.0))
     assert y[0] == pytest.approx(1.01, abs=1e-15)
     assert mu[0] == pytest.approx(0.99, abs=1e-15)
 
@@ -131,7 +130,7 @@ def test_step_symplectic_defect_is_eps_squared():
     eps = 1e-3
 
     def step(x, lam):
-        return infinitesimal_step(Generator(om, eps), PhaseState(x, lam, 0.0))
+        return infinitesimal_step(om, eps, PhaseState(x, lam, 0.0))
 
     defect = symplectic_test(step, s)
     assert defect < 1e-5
@@ -147,7 +146,7 @@ def test_defect_order_two_in_eps():
     defects = []
     for eps in epss:
         def step(x, lam, eps=eps):
-            return infinitesimal_step(Generator(om, eps), PhaseState(x, lam, 0.0))
+            return infinitesimal_step(om, eps, PhaseState(x, lam, 0.0))
         defects.append(symplectic_test(step, s))
     slope = np.polyfit(np.log(epss), np.log(defects), 1)[0]
     assert 1.8 < slope < 2.2
@@ -155,15 +154,15 @@ def test_defect_order_two_in_eps():
 
 def test_generator_validation():
     om = ControllingFunction(1, lambda x, lam, t: float(x[0]))
+    s = PhaseState([0.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="nonzero"):
-        Generator(om, 0.0)
+        infinitesimal_step(om, 0.0, s)
     with pytest.raises(ValueError, match="finite"):
-        Generator(om, np.inf)
+        infinitesimal_step(om, np.inf, s)
     with pytest.raises(TypeError, match="number"):
-        Generator(om, lambda t: t)
+        infinitesimal_step(om, lambda t: t, s)
     with pytest.raises(ValueError, match="dimension"):
-        infinitesimal_step(Generator(om, 0.1),
-                           PhaseState([0.0, 0.0], [0.0, 0.0], 0.0))
+        infinitesimal_step(om, 0.1, PhaseState([0.0, 0.0], [0.0, 0.0], 0.0))
 
 
 # ---------------------------------------------------------------------
@@ -182,6 +181,14 @@ def test_compose_zero_time_returns_start():
     end = compose_flow(H, s0, 1.0, np.int64(3))
     ref = compose_flow(H, s0, 1.0, 3)
     assert end.x.tolist() == ref.x.tolist() and end.lam.tolist() == ref.lam.tolist()
+
+
+@pytest.mark.parametrize("T", [np.inf, np.nan], ids=["inf", "nan"])
+def test_compose_flow_refuses_a_time_that_is_not_finite(T):
+    H = hamiltonian_field(DynamicSystem(dim=1, f=lambda x, t: x,
+                                        jac=lambda x, t: np.eye(1), autonomous=True))
+    with pytest.raises(ValueError, match="^eps must be finite and nonzero$"):
+        compose_flow(H, PhaseState([1.0], [1.0], 0.0), T, 10)
 
 
 def test_compose_flow_first_order_error():

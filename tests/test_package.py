@@ -13,7 +13,7 @@ MODULES = (phasecore, hamilton, mapping, invariants, liemap, scenarios)
 
 def test_package_all_is_the_module_lists_in_import_order():
     names = canomap.__all__
-    assert len(names) == len(set(names)) == 55
+    assert len(names) == len(set(names)) == 53
     assert names[-1] == "__version__" and isinstance(canomap.__version__, str)
     # block by block, in import order (the order inside a block is not pinned)
     start = 0

@@ -408,7 +408,7 @@ def test_zero_controlling_function_exact():
     sys_ = linear_system(2)
     traj = integrate(sys_, PhaseState([1.0, 0.5], [0.2, -0.3], 0.0), 0.1, 0.01)
     assert synthesize_ulam(sys_, traj, [0.4, -0.2]).cf.fd_backed == frozenset()
-    assert rotation_example()[0].fd_backed == frozenset()
+    assert rotation_example().cf.fd_backed == frozenset()
 
 
 def test_constant_blocks_are_held_read_only():

@@ -129,7 +129,7 @@ def test_ballistic_field_guards_the_centre(r):
 # ---------------------------------------------------------------------
 
 def test_quarter_turn_images():
-    _, spec = rotation_example()
+    spec = rotation_example()
     y, mu = apply_map(spec, PhaseState([2.0], [3.0], 0.0))
     assert (y[0], mu[0]) == (3.0, -2.0)
     y, mu = apply_map(spec, PhaseState([0.0], [0.0], 0.0))
@@ -137,7 +137,7 @@ def test_quarter_turn_images():
 
 
 def test_quarter_turn_composes_to_half_turn():
-    _, spec = rotation_example()
+    spec = rotation_example()
     y1, mu1 = apply_map(spec, PhaseState([1.0], [0.0], 0.0))
     assert (y1[0], mu1[0]) == (0.0, -1.0)
     y2, mu2 = apply_map(spec, PhaseState(y1, mu1, 0.0))
@@ -145,13 +145,14 @@ def test_quarter_turn_composes_to_half_turn():
 
 
 def test_quarter_turn_is_symplectic():
-    _, spec = rotation_example()
+    spec = rotation_example()
     defect = symplectic_test(spec, PhaseState([0.4], [-1.1], 0.0))
     assert defect < 1e-9
 
 
 def test_time_part_never_touches_the_images():
-    cf, spec = rotation_example(u_t=lambda t: 0.5 * t * t)
+    spec = rotation_example(u_t=lambda t: 0.5 * t * t)
+    cf = spec.cf
     y, mu = apply_map(spec, PhaseState([2.0], [3.0], 1.7))
     assert (y[0], mu[0]) == (3.0, -2.0)
     s = PhaseState([1.0], [1.0], 1.5)
@@ -160,7 +161,7 @@ def test_time_part_never_touches_the_images():
 
 
 def test_quarter_turn_higher_dim():
-    _, spec = rotation_example(dim=3)
+    spec = rotation_example(dim=3)
     x = np.array([1.0, -2.0, 0.5])
     lam = np.array([0.0, 4.0, 1.0])
     y, mu = apply_map(spec, PhaseState(x, lam, 0.0))

@@ -15,8 +15,11 @@ result.json that each run leaves in perfbench/.work/ and keeps:
 - the verdict of the benchmark's gate (correct, attempted, failed).
 
 Last, it times the Tier-1 suite and records the size of the package:
-`src_lines`, the `wc -l src/canomap/*.py` total, and `all_size`, the length
-of `canomap.__all__` as a fresh interpreter imports it.  Next to the commit
+`src_lines`, the `wc -l src/canomap/*.py` total; `src_tokens`, each
+module's count of `tokenize` tokens without COMMENT and NL (the parser
+grows its token array in doublings, past 4,096 entries the first that a
+module here reaches); and `all_size`, the length of `canomap.__all__` as a
+fresh interpreter imports it.  Next to the commit
 that perfbench names, `src_sha256` (a sha256 over the sorted names and bytes
 of src/canomap/*.py) and `src_dirty` (whether `git status --porcelain -- src`
 prints anything; null outside git) say which source was measured, also when
@@ -25,6 +28,7 @@ besides the Tier-1 wall time.
 """
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -32,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 # -B: the timed suite writes no bytecode into the source tree.
@@ -92,6 +97,13 @@ def src_lines(files):
     return sum(data.count(b"\n") for _name, data in files)
 
 
+def src_tokens(files):
+    """{file name: tokenize tokens that are not COMMENT or NL}."""
+    return {name: sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                      for tok in tokenize.tokenize(io.BytesIO(data).readline))
+            for name, data in files}
+
+
 def src_sha256(files):
     """sha256 over each file's name, a NUL, and its bytes, in name order."""
     digest = hashlib.sha256()
@@ -140,7 +152,8 @@ def main(argv=None):
     files = src_files()   # read before the runs: the source they measure
     report = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
               "perfbench": " ".join(bench["command"]), "workloads": {},
-              "src_lines": src_lines(files), "src_sha256": src_sha256(files),
+              "src_lines": src_lines(files), "src_tokens": src_tokens(files),
+              "src_sha256": src_sha256(files),
               "src_dirty": src_dirty()}
     for w in bench["workloads"]:
         name = w["name"]
