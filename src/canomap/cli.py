@@ -35,8 +35,7 @@ from .hamilton import _BLOWUP_LIMIT, canonical_rhs, energy_drift, hamiltonian, i
 from .mapping import _CRITERION_VARIANTS, MappingSpec, _images, apply_map, canonicity_residual
 from .invariants import (action_function, circle_loop, flow_loop,
                          poincare_cartan_loop, symplectic_test)
-from .scenarios import (StraighteningProblem, ballistic_system,
-                        constant_field_reduction, make_ballistic_adjoint,
+from .scenarios import (StraighteningProblem, ballistic_system, constant_field_reduction,
                         rotation_example)
 
 __all__ = ["ConfigError", "RunConfig", "run", "sweep", "verify", "main"]
@@ -51,6 +50,15 @@ _DEFAULT_TOLERANCES = {"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_path(v: str) -> bool:
+    """Whether os.makedirs takes v: JSON can carry an embedded NUL or a lone
+    surrogate, which the file system encoding refuses."""
+    try:
+        return b"\0" not in os.fsencode(v)
+    except UnicodeEncodeError:
+        return False
 
 
 def _scenario(name) -> "Scenario":
@@ -94,6 +102,8 @@ class RunConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ConfigError("output_dir must be a nonempty string")
+        if not _is_path(self.output_dir):
+            raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL or a lone surrogate")
         if not isinstance(self.emit_gnuplot, bool):
             raise ConfigError("emit_gnuplot must be true or false")
         if self.step <= 0:
@@ -242,14 +252,13 @@ def _rotation_image_error(cfg, system, spec, traj):
 
 def _ballistic_conservation(cfg, system, spec, traj):
     """Drift of the area integral r v_phi and of the cyclic multiplier lam_4,
-    and the generic adjoint -A^T lam (canonical_rhs, from jac: the lamdot
-    column is the system's lift, the hand-written adjoint itself) against
-    the hand-written one."""
+    and the march's lamdot column (the system's lift, whose multiplier half
+    is the printed adjoint) against the generic adjoint -A^T lam
+    (canonical_rhs, from jac)."""
     rv = traj.x[:, 2] * traj.x[:, 1]
     lam4 = traj.lam[:, 3]
-    adj = make_ballistic_adjoint(cfg.sigma)
-    agree = max(float(np.max(np.abs(adj(s) - canonical_rhs(system, s)[1])))
-                for s in (traj[i] for i in _subsample(traj, 9)))
+    agree = max(float(np.max(np.abs(traj.lamdot[i] - canonical_rhs(system, traj[i])[1])))
+                for i in _subsample(traj, 9))
     return {"area_integral_drift_rel": float(np.max(np.abs(rv - rv[0])) / max(1.0, abs(rv[0]))),
             "lam4_drift": float(np.max(np.abs(lam4 - lam4[0]))),
             "adjoint_agreement": agree}

@@ -264,11 +264,9 @@ def integrate(sys: DynamicSystem, s0: PhaseState, t1: float, step: float) -> Tra
 # ---------------------------------------------------------------------
 
 _KINDS = {
-    # kind -> Mdot(A, M); default B/D are mutually dual: B(t) D(t)^T = E.
+    # kind -> Mdot(A, M); B and D are mutually dual: B(t) D(t)^T = E.
     "B": lambda A, M: -A.T @ M,
-    "B_paper": lambda A, M: -A @ M,
     "D": lambda A, M: A @ M,
-    "D_paper": lambda A, M: A.T @ M,
 }
 
 
@@ -279,7 +277,6 @@ class FundamentalMatrix:
     fundamental_matrix's kind "B" solves Bdot = -A^T B, so lam(t) = B(t) lam0
     reproduces the multiplier flow; kind "D" solves Ddot = A D, the
     propagator of U_lam data, and satisfies B(t) D(t)^T = E.
-    "B_paper"/"D_paper" keep the transposed conventions for comparison.
     """
 
     values: np.ndarray     # (N, n, n): the matrix at each sample time
@@ -343,8 +340,10 @@ def _lam_dot(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _h_series(traj: Trajectory, xdot: np.ndarray) -> np.ndarray:
     """H = lam . xdot (xdot from _xdot) at every sample of traj, raising
-    hamiltonian's error at the first non-finite one."""
-    hs = _lam_dot(traj.lam, xdot)
+    hamiltonian's error at the first non-finite one (an overflow is that
+    error, not a warning)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = _lam_dot(traj.lam, xdot)
     if not np.isfinite(hs).all():
         i = int(np.argmin(np.isfinite(hs)))
         raise DomainError(f"non-finite Hamiltonian at x={traj.x[i]}, t={traj.t[i].item()}")

@@ -31,7 +31,6 @@ __all__ = [
     "RootNotFoundError",
     "ConvergenceError",
     "synthesize_lambda0",
-    "synthesize_lambda0_cross",
     "UlamSynthesis",
     "synthesize_ulam",
     "invert_map",
@@ -346,7 +345,17 @@ def _newton(g, x, iters=60):
     return x, gx
 
 
-def _synthesize(sys, spec, x0, lam0, k, t0):
+def synthesize_lambda0(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
+                       k: int, t0: float = 0.0, variant: str = "Std116") -> Lambda0Result:
+    """Choose lam0_k so the canonicity residual of variant (Std116 or
+    Cross220) vanishes at t0.
+
+    The scalar equation is the residual canonicity_residual_points reports
+    at (x0, lam0, t0).  lam0 supplies the fixed components; its k-th entry
+    is the initial guess for the root solve: one Newton step (exact when the
+    residual is affine in lam0_k), then bracketing and a Newton polish.
+    """
+    spec = MappingSpec(variant, cf)
     _require_criterion(sys, spec)
     s = PhaseState(x0, lam0, t0)
     _require_dim(sys, s)
@@ -365,24 +374,6 @@ def _synthesize(sys, spec, x0, lam0, k, t0):
     value, status, g_res = _solve_scalar(g, float(s.lam[k]))
     return Lambda0Result(value=value, status=status, g_residual=g_res,
                          lam0=_with_component(s.lam, k, value))
-
-
-def synthesize_lambda0(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
-                       k: int, t0: float = 0.0) -> Lambda0Result:
-    """Choose lam0_k so the Std116 canonicity residual vanishes at t0.
-
-    The scalar equation is the residual canonicity_residual_points reports
-    at (x0, lam0, t0).  lam0 supplies the fixed components; its k-th entry
-    is the initial guess for the root solve: one Newton step (exact when the
-    residual is affine in lam0_k), then bracketing and a Newton polish.
-    """
-    return _synthesize(sys, MappingSpec("Std116", cf), x0, lam0, k, t0)
-
-
-def synthesize_lambda0_cross(sys: DynamicSystem, cf: ControllingFunction, x0, lam0,
-                             k: int, t0: float = 0.0) -> Lambda0Result:
-    """Cross220 analogue of synthesize_lambda0."""
-    return _synthesize(sys, MappingSpec("Cross220", cf), x0, lam0, k, t0)
 
 
 # ---------------------------------------------------------------------

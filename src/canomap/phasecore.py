@@ -408,7 +408,7 @@ def _rel_err(supplied: np.ndarray, ref: np.ndarray) -> float:
 
 def _check_finite(value, label, s: PhaseState):
     if not np.all(np.isfinite(value)):
-        raise ValueError(
+        raise DomainError(
             f"non-finite {label} at sample point x={s.x}, lam={s.lam}, t={s.t}")
     return value
 
@@ -439,19 +439,20 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
     if not 0 < rtol < np.inf:
         raise ValueError("rtol must be positive")
 
-    # Per kind: each block's tolerance, and pairs(s) yielding
-    # (block, supplied value, central-difference reference) at one point.
+    # Per kind: each block's tolerance, and pairs(s) yielding (block,
+    # supplied value, central-difference reference) at one point, the
+    # reference as a thunk: it is formed only once the value is finite.
     if isinstance(obj, DynamicSystem):
         f = lambda x, lam, t: obj.f_at(x, t)
         tols = {"jac": rtol, "ft": rtol, **({"lift": rtol} if obj.lift is not None else {})}
 
         def pairs(s):
             _check_finite(f(s.x, s.lam, s.t), "f", s)
-            yield "jac", obj.jac_at(s.x, s.t), _central_diff(f, 0, s.x, s.lam, s.t)
-            yield "ft", obj.ft_at(s.x, s.t), _central_diff(f, 2, s.x, s.lam, s.t)
+            yield "jac", obj.jac_at(s.x, s.t), lambda: _central_diff(f, 0, s.x, s.lam, s.t)
+            yield "ft", obj.ft_at(s.x, s.t), lambda: _central_diff(f, 2, s.x, s.lam, s.t)
             if obj.lift is not None:
                 yield ("lift", _shaped(obj.lift(s.x.tolist(), s.lam.tolist(), s.t), (2 * obj.dim,)),
-                       np.concatenate(_jac_form(obj, s.x, s.lam, s.t)))
+                       lambda: np.concatenate(_jac_form(obj, s.x, s.lam, s.t)))
     elif isinstance(obj, ControllingFunction):
         tols = {"ux": rtol, "ulam": rtol, "ut": rtol, "uxlam": max(rtol, 1e-4)}
 
@@ -459,11 +460,11 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
             _check_finite(float(obj.u(s.x, s.lam, s.t)), "u", s)
             for block in ("ux", "ulam", "ut"):
                 yield (block, getattr(obj, block)(s.x, s.lam, s.t),
-                       _central_diff(obj.u, _FD_RULE[block][1], s.x, s.lam, s.t))
+                       lambda i=_FD_RULE[block][1]: _central_diff(obj.u, i, s.x, s.lam, s.t))
             # uxlam[i, j] = d(ux_i)/dlam_j = d(ulam_j)/dx_i: the reference
             # differentiates ulam in x, not the ux of the FD rule in lam.
             yield ("uxlam", obj.uxlam(s.x, s.lam, s.t),
-                   _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T)
+                   lambda: _central_diff(obj.ulam, 0, s.x, s.lam, s.t, 1e-5).T)
     else:
         raise TypeError("verify_derivatives expects a DynamicSystem or ControllingFunction")
 
@@ -471,6 +472,6 @@ def verify_derivatives(obj, points: Sequence[PhaseState], rtol: float = 1e-5) ->
     for s in points:
         _require_dim(obj, s)
         for block, value, ref in pairs(s):
-            errs[block] = max(errs[block], _rel_err(_check_finite(value, block, s), ref))
+            errs[block] = max(errs[block], _rel_err(_check_finite(value, block, s), ref()))
     failing = tuple(sorted(name for name, e in errs.items() if e > tols[name]))
     return DerivativeReport(blocks=dict(sorted(errs.items())), failing=failing)

@@ -14,9 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasecore import (ControllingFunction, DomainError, DynamicSystem,
-                        PhaseState, Trajectory, _central_diff_t, _cumtrapz,
-                        _positive_dim, _subsample, _zero_blocks)
+from .phasecore import (ControllingFunction, DomainError, DynamicSystem, Trajectory,
+                        _central_diff_t, _cumtrapz, _positive_dim, _subsample, _zero_blocks)
 # integrate is unused here but stays importable:
 # perfbench/tracing.py patches canomap.scenarios.integrate.
 from .hamilton import _h_series, _xdot, integrate
@@ -24,7 +23,6 @@ from .mapping import MappingSpec, _images
 
 __all__ = [
     "ballistic_system",
-    "make_ballistic_adjoint",
     "rotation_example",
     "StraighteningProblem",
     "StraighteningSolution",
@@ -52,8 +50,16 @@ def ballistic_system(sigma: float) -> DynamicSystem:
     sigma^2 is the gravitational parameter.  r is guarded away from the
     singularity: r <= 1e-6 raises DomainError so integrations truncate
     with a diagnostic instead of blowing through the center.  The system
-    supplies its lift, the field followed by make_ballistic_adjoint's
-    multiplier equations.
+    supplies its lift: the field, then the printed multiplier equations
+
+        lam1' = lam2 v_phi / r - lam3
+        lam2' = -2 lam1 v_phi / r + lam2 v_r / r - lam4 / r
+        lam3' = lam1 v_phi^2 / r^2 - 2 lam1 sigma^2 / r^3
+                - lam2 v_r v_phi / r^2 + lam4 v_phi / r^2
+        lam4' = 0
+
+    written out apart from the generic adjoint -A^T lam of jac, so the
+    printed system can be tested against the machinery that reproduces it.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
@@ -95,23 +101,6 @@ def ballistic_system(sigma: float) -> DynamicSystem:
                 0.0]
 
     return DynamicSystem(dim=4, f=f, jac=jac, autonomous=True, lift=lift)
-
-
-def make_ballistic_adjoint(sigma: float) -> Callable[[PhaseState], np.ndarray]:
-    """Hand-coded multiplier equations for ballistic_system(sigma):
-
-        lam1' = lam2 v_phi / r - lam3
-        lam2' = -2 lam1 v_phi / r + lam2 v_r / r - lam4 / r
-        lam3' = lam1 v_phi^2 / r^2 - 2 lam1 sigma^2 / r^3
-                - lam2 v_r v_phi / r^2 + lam4 v_phi / r^2
-        lam4' = 0
-
-    They are the multiplier half of the system's lift, written out apart
-    from the generic adjoint -A^T lam of its jac, so the printed system can
-    be tested against the machinery that is supposed to reproduce it.
-    """
-    lift = ballistic_system(sigma).lift
-    return lambda s: np.array(lift(s.x.tolist(), s.lam.tolist(), s.t)[4:])
 
 
 # ---------------------------------------------------------------------

@@ -195,6 +195,8 @@ def test_custom_scenario_has_no_batch_path(tmp_path, capsys):
     ({"map_variant": "Symplectic119"}, "map_variant must be one of"),
     ({"tolerances": {"energy": 1.0}}, "unknown tolerance 'energy'"),
     ({"scenario": "ballistic", "sigma": -1.0}, "sigma must be positive"),   # from the factory
+    ({"output_dir": "a\u0000b"}, "output_dir"),   # os.makedirs refuses an embedded NUL
+    ({"output_dir": "\ud800"}, "output_dir"),     # and a lone surrogate
 ])
 def test_wrongly_typed_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, **{"output_dir": str(tmp_path / "out"), **fields})
@@ -436,6 +438,20 @@ def test_sigma_whose_square_overflows_is_a_config_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == (
         "config error: sigma=1e+200 is too large: sigma^2 overflows\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1.3e154])
+def test_verify_with_an_overflowing_jacobian_is_a_numerical_failure(tmp_path, capsys, sigma):
+    # sigma^2 is finite, so the config is admitted, but 2 sigma^2 in the
+    # Jacobian is not: the block is refused before its central difference
+    # (which would overflow with a warning at 1.3e154) is formed
+    cfg = write_cfg(tmp_path, scenario="ballistic", sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("numerical failure: non-finite jac at sample point x=")
 
 
 # ---------------------------------------------------------------------

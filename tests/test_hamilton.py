@@ -1,5 +1,6 @@
 """Hamiltonian lift, canonical flow, fundamental matrices, energy checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ def test_fundamental_matrix_zero_generator():
     const = DynamicSystem(dim=2, f=lambda x, t: np.array([1.0, -1.0]),
                           jac=lambda x, t: np.zeros((2, 2)), autonomous=True)
     traj = integrate(const, PhaseState([0.0, 0.0], [1.0, 1.0], 0.0), 1.0, 1e-2)
-    for kind in ("B", "D", "B_paper", "D_paper"):
+    for kind in ("B", "D"):
         fm = fundamental_matrix(const, traj, kind)
         for M in fm.values:
             assert np.array_equal(M, np.eye(2))
@@ -378,15 +379,6 @@ def test_duality_check_sees_a_transport_without_the_transpose(monkeypatch):
     assert worst() > 1e-8
 
 
-def test_fundamental_matrix_paper_convention_differs():
-    sysr = rotation_field()
-    traj = integrate(sysr, PhaseState([1.0, 0.0], [1.0, 0.0], 0.0), 1.0, 1e-3)
-    B = fundamental_matrix(sysr, traj, "B")
-    Bp = fundamental_matrix(sysr, traj, "B_paper")
-    # antisymmetric A: the two conventions are rotations in opposite senses
-    assert float(np.max(np.abs(B.values[-1] - Bp.values[-1]))) > 1.0
-
-
 @pytest.mark.parametrize("t", [[0.0, 0.3, 1.0],
                                # closer than value_at's match window 1e-9 |t|
                                [1e4, 1e4 + 5e-6, 1e4 + 1e-5]], ids=["uneven", "close"])
@@ -419,8 +411,9 @@ def test_fundamental_matrix_value_at():
     for t in (2.0, np.inf, -np.inf, np.nan):   # no end sample matches t = ±inf
         with pytest.raises(ValueError, match="outside the stored range"):
             B.value_at(t)
-    with pytest.raises(ValueError, match="unknown kind"):
-        fundamental_matrix(linear_system(), traj, "Q")
+    for kind in ("Q", "B_paper"):   # the dual pair B, D is the only one
+        with pytest.raises(ValueError, match=r"unknown kind .*; expected one of \['B', 'D'\]$"):
+            fundamental_matrix(linear_system(), traj, kind)
 
 
 # ---------------------------------------------------------------------
@@ -514,6 +507,18 @@ def test_energy_drift_names_the_first_non_finite_sample():
     assert str(got.value) == str(want.value) == "non-finite Hamiltonian at x=[0.6], t=0.1"
     with pytest.raises(ValueError, match="^dimension mismatch: system n=2, state n=1$"):
         energy_drift(linear_system(n=2), traj)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_energy_drift_overflow_is_the_domain_error_not_a_warning(n):
+    # lam . f of two finite vectors overflows: the bare product (n = 1) and
+    # the stacked matmul (n > 1) both meet it as the non-finite Hamiltonian
+    steep = DynamicSystem(dim=n, f=lambda x, t: 1e300 * x, autonomous=True)
+    traj = Trajectory([0.0], [[1.0] * n], [[1e10] * n])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^non-finite Hamiltonian at x="):
+            energy_drift(steep, traj)
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Mapping variants, canonicity checks, and the two synthesis routes."""
+import functools
 import math
 import random
 import warnings
@@ -17,8 +18,8 @@ from canomap.mapping import (_DG, _FORM, VARIANTS, ConvergenceError, DegenerateP
                              apply_map,
                              canonicity_residual, canonicity_residual_points,
                              invert_map, jacobian_condition, synthesize_lambda0,
-                             synthesize_lambda0_cross, synthesize_ulam)
-from canomap.scenarios import ballistic_system, make_ballistic_adjoint
+                             synthesize_ulam)
+from canomap.scenarios import ballistic_system
 
 
 def linear_system(n=1, a=1.0):
@@ -307,18 +308,31 @@ def test_lambda0_k_validated():
     # a bool or a non-integer k is refused, not met as NumPy's IndexError;
     # a NumPy integer pivots as the int does
     args = (rotation_system(), small_bilinear_cf2(), [0.0, 1.0], [0.0, 1.0])
-    for synth in (synthesize_lambda0, synthesize_lambda0_cross):
+    for variant in ("Std116", "Cross220"):
         for k in (2, -1, 0.0, 1.0, True):
             with pytest.raises(ValueError, match="k"):
-                synth(*args, k=k)
-        res, ref = synth(*args, k=np.int64(1)), synth(*args, k=1)
+                synthesize_lambda0(*args, k=k, variant=variant)
+        res, ref = (synthesize_lambda0(*args, k=k, variant=variant) for k in (np.int64(1), 1))
         assert (res.value, res.status, res.lam0.tolist()) == (ref.value, ref.status,
                                                               ref.lam0.tolist())
 
 
-@pytest.mark.parametrize("synth", [synthesize_lambda0, synthesize_lambda0_cross])
-def test_lambda0_state_validated(synth):
+def test_lambda0_variant_validated():
+    # MappingSpec refuses an unknown name, the criterion check a variant
+    # that has no canonicity criterion
+    args = (rotation_system(), small_bilinear_cf2(), [0.0, 1.0], [0.0, 1.0], 0)
+    with pytest.raises(ValueError, match="^unknown variant 'Cross'"):
+        synthesize_lambda0(*args, variant="Cross")
+    with pytest.raises(ValueError, match="^canonicity criterion is defined for Std116 and "
+                                         "Cross220, not 'Symplectic119'$"):
+        synthesize_lambda0(*args, variant="Symplectic119")
+
+
+@pytest.mark.parametrize("variant", ["Std116", "Cross220"],
+                         ids=["synthesize_lambda0", "synthesize_lambda0_cross"])
+def test_lambda0_state_validated(variant):
     sysr, cf = rotation_system(), small_bilinear_cf2()
+    synth = functools.partial(synthesize_lambda0, variant=variant)
     for x0, lam0 in (([0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, 2.0])):
         with pytest.raises(ValueError, match="^x and lam must be 1-d arrays of identical dimension$"):
             synth(sysr, cf, x0=x0, lam0=lam0, k=0)
@@ -328,17 +342,17 @@ def test_lambda0_state_validated(synth):
         synth(sysr, cf, x0=[0.0, np.nan], lam0=[0.0, 1.0], k=0)
 
 
-@pytest.mark.parametrize("synth, cf, x0", [(synthesize_lambda0, bilinear_cf(), [1.0]),
-                                           (synthesize_lambda0_cross, quarter_turn_cf(), [0.0])],
+@pytest.mark.parametrize("variant, cf, x0", [("Std116", bilinear_cf(), [1.0]),
+                                             ("Cross220", quarter_turn_cf(), [0.0])],
                          ids=["Std116", "Cross220"])
-def test_lambda0_takes_the_lift_once_per_solve(synth, cf, x0):
+def test_lambda0_takes_the_lift_once_per_solve(variant, cf, x0):
     # x0 and t0 stay fixed while the root solve varies lam0_k, so f and A
     # are taken once however many residuals the solve evaluates
     calls = []
     counted = DynamicSystem(dim=1, f=lambda x, t: calls.append("f") or x,
                             jac=lambda x, t: calls.append("jac") or np.eye(1), autonomous=True)
-    res = synth(counted, cf, x0=x0, lam0=[0.5], k=0)
-    ref = synth(linear_system(), cf, x0=x0, lam0=[0.5], k=0)
+    res = synthesize_lambda0(counted, cf, x0=x0, lam0=[0.5], k=0, variant=variant)
+    ref = synthesize_lambda0(linear_system(), cf, x0=x0, lam0=[0.5], k=0, variant=variant)
     assert (res.value, res.status, res.g_residual) == (ref.value, ref.status, ref.g_residual)
     assert sorted(calls) == ["f", "jac"]
 
@@ -346,8 +360,8 @@ def test_lambda0_takes_the_lift_once_per_solve(synth, cf, x0):
 def test_lambda0_cross_quarter_turn_double_root():
     # g(lam0) = -(lam0^2 + x0^2): at x0 = 0 the root at zero is a double
     # root with no sign change, reachable only through the damped polish.
-    res = synthesize_lambda0_cross(linear_system(), quarter_turn_cf(),
-                                   x0=[0.0], lam0=[0.5], k=0)
+    res = synthesize_lambda0(linear_system(), quarter_turn_cf(),
+                             x0=[0.0], lam0=[0.5], k=0, variant="Cross220")
     assert res.status == "ok"
     assert abs(res.value) < 1e-6
     assert res.g_residual < 1e-10
@@ -355,8 +369,8 @@ def test_lambda0_cross_quarter_turn_double_root():
 
 def test_lambda0_cross_no_root():
     with pytest.raises(RootNotFoundError, match="sign change"):
-        synthesize_lambda0_cross(linear_system(), quarter_turn_cf(),
-                                 x0=[1.0], lam0=[0.5], k=0)
+        synthesize_lambda0(linear_system(), quarter_turn_cf(),
+                           x0=[1.0], lam0=[0.5], k=0, variant="Cross220")
 
 
 def _pivot_equation(G):
@@ -427,7 +441,8 @@ def test_lambda0_newton_fallback_stops_at_its_iteration_cap():
 
 @pytest.mark.parametrize("call", [
     lambda sys_, cf: synthesize_lambda0(sys_, cf, x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0),
-    lambda sys_, cf: synthesize_lambda0_cross(sys_, cf, x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0),
+    lambda sys_, cf: synthesize_lambda0(sys_, cf, x0=[0.0, 1.0], lam0=[0.0, 1.0], k=0,
+                                        variant="Cross220"),
     lambda sys_, cf: canonicity_residual(
         sys_, MappingSpec("Std116", cf),
         integrate(sys_, PhaseState([0.0, 1.0], [0.0, 1.0], 0.0), 0.1, 0.05)),
@@ -478,9 +493,8 @@ def test_synthesis_solves_the_verified_residual(a, u, z, k, variant, lifted):
                              autonomous=True)
         x0, lam0, k = z[:2], z[2:], k % 2
     cf = quadratic_cf(B, P, Q)
-    synth = synthesize_lambda0 if variant == "Std116" else synthesize_lambda0_cross
     try:
-        res = synth(sys_, cf, x0=x0, lam0=lam0, k=k, t0=0.3)
+        res = synthesize_lambda0(sys_, cf, x0=x0, lam0=lam0, k=k, t0=0.3, variant=variant)
     except (DegeneratePivotError, RootNotFoundError):
         return
     rep = canonicity_residual_points(sys_, MappingSpec(variant, cf),
@@ -1029,7 +1043,7 @@ def test_residual_is_the_closed_form_with_the_printed_adjoint():
     spec = MappingSpec("Std116", half_square_cf())
     rep = canonicity_residual(sysb, spec, traj)
     _assert_reference(rep, sysb, spec, list(traj))
-    adjoint = make_ballistic_adjoint(1.0)
+    adjoint = lambda s: np.array(sysb.lift(s.x.tolist(), s.lam.tolist(), s.t)[4:])
     expect = np.array([-2.0 * C_HALF_SQUARE * float(s.lam @ adjoint(s)) for s in traj])
     assert np.all(np.abs(rep.residual_series - expect) <= 1e-12 * np.abs(expect))
     assert rep.verdict == "violated"

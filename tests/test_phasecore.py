@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canomap.phasecore import (_FD_RULE, ControllingFunction, DynamicSystem, PhaseState,
-                               Trajectory, _central_diff_t, _central_diff_x, _subsample,
-                               verify_derivatives, zero_controlling_function)
+from canomap.phasecore import (_FD_RULE, ControllingFunction, DomainError, DynamicSystem,
+                               PhaseState, Trajectory, _central_diff_t, _central_diff_x,
+                               _subsample, _zero_blocks, verify_derivatives,
+                               zero_controlling_function)
 from canomap.hamilton import integrate
 from canomap.mapping import synthesize_ulam
 from canomap.scenarios import ballistic_system, rotation_example
@@ -121,6 +122,22 @@ def test_nonfinite_value_names_the_point():
     broken = DynamicSystem(dim=1, f=f, autonomous=True)
     with pytest.raises(ValueError, match="non-finite"):
         verify_derivatives(broken, [PhaseState([-1.0], [0.0], 0.0)])
+
+
+@pytest.mark.parametrize("block", ["jac", "ux"])
+def test_non_finite_block_is_a_domain_error_before_its_reference(block):
+    # the supplied block is refused first, so no central difference (whose
+    # quotient may overflow with a warning) is formed from the field or U
+    calls = []
+    if block == "jac":
+        obj = DynamicSystem(dim=1, f=lambda x, t: calls.append(t) or x,
+                            jac=lambda x, t: np.full((1, 1), np.inf), autonomous=True)
+    else:
+        obj = ControllingFunction(1, **{**_zero_blocks(1), "ux": lambda x, lam, t: [np.inf]},
+                                  u=lambda x, lam, t: calls.append(t) or 0.0)
+    with pytest.raises(DomainError, match=f"^non-finite {block} at sample point x="):
+        verify_derivatives(obj, [PhaseState([0.5], [1.0], 0.0)])
+    assert len(calls) == 1   # the field's or U's own finiteness check
 
 
 def test_fd_backed_jacobian_marked():

@@ -16,8 +16,7 @@ from canomap.invariants import symplectic_test
 from canomap.mapping import apply_map
 from canomap.scenarios import (_GL_W, _GL_X, _RESIDUAL_FD_H, StraighteningProblem,
                                _weighted, ballistic_system, constant_field_reduction,
-                               make_ballistic_adjoint, rotation_example,
-                               straightening_solve)
+                               rotation_example, straightening_solve)
 
 
 # ---------------------------------------------------------------------
@@ -35,23 +34,21 @@ def test_circular_orbit_is_a_fixed_point():
 
 
 def test_adjoint_matches_generic_multiplier_equations():
+    # the multiplier half of the lift is the printed adjoint
     sysb = ballistic_system(1.3)
-    adjoint = make_ballistic_adjoint(1.3)
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.uniform([-1, -1, 0.5, -3], [1, 1, 2.5, 3])
         lam = rng.uniform(-2, 2, size=4)
-        s = PhaseState(x, lam, 0.0)
-        _, dlam = canonical_rhs(sysb, s)
-        assert np.max(np.abs(adjoint(s) - dlam)) < 1e-12
+        _, dlam = canonical_rhs(sysb, PhaseState(x, lam, 0.0))
+        assert np.max(np.abs(sysb.lift(x.tolist(), lam.tolist(), 0.0)[4:] - dlam)) < 1e-12
 
 
 def test_adjoint_hand_value():
-    adjoint = make_ballistic_adjoint(1.0)
-    s = PhaseState([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0], 0.0)
+    adjoint = ballistic_system(1.0).lift([0.0, 1.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0], 0.0)[4:]
     # lam1' = lam2 v_phi / r - lam3 = 1 - 1
-    assert adjoint(s)[0] == 0.0
-    assert adjoint(s)[3] == 0.0
+    assert adjoint[0] == 0.0
+    assert adjoint[3] == 0.0
 
 
 def test_cyclic_multiplier_stays_bitwise_constant():
@@ -121,7 +118,7 @@ def test_ballistic_field_guards_the_centre(r):
         with pytest.raises(DomainError, match="at or below the guard 1e-06$"):
             fn(s, 0.0)
     with pytest.raises(DomainError, match="at or below the guard 1e-06$"):
-        make_ballistic_adjoint(1.0)(PhaseState(s, np.ones(4), 0.0))
+        sysb.lift(s.tolist(), [1.0] * 4, 0.0)
 
 
 # ---------------------------------------------------------------------

@@ -75,6 +75,12 @@ CASES = {
     # lam0 at the guard: residual_check's lam +- 1e-5 rounds to lam, so the
     # PDE residual is NaN and the verdict degenerate (exit 3)
     "straightening-lam0-1e12": {"scenario": "straightening", "lam0": [1e12]},
+    # a NUL character in output_dir: run, sweep and verify exit 2 with one
+    # line and write nothing (a case's own output_dir replaces the default)
+    "linear-outdir-nul": {"scenario": "linear", "output_dir": "out/a\u0000b"},
+    # sigma^2 = 1e308 is finite, but 2 sigma^2 in the Jacobian is not: verify
+    # exits 3 with one numerical-failure line
+    "ballistic-sigma-1e154": {"scenario": "ballistic", "sigma": 1e154},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -129,7 +135,7 @@ def digest(root):
         with tempfile.TemporaryDirectory() as tmp:
             out, path = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(dict(cfg, output_dir=out), fh)
+                json.dump({"output_dir": out, **cfg}, fh)
             record(f"{case} {cmd}", ["-m", "canomap.cli", cmd, "--config", path, *extra],
                    tmp, src)
     for seed in SESSION_SEEDS:
