@@ -11,7 +11,8 @@ Artifacts per run (all deterministic for a fixed config):
     plot.gp          optional gnuplot script referencing the CSVs
 
 Exit codes: 0 ok, 1 verdict=violated, 2 usage/config error, 3 numerical
-failure.  The environment variable CANOMAP_OUT overrides output_dir.
+failure.  A sweep records a value that fails numerically as a degenerate
+row and goes on to the next.
 """
 from __future__ import annotations
 
@@ -409,16 +410,12 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
     return Outcome(verdict, max_res, drift.drift)
 
 
-def _resolve_out(cfg: RunConfig) -> str:
-    return os.environ.get("CANOMAP_OUT") or cfg.output_dir
-
-
 # ---------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------
 
 def run(cfg: RunConfig) -> int:
-    out = _execute(cfg.validate(), _resolve_out(cfg))
+    out = _execute(cfg.validate(), cfg.output_dir)
     print(f"VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
     return _verdict_exit(out.verdict)
 
@@ -437,10 +434,14 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
         except ValueError:
             raise ConfigError(f"cannot parse {token!r} as {caster.__name__} for {param!r}")
         subs.append((token, replace(cfg, **{param: value}).validate()))
-    base = _resolve_out(cfg)
+    base = cfg.output_dir
     rows = []
     for token, sub in subs:
-        out = _execute(sub, os.path.join(base, f"{param}={token}"))
+        try:
+            out = _execute(sub, os.path.join(base, f"{param}={token}"))
+        except DomainError as exc:   # recorded as a truncated run is; the sweep goes on
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            out = Outcome("degenerate", float("nan"), float("nan"))
         print(f"{param}={token}: VERDICT={out.verdict} max_residual={_fmt(out.max_residual)}")
         rows.append([token, out.verdict, _fmt(out.max_residual),
                      _fmt(out.energy_drift), _verdict_exit(out.verdict)])

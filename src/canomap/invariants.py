@@ -125,24 +125,14 @@ def flow_loop(sys: DynamicSystem, loop0: tuple, t_targets: Sequence[float],
     return LoopEnsemble(loop0=loop0, flowed=tuple(flowed))
 
 
-def _loop_integral(loop, richardson: bool) -> float:
+def _loop_integral(loop) -> float:
     """Trapezoidal ∮ lam·dx over the polygon's vertices."""
     lams = np.array([v.lam for v in loop])
     xs = np.array([v.x for v in loop])
-
-    def trapz(sl):
-        return float(np.sum(0.5 * (lams[sl][1:] + lams[sl][:-1]) * np.diff(xs[sl], axis=0)))
-
-    full = trapz(slice(None))
-    if not richardson:
-        return full
-    if (len(loop) - 1) % 2:
-        raise ValueError("Richardson refinement needs an even vertex count")
-    coarse = trapz(slice(None, None, 2))
-    return (4.0 * full - coarse) / 3.0
+    return float(np.sum(0.5 * (lams[1:] + lams[:-1]) * np.diff(xs, axis=0)))
 
 
-def poincare_cartan_loop(ens: LoopEnsemble, richardson: bool = False) -> float:
+def poincare_cartan_loop(ens: LoopEnsemble) -> float:
     """Max drift of ∮ lam·dx across the ensemble's flowed loops.
 
     Each loop lies at one time (dt = 0 on every edge), so this is the
@@ -156,8 +146,8 @@ def poincare_cartan_loop(ens: LoopEnsemble, richardson: bool = False) -> float:
     for loop in (ens.loop0, *ens.flowed):
         if len(loop) - 1 < 8:
             raise ValueError("loop with <8 vertices: quadrature too coarse")
-    base = _loop_integral(ens.loop0, richardson)
-    drifts = [abs(_loop_integral(loop, richardson) - base) for loop in ens.flowed]
+    base = _loop_integral(ens.loop0)
+    drifts = [abs(_loop_integral(loop) - base) for loop in ens.flowed]
     return float(max(drifts))
 
 

@@ -148,9 +148,6 @@ class CanonicityReport:
     times: np.ndarray
 
 
-_BLOCK = 1024   # samples per array pass of _canonicity_over: bounds its temporaries
-
-
 def _residuals(spec, t, X, LAM, xdot, lamdot):
     """The Std116/Cross220 equation of canonicity_residual at M samples (t
     (M,), X and LAM (M, n), and the lifted derivative xdot, lamdot (M, n)
@@ -185,14 +182,17 @@ def _require_criterion(sys, spec):
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
 
 
+_TOL, _DEGENERATE_TOL = 1e-6, 1e-12   # canonicity_residual's defaults
+
+
 def _canonicity_over(spec, cols, tol, degenerate_tol):
-    """The report over the samples cols = (t, X, LAM, xdot, lamdot)."""
-    for name, v in (("tol", tol), ("degenerate_tol", degenerate_tol)):
-        if not 0 < v < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+    """The report over the samples cols = (t, X, LAM, xdot, lamdot), in
+    passes of min(1024, 2^16 / n^2) samples: that bounds the (samples, n, n)
+    temporaries of U's second derivatives at 2^16 floats each."""
+    block = min(1024, max(1, 2**16 // spec.cf.dim**2))
     out = []
-    for i in range(0, cols[0].size, _BLOCK):
-        r, scale, rows = _residuals(spec, *(a[i:i + _BLOCK] for a in cols))
+    for i in range(0, cols[0].size, block):
+        r, scale, rows = _residuals(spec, *(a[i:i + block] for a in cols))
         out.append((r, scale, *_dets(spec, rows)))
     r, scale, dys, dmus = map(np.concatenate, zip(*out))
     max_residual = float(np.max(np.abs(r) / scale))
@@ -205,7 +205,8 @@ def _canonicity_over(spec, cols, tol, degenerate_tol):
 
 
 def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
-                        tol: float = 1e-6, degenerate_tol: float = 1e-12) -> CanonicityReport:
+                        tol: float = _TOL,
+                        degenerate_tol: float = _DEGENERATE_TOL) -> CanonicityReport:
     """Residual of the canonicity equality along an integrated trajectory.
 
     Std116 checks (U_x - lam) . Udot_lam - U_lam . lamdot; Cross220 checks
@@ -214,17 +215,21 @@ def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
     residual is |r| / max(1, |lam||U_lam|) per sample.
     """
     _require_criterion(sys, spec)
+    for name, v in (("tol", tol), ("degenerate_tol", degenerate_tol)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     return _canonicity_over(spec, (traj.t, traj.x, traj.lam, *_rates(sys, traj)),
                             tol, degenerate_tol)
 
 
 def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
-                               points: Sequence[PhaseState],
-                               tol: float = 1e-6, degenerate_tol: float = 1e-12) -> CanonicityReport:
+                               points: Sequence[PhaseState]) -> CanonicityReport:
     """Off-flow variant of canonicity_residual over an arbitrary point cloud.
 
     Each point is treated as an initial condition: flow derivatives come
-    from the canonical right-hand side at the point itself.
+    from the canonical right-hand side at the point itself.  The verdict
+    takes canonicity_residual's default tolerances, 1e-6 on the scaled
+    residual and 1e-12 on the smaller Jacobian determinant.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -232,7 +237,8 @@ def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
         _require_dim(sys, s)
     _require_criterion(sys, spec)
     t, X, LAM = (np.array([getattr(s, a) for s in points]) for a in ("t", "x", "lam"))
-    return _canonicity_over(spec, (t, X, LAM, *_lift_at(sys, t, X, LAM)), tol, degenerate_tol)
+    return _canonicity_over(spec, (t, X, LAM, *_lift_at(sys, t, X, LAM)),
+                            _TOL, _DEGENERATE_TOL)
 
 
 # ---------------------------------------------------------------------

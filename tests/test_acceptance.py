@@ -283,9 +283,8 @@ def test_criterion_11_order_of_accuracy():
         assert 0.9 < slope < 1.1
 
 
-def test_criterion_12_batch_determinism(tmp_path, monkeypatch):
+def test_criterion_12_batch_determinism(tmp_path):
     with criterion(12, "batch runs are bit-for-bit reproducible", 5.0):
-        monkeypatch.delenv("CANOMAP_OUT", raising=False)
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / tag

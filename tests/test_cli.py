@@ -23,11 +23,6 @@ from canomap.phasecore import ControllingFunction, PhaseState, verify_derivative
 from canomap.scenarios import ballistic_system, rotation_example
 
 
-@pytest.fixture(autouse=True)
-def isolated_output(monkeypatch):
-    monkeypatch.delenv("CANOMAP_OUT", raising=False)
-
-
 def write_cfg(tmp_path, name="cfg.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")
@@ -478,6 +473,26 @@ def test_sweep_step_refinement(tmp_path, capsys):
         assert (base / token / "invariants.json").exists()
 
 
+def test_sweep_records_a_numerical_failure_and_goes_on(tmp_path, capsys):
+    # lam . f overflows at sigma = 1e150: that value is a degenerate row, as a
+    # truncated run is, and the value after it still runs
+    base = tmp_path / "sw"
+    cfg = write_cfg(tmp_path, scenario="ballistic", t1=0.5, lam0=[1e10, 0.0, 0.0, 0.0],
+                    output_dir=str(base))
+    assert main(["sweep", "--config", cfg, "--param", "sigma",
+                 "--values", "1,1e150,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["sigma=1: VERDICT=canonical max_residual=0",
+                                "sigma=1e150: VERDICT=degenerate max_residual=nan",
+                                "sigma=2: VERDICT=canonical max_residual=0"]
+    assert err == "numerical failure: non-finite Hamiltonian at x=[0. 1. 1. 0.], t=0.0\n"
+    rows = read_rows(base / "index.csv")
+    assert rows[2] == ["1e150", "degenerate", "nan", "nan", "3"]
+    assert [r[4] for r in rows[1:]] == ["0", "3", "0"]
+    for token in ("sigma=1", "sigma=2"):
+        assert (base / token / "invariants.json").exists()
+
+
 def test_sweep_seed_does_not_change_the_physics(tmp_path, capsys):
     base = tmp_path / "sw"
     cfg = write_cfg(tmp_path, scenario="rotation", t1=0.5, step=1e-2,
@@ -613,15 +628,18 @@ def test_repeat_runs_are_bit_identical(tmp_path):
         assert (out_a / artifact).read_bytes() == (out_b / artifact).read_bytes()
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
+def test_output_dir_is_the_only_output_path(tmp_path, monkeypatch):
+    # a CANOMAP_OUT set in the environment redirects neither run nor sweep
     configured = tmp_path / "configured"
-    actual = tmp_path / "actual"
-    monkeypatch.setenv("CANOMAP_OUT", str(actual))
+    other = tmp_path / "other"
+    monkeypatch.setenv("CANOMAP_OUT", str(other))
     cfg = write_cfg(tmp_path, scenario="linear", t1=0.2, step=1e-2,
                     output_dir=str(configured))
     assert main(["run", "--config", cfg]) == 0
-    assert (actual / "invariants.json").exists()
-    assert not configured.exists()
+    assert main(["sweep", "--config", cfg, "--param", "step", "--values", "1e-2"]) == 0
+    assert (configured / "invariants.json").exists()
+    assert (configured / "step=1e-2" / "invariants.json").exists()
+    assert not other.exists()
 
 
 # ---------------------------------------------------------------------

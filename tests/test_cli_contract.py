@@ -16,7 +16,6 @@ import os
 import tempfile
 import warnings
 
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from canomap import cli
@@ -106,13 +105,6 @@ def _steps(cfg, argv):
 
 def _refuse(token):
     raise ValueError(f"not strict JSON: {token}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def no_output_override():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("CANOMAP_OUT", raising=False)
-        yield
 
 
 @settings(derandomize=True, max_examples=120, deadline=None, database=None,

@@ -164,21 +164,6 @@ def test_loop_drift_quadratic_convergence():
     assert 3.2 < drifts[64] / drifts[128] < 4.8
 
 
-def test_loop_richardson_refinement():
-    syss = DynamicSystem(dim=1, f=lambda x, t: np.sin(x),
-                         jac=lambda x, t: np.cos(x).reshape(1, 1),
-                         autonomous=True)
-    ens = flow_loop(syss, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 64),
-                    [1.0], 1e-2)
-    plain = poincare_cartan_loop(ens)
-    refined = poincare_cartan_loop(ens, richardson=True)
-    assert refined < plain / 50.0
-    odd = flow_loop(syss, circle_loop(PhaseState([1.0], [1.0], 0.0), 1.0, 9),
-                    [1.0], 1e-2)
-    with pytest.raises(ValueError, match="even vertex count"):
-        poincare_cartan_loop(odd, richardson=True)
-
-
 def _driven_sine(vectorized):
     """xdot = sin(x) + 0.3 t (n=1), scalar or vectorized callbacks."""
     if vectorized:

@@ -2,6 +2,7 @@
 import functools
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,11 +219,27 @@ def test_canonicity_tolerances_validated(name, bad):
     s0 = PhaseState([1.0], [1.0], 0.0)
     spec = MappingSpec("Std116", zero_controlling_function(1))
     traj = integrate(linear_system(), s0, 1.0, 1e-2)
-    for check in (lambda **kw: canonicity_residual(linear_system(), spec, traj, **kw),
-                  lambda **kw: canonicity_residual_points(linear_system(), spec, [s0], **kw)):
-        assert check().verdict == "canonical"
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-            check(**{name: bad})
+    assert canonicity_residual(linear_system(), spec, traj).verdict == "canonical"
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        canonicity_residual(linear_system(), spec, traj, **{name: bad})
+
+
+@pytest.mark.parametrize("variant", ["Std116", "Cross220"])
+def test_canonicity_pass_memory_is_bounded_in_n(variant):
+    # n = 40 over 501 samples: one pass over them all holds (501, 40, 40)
+    # temporaries of 6.4 MB each (a 25 MB peak at 1,501 samples); passes of
+    # 2^16 / n^2 = 40 samples hold 0.5 MB each
+    n = 40
+    traj = integrate(linear_system(n), PhaseState(np.full(n, 0.1), np.ones(n), 0.0), 0.5, 1e-3)
+    spec = MappingSpec(variant, zero_controlling_function(n))
+    tracemalloc.start()
+    try:
+        report = canonicity_residual(linear_system(n), spec, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "canonical" and report.times.size == 501
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------

@@ -56,7 +56,6 @@ codes.append(cli.main(['sweep', '--config', path, '--param', 'seed', '--values',
 print(json.dumps([loaded, codes, sorted(set(sys.modules) - before)]))
 """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    env.pop("CANOMAP_OUT", None)
     proc = subprocess.run([sys.executable, "-B", "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -183,9 +183,6 @@ def test_vectorized_single_state_calls():
 def test_rtol_and_points_validated():
     with pytest.raises(ValueError):
         verify_derivatives(linear_system(), [])
-    for rtol in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="rtol must be positive"):
-            verify_derivatives(linear_system(), random_states(1, 1), rtol=rtol)
     with pytest.raises(TypeError):
         verify_derivatives(object(), random_states(1, 1))
 
@@ -346,14 +343,14 @@ def test_central_diff_x_refuses_an_empty_x():
 
 def test_quadratic_cf_passes_verification():
     cf, pts = quadratic_cf(), random_states(1, 10, seed=1)
-    report = verify_derivatives(cf, pts, rtol=1e-5)
+    report = verify_derivatives(cf, pts)
     assert report.ok
     assert set(report.blocks) == {"ux", "ulam", "ut", "uxlam"}
     # uxlam = 2E where the true block is E: relative error 0.5 against the
     # mixed blocks' 1e-4 tolerance, where the right block reads 1.1e-11
     bad = ControllingFunction(1, cf.u, ux=cf.ux, ulam=cf.ulam, ut=cf.ut,
                               uxlam=lambda x, lam, t: 2.0 * np.eye(1))
-    report = verify_derivatives(bad, pts, rtol=1e-5)
+    report = verify_derivatives(bad, pts)
     assert report.blocks["uxlam"] == pytest.approx(0.5) and report.failing == ("uxlam",)
 
 

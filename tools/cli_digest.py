@@ -40,6 +40,9 @@ CASES = {
                   "map_variant": "Cross220", "lam0": [0.5, -1.0]},
     # 2n = 80: one state of 80 floats, far wider than the other cases' march
     "linear-n40": {"scenario": "linear", "n": 40, "t1": 0.5, "step": 0.01},
+    # n = 80: the canonicity pass takes 2^16 / n^2 = 10 samples at a time, so
+    # its 21 samples cross three passes
+    "linear-n80": {"scenario": "linear", "n": 80, "t1": 0.2, "step": 0.01},
     "rotation": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 3},
     "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
     "rotation-wide": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 5,
@@ -81,6 +84,10 @@ CASES = {
     # sigma^2 = 1e308 is finite, but 2 sigma^2 in the Jacobian is not: verify
     # exits 3 with one numerical-failure line
     "ballistic-sigma-1e154": {"scenario": "ballistic", "sigma": 1e154},
+    # lam . f overflows at the start: run exits 3 with one line, and sweep
+    # records each value as a degenerate row of index.csv
+    "ballistic-hamiltonian-overflow": {"scenario": "ballistic", "sigma": 1e150,
+                                       "lam0": [1e10, 0.0, 0.0, 0.0]},
 }
 COMMANDS = {"run": [], "sweep": ["--param", "step", "--values", "0.01,0.005"], "verify": []}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
