@@ -23,7 +23,7 @@ import numbers
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,8 @@ class ConfigError(ValueError):
     """Invalid or unusable run configuration."""
 
 
-_DEFAULT_TOLERANCES = {"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-12}
+_SYMPLECTIC_GATE = 1e-6   # the verdict gates; canonicity's are mapping._TOL, _DEGENERATE_TOL
+_PDE_GATES = {"pde_residual_max": 1e-8, "ydot_max_err": 1e-6, "mu_defect": 1e-6}
 
 
 def _is_real(v) -> bool:
@@ -82,7 +83,6 @@ class RunConfig:
     t1: float = 1.0
     step: float = 1e-3
     map_variant: str = "Std116"
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     output_dir: str = "."
     seed: int = 0
     sigma: float = 1.0
@@ -118,15 +118,6 @@ class RunConfig:
         if self.map_variant not in _CRITERION_VARIANTS:
             raise ConfigError(
                 f"map_variant must be one of {_CRITERION_VARIANTS} for batch runs")
-        if not (isinstance(self.tolerances, dict)
-                and self.tolerances.keys() >= _DEFAULT_TOLERANCES.keys()):
-            raise ConfigError(
-                f"tolerances must be an object holding each of {list(_DEFAULT_TOLERANCES)}")
-        for name, value in self.tolerances.items():
-            if name not in _DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            if not (_is_real(value) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be a positive number")
         if scenario.n is not None and self.n != scenario.n:
             raise ConfigError(f"{self.scenario} scenario requires n={scenario.n}")
         try:  # the factory checks the parameters it reads, e.g. sigma > 0
@@ -158,11 +149,7 @@ def load_config(path: str) -> RunConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
-    cfg = RunConfig()
-    for key, value in raw.items():
-        if key == "tolerances" and isinstance(value, dict):   # validate rejects the rest
-            value = {**_DEFAULT_TOLERANCES, **value}
-        setattr(cfg, key, value)
+    cfg = RunConfig(**raw)
     if "n" not in raw:
         cfg.n = _scenario(cfg.scenario).n or cfg.n
     return cfg.validate()
@@ -332,11 +319,10 @@ def _pde_verdict(cfg, system, traj):
                     "(reference multiplier; identity-map limit)",
         "loop_drift": None,
     }
-    gates = {"pde_residual_max": 1e-8, "ydot_max_err": 1e-6, "mu_defect": 1e-6}
-    bad = [k for k in gates if not math.isfinite(inv[k])]
+    bad = [k for k in _PDE_GATES if not math.isfinite(inv[k])]
     if bad:   # no verdict rests on a quantity that is not a number
         print(f"numerical failure: {', '.join(bad)} not finite", file=sys.stderr)
-    ok = all(inv[k] < tol for k, tol in gates.items())
+    ok = all(inv[k] < gate for k, gate in _PDE_GATES.items())
     inv["verdict"] = verdict = "degenerate" if bad else "canonical" if ok else "violated"
     return verdict, red.pde_residual_max, inv
 
@@ -361,7 +347,7 @@ def _flow_verdict(cfg, scenario, system, spec, traj, report, drift):
     if scenario.extras is not None:
         inv.update(scenario.extras(cfg, system, spec, traj))
     if scenario.basis == "symplectic":
-        verdict = "canonical" if defect < cfg.tolerances["symplectic"] else "violated"
+        verdict = "canonical" if defect < _SYMPLECTIC_GATE else "violated"
         inv.update(verdict=verdict, verdict_basis="symplectic")
         return verdict, defect, inv
     return report.verdict, report.max_residual, inv
@@ -394,9 +380,7 @@ def _execute(cfg: RunConfig, out_dir: str) -> Outcome:
               f"({traj.meta['reason']})", file=sys.stderr)
         return Outcome("degenerate", float("nan"), float("nan"))
 
-    report = canonicity_residual(system, spec, traj,
-                                 tol=cfg.tolerances["canonicity"],
-                                 degenerate_tol=cfg.tolerances["degenerate"])
+    report = canonicity_residual(system, spec, traj)
     _write_csv(os.path.join(out_dir, "canonicity.csv"), ["t", "residual", "det_y", "det_mu"],
                np.column_stack([report.times, report.residual_series, report.det_y_series,
                                 report.det_mu_series]))
@@ -433,6 +417,8 @@ def sweep(cfg: RunConfig, param: str, values: list) -> int:
             value = caster(token)
         except ValueError:
             raise ConfigError(f"cannot parse {token!r} as {caster.__name__} for {param!r}")
+        if len(os.fsencode(f"{param}={token}")) > 255:   # the longest name a directory takes
+            raise ConfigError(f"directory name {param}={token} is longer than 255 bytes")
         subs.append((token, replace(cfg, **{param: value}).validate()))
     base = cfg.output_dir
     rows = []

@@ -182,10 +182,10 @@ def _require_criterion(sys, spec):
             f"canonicity criterion is defined for Std116 and Cross220, not {spec.variant!r}")
 
 
-_TOL, _DEGENERATE_TOL = 1e-6, 1e-12   # canonicity_residual's defaults
+_TOL, _DEGENERATE_TOL = 1e-6, 1e-12   # every canonicity verdict's gates; no caller sets them
 
 
-def _canonicity_over(spec, cols, tol, degenerate_tol):
+def _canonicity_over(spec, cols):
     """The report over the samples cols = (t, X, LAM, xdot, lamdot), in
     passes of min(1024, 2^16 / n^2) samples: that bounds the (samples, n, n)
     temporaries of U's second derivatives at 2^16 floats each."""
@@ -197,29 +197,25 @@ def _canonicity_over(spec, cols, tol, degenerate_tol):
     r, scale, dys, dmus = map(np.concatenate, zip(*out))
     max_residual = float(np.max(np.abs(r) / scale))
     jac_min = float(np.min(np.abs(np.concatenate([dys, dmus]))))
-    verdict = ("degenerate" if jac_min < degenerate_tol
-               else "canonical" if max_residual < tol else "violated")
+    verdict = ("degenerate" if jac_min < _DEGENERATE_TOL
+               else "canonical" if max_residual < _TOL else "violated")
     return CanonicityReport(max_residual=max_residual, residual_series=r,
                             jacobian_min_abs_det=jac_min, verdict=verdict,
                             det_y_series=dys, det_mu_series=dmus, times=np.array(cols[0]))
 
 
-def canonicity_residual(sys: DynamicSystem, spec: MappingSpec, traj: Trajectory,
-                        tol: float = _TOL,
-                        degenerate_tol: float = _DEGENERATE_TOL) -> CanonicityReport:
+def canonicity_residual(sys: DynamicSystem, spec: MappingSpec,
+                        traj: Trajectory) -> CanonicityReport:
     """Residual of the canonicity equality along an integrated trajectory.
 
     Std116 checks (U_x - lam) . Udot_lam - U_lam . lamdot; Cross220 checks
     (lam - U_lam) . Udot_x - (U_lam - U_x) . xdot + U_lam . lamdot, with all
     flow derivatives substituted from the canonical pair.  The scaled max
-    residual is |r| / max(1, |lam||U_lam|) per sample.
+    residual is |r| / max(1, |lam||U_lam|) per sample; the verdict's fixed
+    gates are 1e-6 on it and 1e-12 on the smaller Jacobian determinant.
     """
     _require_criterion(sys, spec)
-    for name, v in (("tol", tol), ("degenerate_tol", degenerate_tol)):
-        if not 0 < v < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-    return _canonicity_over(spec, (traj.t, traj.x, traj.lam, *_rates(sys, traj)),
-                            tol, degenerate_tol)
+    return _canonicity_over(spec, (traj.t, traj.x, traj.lam, *_rates(sys, traj)))
 
 
 def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
@@ -228,8 +224,7 @@ def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
 
     Each point is treated as an initial condition: flow derivatives come
     from the canonical right-hand side at the point itself.  The verdict
-    takes canonicity_residual's default tolerances, 1e-6 on the scaled
-    residual and 1e-12 on the smaller Jacobian determinant.
+    takes canonicity_residual's fixed gates.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -237,8 +232,7 @@ def canonicity_residual_points(sys: DynamicSystem, spec: MappingSpec,
         _require_dim(sys, s)
     _require_criterion(sys, spec)
     t, X, LAM = (np.array([getattr(s, a) for s in points]) for a in ("t", "x", "lam"))
-    return _canonicity_over(spec, (t, X, LAM, *_lift_at(sys, t, X, LAM)),
-                            _TOL, _DEGENERATE_TOL)
+    return _canonicity_over(spec, (t, X, LAM, *_lift_at(sys, t, X, LAM)))
 
 
 # ---------------------------------------------------------------------

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canomap import cli, hamilton, scenarios
-from canomap.cli import (ConfigError, RunConfig, _write_csv, _write_json, main, run,
-                         sweep, verify)
+from canomap.cli import RunConfig, _write_csv, _write_json, main
 from canomap.hamilton import hamiltonian, integrate
 from canomap.mapping import MappingSpec
 from canomap.phasecore import ControllingFunction, PhaseState, verify_derivatives
@@ -58,6 +57,40 @@ def test_rotation_run_is_canonical(tmp_path, capsys):
     assert inv["symplectic_defect_max"] < 1e-9
     for artifact in ("trajectory.csv", "canonicity.csv", "invariants.json"):
         assert (out / artifact).exists()
+
+
+def _bilinear_spec(c):
+    """The Std116 spec of U = c x lam (n = 1)."""
+    return MappingSpec("Std116", ControllingFunction(
+        1, lambda x, lam, t: c * float(x @ lam), ux=lambda x, lam, t: c * lam,
+        ulam=lambda x, lam, t: c * x, ut=0.0, uxlam=c, uxx=0.0, ulamlam=0.0, uxt=0.0, ulamt=0.0))
+
+
+@pytest.mark.parametrize("scenario, spec, code, verdict, value", [
+    # mu = lam - 1.01 (lam + x): det J = 1.01, a symplectic defect of 0.01
+    ("rotation", MappingSpec("Cross220", ControllingFunction(
+        1, rotation_example().cf.u, ux=lambda x, lam, t: lam - x,
+        ulam=lambda x, lam, t: 1.01 * (lam + x))), 1, "violated", 0.01),
+    # r = 0.01 x lam = 0.01 along x = e^t, lam = e^-t, with scale 1
+    ("linear", _bilinear_spec(0.1), 1, "violated", 0.01),
+    # y = x + U_lam = 0: det(dy/dx) = 0 outranks the residual 1
+    ("linear", _bilinear_spec(-1.0), 3, "degenerate", 1.0),
+], ids=["symplectic", "canonicity", "determinant"])
+def test_each_fixed_gate_flips_a_run_verdict(tmp_path, capsys, monkeypatch, scenario, spec, code,
+                                             verdict, value):
+    monkeypatch.setitem(cli.SCENARIOS, scenario, dataclasses.replace(
+        cli.SCENARIOS[scenario], control=lambda n: spec))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, scenario=scenario, t1=0.5, step=1e-2, output_dir=str(out))
+    assert main(["run", "--config", cfg]) == code
+    m = re.fullmatch(r"VERDICT=(\w+) max_residual=(\S+)", capsys.readouterr().out.strip())
+    inv = json.loads((out / "invariants.json").read_text())
+    assert m.group(1) == inv["verdict"] == verdict
+    assert inv.get("verdict_basis") == ("symplectic" if scenario == "rotation" else None)
+    key = "symplectic_defect_max" if scenario == "rotation" else "canonicity_max_residual"
+    assert float(m.group(2)) == inv[key] == pytest.approx(value, rel=1e-6)
+    if scenario == "linear":   # rotation's y = lam always has det(dy/dx) = 0
+        assert (inv["jacobian_min_abs_det"] == 0.0) == (verdict == "degenerate")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -148,14 +181,16 @@ def test_zero_step_rejected(tmp_path, capsys):
     assert "config error: step must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tolerances", [{"canonicity": 1e-6}, None, [1e-6, 1e-6, 1e-12]])
-def test_library_run_requires_every_tolerance(tmp_path, tolerances):
-    out = tmp_path / "out"
-    want = "tolerances must be an object holding each of ['canonicity', 'symplectic', 'degenerate']"
-    for call in (run, verify, lambda cfg: sweep(cfg, "step", ["0.01"])):
-        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
-            call(RunConfig(tolerances=tolerances, output_dir=str(out)))
-    assert not out.exists()
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "step", "--values", "0.01"],
+                                  ["verify"]], ids=["run", "sweep", "verify"])
+def test_no_config_sets_a_verdict_gate(tmp_path, monkeypatch, capsys, argv):
+    # the gates are fixed: a tolerances object is an unknown field like any other
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, scenario="linear", t1=0.1, step=0.01, output_dir="out",
+                    tolerances={"canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-12})
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "config error: unknown config field 'tolerances'\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_unknown_field_rejected(tmp_path, capsys):
@@ -183,12 +218,12 @@ def test_custom_scenario_has_no_batch_path(tmp_path, capsys):
     ({"n": True}, "n"),
     ({"scenario": "ballistic", "sigma": "x"}, "sigma"),
     ({"loop_vertices": 8.5}, "loop_vertices"),
-    ({"tolerances": {"canonicity": True}}, "canonicity"),
+    ({"seed": 1.5}, "seed must be an integer"),
     ({"output_dir": 5}, "output_dir"),
     ({"emit_gnuplot": "no"}, "emit_gnuplot"),
     ({"t1": 0.0}, "t1 must exceed t0"),
     ({"map_variant": "Symplectic119"}, "map_variant must be one of"),
-    ({"tolerances": {"energy": 1.0}}, "unknown tolerance 'energy'"),
+    ({"lam0": [1.0, 2.0]}, "lam0 must be a finite list of length n=1"),
     ({"scenario": "ballistic", "sigma": -1.0}, "sigma must be positive"),   # from the factory
     ({"output_dir": "a\u0000b"}, "output_dir"),   # os.makedirs refuses an embedded NUL
     ({"output_dir": "\ud800"}, "output_dir"),     # and a lone surrogate
@@ -519,7 +554,9 @@ def test_sweep_rejects_bad_requests(tmp_path, capsys):
 @pytest.mark.parametrize("values, err", [
     ("0.01,-1", "step must be positive"),
     ("0.01,fast", "cannot parse 'fast' as float for 'step'"),
-], ids=["invalid", "unparsable"])
+    # os.makedirs refuses a name over 255 bytes; the first run must not write before it
+    ("0.01,1" + "0" * 300, f"directory name step=1{'0' * 300} is longer than 255 bytes"),
+], ids=["invalid", "unparsable", "name-too-long"])
 def test_sweep_checks_every_value_before_the_first_run(tmp_path, monkeypatch, capsys,
                                                         values, err):
     # a bad later value is refused before the good first one writes anything

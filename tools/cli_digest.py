@@ -43,6 +43,10 @@ CASES = {
     # n = 80: the canonicity pass takes 2^16 / n^2 = 10 samples at a time, so
     # its 21 samples cross three passes
     "linear-n80": {"scenario": "linear", "n": 80, "t1": 0.2, "step": 0.01},
+    # the verdict gates at their fixed values in a "tolerances" object, which no
+    # config may hold: run, sweep and verify exit 2 with one line, writing nothing
+    "linear-tolerances": {"scenario": "linear", "t1": 0.5, "step": 0.01, "tolerances": {
+        "canonicity": 1e-6, "symplectic": 1e-6, "degenerate": 1e-12}},
     "rotation": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 3},
     "rotation-n2": {"scenario": "rotation", "n": 2, "t1": 0.3, "step": 0.01},
     "rotation-wide": {"scenario": "rotation", "t1": 0.5, "step": 0.01, "seed": 5,
